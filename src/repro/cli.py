@@ -72,6 +72,7 @@ import sys
 from pathlib import Path
 
 from repro import quick_async, quick_sync
+from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS
 from repro.sweep.cache import DEFAULT_CACHE_DIR, RunCache
 from repro.sweep.runner import run_experiments, run_sweep
@@ -446,12 +447,10 @@ def _command_demo(args: argparse.Namespace) -> int:
     else:
         tracer_ctx = nullcontext(None)
     if args.asynchronous and args.shards != 1:
-        print(
-            "error: --shards applies to the synchronous engine only; "
-            "the event-driven engine stays single-process",
-            file=sys.stderr,
+        raise ConfigurationError(
+            "--shards applies to the synchronous engine only; "
+            "the event-driven engine stays single-process"
         )
-        return 2
     metrics = _open_metrics(args)
     with tracer_ctx as tracer:
         kwargs = {} if tracer is None else {"tracer": tracer}
@@ -486,50 +485,41 @@ def _command_demo(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.sweep.aggregate import aggregate_table
 
     if args.list_targets:
         return _command_list_targets()
     resume = args.resume is not None
     state_dir = args.resume if resume else args.state_dir
-    try:
-        if args.target is not None:
-            spec = SweepSpec(
-                target=args.target,
-                base=parse_overrides(args.overrides),
-                grid=parse_grid(args.grid),
-                repetitions=args.reps,
-                seed=args.seed,
-                name=args.name,
-            )
-        elif resume:
-            # The manifest stores the full spec; --resume DIR alone is
-            # enough to continue the sweep.
-            from repro.sweep.supervisor import SweepManifest
-
-            spec = SweepManifest.load(state_dir).spec
-        else:
-            print(
-                "error: a sweep target is required (or pass --list-targets)",
-                file=sys.stderr,
-            )
-            return 2
-        metrics = _open_metrics(args)
-        report = run_sweep(
-            spec,
-            cache=_open_cache(args),
-            workers=args.workers,
-            echo=lambda line: print(line, file=sys.stderr),
-            trace_dir=None if args.trace is None else str(args.trace),
-            metrics=metrics,
-            supervisor=_supervisor_from_args(args),
-            state_dir=None if state_dir is None else str(state_dir),
-            resume=resume,
+    if args.target is not None:
+        spec = SweepSpec(
+            target=args.target,
+            base=parse_overrides(args.overrides),
+            grid=parse_grid(args.grid),
+            repetitions=args.reps,
+            seed=args.seed,
+            name=args.name,
         )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    elif resume:
+        # The manifest stores the full spec; --resume DIR alone is
+        # enough to continue the sweep.
+        from repro.sweep.supervisor import SweepManifest
+
+        spec = SweepManifest.load(state_dir).spec
+    else:
+        raise ConfigurationError("a sweep target is required (or pass --list-targets)")
+    metrics = _open_metrics(args)
+    report = run_sweep(
+        spec,
+        cache=_open_cache(args),
+        workers=args.workers,
+        echo=lambda line: print(line, file=sys.stderr),
+        trace_dir=None if args.trace is None else str(args.trace),
+        metrics=metrics,
+        supervisor=_supervisor_from_args(args),
+        state_dir=None if state_dir is None else str(state_dir),
+        resume=resume,
+    )
     if args.trace is not None:
         print(f"[sweep] traces written under {args.trace}", file=sys.stderr)
     _write_metrics(args, metrics, "sweep")
@@ -551,27 +541,22 @@ def _finish_supervised(failures) -> int:
 
 
 def _command_robustness(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.experiments.robustness import run_robustness
 
     metrics = _open_metrics(args)
-    try:
-        report = run_robustness(
-            quick=not args.full,
-            seed=args.seed,
-            cache=_open_cache(args),
-            workers=args.workers,
-            profile=args.profile,
-            echo=lambda line: print(line, file=sys.stderr),
-            trace_dir=None if args.trace is None else str(args.trace),
-            metrics=metrics,
-            supervisor=_supervisor_from_args(args),
-            state_dir=None if args.state_dir is None else str(args.state_dir),
-            resume=args.resume,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_robustness(
+        quick=not args.full,
+        seed=args.seed,
+        cache=_open_cache(args),
+        workers=args.workers,
+        profile=args.profile,
+        echo=lambda line: print(line, file=sys.stderr),
+        trace_dir=None if args.trace is None else str(args.trace),
+        metrics=metrics,
+        supervisor=_supervisor_from_args(args),
+        state_dir=None if args.state_dir is None else str(args.state_dir),
+        resume=args.resume,
+    )
     if args.trace is not None:
         print(f"[robustness] traces written under {args.trace}", file=sys.stderr)
     _write_metrics(args, metrics, "robustness")
@@ -791,35 +776,32 @@ def _command_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")  # pragma: no cover
 
 
+_COMMANDS = {
+    "list": lambda args: _command_list(),
+    "run": _command_run,
+    "reproduce": _command_reproduce,
+    "demo": _command_demo,
+    "sweep": _command_sweep,
+    "robustness": _command_robustness,
+    "chaos": _command_chaos,
+    "trace-metrics": _command_trace_metrics,
+    "trace-diff": _command_trace_diff,
+    "metrics-report": _command_metrics_report,
+    "trace-merge": _command_trace_merge,
+    "trace-view": _command_trace_view,
+    "cache": _command_cache,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "reproduce":
-        return _command_reproduce(args)
-    if args.command == "demo":
-        return _command_demo(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "robustness":
-        return _command_robustness(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
-    if args.command == "trace-metrics":
-        return _command_trace_metrics(args)
-    if args.command == "trace-diff":
-        return _command_trace_diff(args)
-    if args.command == "metrics-report":
-        return _command_metrics_report(args)
-    if args.command == "trace-merge":
-        return _command_trace_merge(args)
-    if args.command == "trace-view":
-        return _command_trace_view(args)
-    if args.command == "cache":
-        return _command_cache(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        # The one error boundary: an invalid input raised anywhere below
+        # is a one-line error and exit 2, never a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

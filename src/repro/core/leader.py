@@ -14,6 +14,12 @@ incoming *i-signals*:
   increments ``gen_size``; when ``gen_size`` reaches ``⌈n/2⌉`` and the
   generation budget is not exhausted the leader births the next
   generation: ``gen += 1``, ``t ← 0``, ``prop ← False``.
+
+:class:`~repro.core.single_leader.SingleLeaderSim` does not pass
+0-signals through :meth:`Leader.on_signal`: it counts them on the
+simulator's tally stream, closes the two-choices window from the tally
+trigger, and copies the counts into ``zero_signals`` / ``tick_count``
+wherever they are read.
 """
 
 from __future__ import annotations

@@ -22,19 +22,25 @@ Engine notes (the hot path):
 * all randomness comes from block-prefetched draw pools
   (:mod:`repro.engine.rng`) over the caller's generator — one vectorized
   numpy call per few thousand events instead of one per event;
+* line-1 0-signals are not events: they are arrival times on the
+  simulator's tally stream, which counts them and fires
+  :meth:`SingleLeaderSim._propagation_trigger` at the generation's
+  ``C3·n``-th one, the only 0-signal Algorithm 3 acts on (see
+  :meth:`~repro.engine.simulator.Simulator.tally_at`);
 * scheduling is *batch-granular* on the batch engine, via skip-tick
   chains: each node pre-draws
   :attr:`~repro.engine.simulator.Simulator.tick_window` future tick
-  times per refill and bulk-inserts the whole line-1 0-signal fan-out
-  with one :meth:`~repro.engine.simulator.Simulator.schedule_many_at`
-  call; tick *events* exist only while the node is unlocked (a locked
-  tick is a no-op by lines 3-4, so it is counted at unlock — exactly
-  as many as the event engine would dispatch — never dispatched).
-  With window 1 (the heap fallback, or block-1 pools) everything
-  degenerates to the event-granular draw/push sequence of the
-  pre-batching engine, draw-for-draw and seq-for-seq;
-* payloads are node ids (ticks/signals) or ``(node, first, second)``
-  triples (exchanges) — no per-event closures;
+  times per refill and files the whole 0-signal fan-out with one
+  :meth:`~repro.engine.simulator.Simulator.tally_at` call; tick
+  *events* exist only while the node is unlocked (a locked tick is a
+  no-op by lines 3-4, so it is counted at unlock — exactly as many as
+  the event engine would dispatch — never dispatched).  With window 1
+  (the heap fallback, or block-1 pools) everything degenerates to the
+  event-granular draw/push sequence of the pre-batching engine,
+  draw-for-draw;
+* payloads are node ids (ticks), generations (gen-signals) or
+  ``(node, first, second)`` triples (exchanges) — no per-event
+  closures;
 * per-node state lives in plain Python lists (``gens``, ``cols``,
   ``matrix`` and friends are numpy *snapshot* properties built on
   access), so handler bodies are pure scalar Python with no numpy
@@ -146,6 +152,11 @@ class SingleLeaderSim:
         self.sim = Simulator(tracer=tracer) if simulator is None else simulator
         self.leader = Leader(params)
         self._phase_changes_seen = 0
+        # The leader's 0-signal counters follow the tally stream:
+        # zero_signals counts from _tally_origin, tick_count from
+        # _tally_base (the count at the last generation birth).
+        self._tally_origin = self._tally_base = self.sim.tallied
+        self._arm_propagation()
         # Protocol-level trace hooks (state transitions and leader phase
         # changes, never raw dispatches — the batch engine's skip-tick
         # chains would make a dispatch trace under-report).  The flags
@@ -232,8 +243,8 @@ class SingleLeaderSim:
         # that can matter (the node is unlocked) become events; ticks
         # elapsing while the node is locked mid-cycle are no-ops by
         # Algorithm 2 and are counted exactly at unlock instead of
-        # dispatched.  Their line-1 0-signals are real events either
-        # way, bulk-inserted one latency-pool block per chain extension.
+        # dispatched.  Their line-1 0-signals are tallied either way,
+        # one latency-pool block per chain extension.
         self._window = self.sim.tick_window
         self._skip = self._window > 1
         schedule_in = self.sim.schedule_in
@@ -241,8 +252,8 @@ class SingleLeaderSim:
         wait = self._tick_wait
         if self._skip:
             latency = self._latency
-            signal = self._leader_signal
             schedule = self.sim.schedule
+            tally_at = self.sim.tally_at
             now = self.sim.now
             self._chain: list[list[float]] = [[] for _ in range(self.n)]
             self._cptr: list[int] = [0] * self.n
@@ -251,7 +262,9 @@ class SingleLeaderSim:
                 first_tick = now + wait()
                 self._chain[node].append(first_tick)
                 schedule(first_tick, tick, node)
-                schedule(first_tick + latency(), signal)
+                # Filed per node: a fault transform may draw from the
+                # shared generator, so this keeps the draw order.
+                tally_at((first_tick + latency(),))
         else:
             for node in range(self.n):
                 schedule_in(wait(), tick, node)
@@ -301,27 +314,49 @@ class SingleLeaderSim:
         """Fire-and-forget i-signal to the leader (one-way latency)."""
         self.sim.schedule_in(self._latency(), self._leader_signal, i)
 
-    def _leader_signal(self, i: int = 0) -> None:
+    def _arm_propagation(self) -> None:
+        """Arm the tally trigger at this generation's ``C3·n``-th 0-signal."""
+        self.sim.arm_tally_trigger(
+            self._tally_base + self.params.prop_signal_threshold,
+            self._propagation_trigger,
+        )
+
+    def _sync_leader(self) -> None:
+        """Bring the leader's 0-signal counters up to the tally stream."""
+        tallied = self.sim.tallied
+        self.leader.zero_signals = tallied - self._tally_origin
+        self.leader.tick_count = tallied - self._tally_base
+
+    def _propagation_trigger(self) -> None:
+        """The ``C3·n``-th 0-signal arrived: close two-choices (Algorithm 3)."""
         leader = self.leader
-        if i == 0:
-            # Inlined Leader.on_signal zero-path: 0-signals are ~2/3 of
-            # all events, and all but one per phase are pure counter
-            # bumps.  Mirrors Leader.on_signal exactly (pinned by the
-            # block-1 replay suite).
-            leader.zero_signals += 1
-            count = leader.tick_count + 1
-            leader.tick_count = count
-            if count != leader._params.prop_signal_threshold or leader.prop:
-                return
+        if not leader.prop:
             leader.prop = True
             leader.phase_changes.append(
                 LeaderPhaseChange(
                     kind="propagation", time=self.sim.now, generation=leader.gen
                 )
             )
-        else:
-            leader.on_signal(i, self.sim.now)
-        changes = self.leader.phase_changes
+        self._note_phase_changes()
+
+    def _leader_signal(self, i: int) -> None:
+        """An i-signal (i >= 1) reaches the leader; 0-signals are tallied."""
+        leader = self.leader
+        gen = leader.gen
+        leader.on_signal(i, self.sim.now)
+        if leader.gen != gen:
+            # A birth restarts the leader's 0-signal count.
+            self._tally_base = self.sim.tallied
+            self._arm_propagation()
+        self._note_phase_changes()
+
+    def _note_phase_changes(self) -> None:
+        """Trace and snapshot leader transitions not yet seen."""
+        leader = self.leader
+        changes = leader.phase_changes
+        if self._phase_changes_seen == len(changes):
+            return
+        self._sync_leader()
         while self._phase_changes_seen < len(changes):
             change = changes[self._phase_changes_seen]
             self._phase_changes_seen += 1
@@ -357,11 +392,11 @@ class SingleLeaderSim:
         """Pre-draw the node's next tick window and its 0-signal fan-out.
 
         One pool-block take each for waits and latencies, one cumsum for
-        the tick times, and one bulk insert for the whole line-1 signal
-        block — the signals are real events (the leader must count them
-        whether or not the sending node's tick itself needs dispatching).
-        The tick times only extend the chain; tick *events* are created
-        lazily for unlocked nodes (see :meth:`_tick` / :meth:`_unlock`).
+        the tick times, and one tally filing for the whole line-1 signal
+        block (the leader counts every signal, whether or not the
+        sending node's tick itself needs dispatching).  The tick times
+        only extend the chain; tick *events* are created lazily for
+        unlocked nodes (see :meth:`_tick` / :meth:`_unlock`).
         """
         window = self._window
         self.refills += 1
@@ -379,7 +414,7 @@ class SingleLeaderSim:
         # costs more than the loop (measured; see docs/architecture.md).
         t = chain[-1]
         now = self.sim.now
-        sigs = []
+        arrivals = []
         for j in range(window):
             t += waits[j]
             chain.append(t)
@@ -387,8 +422,8 @@ class SingleLeaderSim:
             # An extension behind the clock (a cycle outlived the
             # pre-drawn window) delivers overdue signals immediately
             # rather than in the past.
-            sigs.append(arrival if arrival > now else now)
-        self.sim.schedule_many_at(sigs, self._leader_signal)
+            arrivals.append(arrival if arrival > now else now)
+        self.sim.tally_at(arrivals)
 
     def _schedule_next_tick(self, node: int) -> None:
         """Arrange the next tick *event* (the next chain time ahead of now)."""
@@ -449,7 +484,7 @@ class SingleLeaderSim:
             # Event-granular fallback: the legacy draw/push sequence.
             sim = self.sim
             sim.schedule_in(self._tick_wait(), self._tick, node)
-            sim.schedule_in(self._latency(), self._leader_signal, 0)  # line 1
+            sim.tally_in(self._latency())  # line 1
             if self._locked[node]:
                 return
         self._locked[node] = True
@@ -539,6 +574,7 @@ class SingleLeaderSim:
         """
         if metrics is None or not metrics.enabled:
             return
+        self._sync_leader()
         metrics.counter(f"protocol.runs.{self._trace_protocol}").inc()
         metrics.add_counters(
             {
@@ -654,6 +690,7 @@ class SingleLeaderSim:
                     cptrs[node] = ptr
             self.total_ticks += extra
             self.skipped_ticks += extra
+        self._sync_leader()
         epsilon_time = self._eps_time
         converged = max(counts) == n
         if self._tracer.enabled_for("end"):

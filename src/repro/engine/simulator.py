@@ -6,6 +6,16 @@ clock to its timestamp, and execute its action.  Actions schedule
 further events through :meth:`Simulator.schedule` /
 :meth:`Simulator.schedule_in` / :meth:`Simulator.schedule_many`.
 
+Next to the event queue runs a *tally stream*: a float min-heap of bare
+arrival times, filed with :meth:`Simulator.tally_at` /
+:meth:`Simulator.tally_in`.  An arrival has no action and no payload;
+the loop delivers it in time order between the events (at equal times
+the event goes first) and counts it.  One armed trigger
+(:meth:`Simulator.arm_tally_trigger`) runs an action at the arrival
+that brings the count to a target.  This models messages whose receiver
+only counts them up to a threshold — the single-leader protocol's
+0-signals — for a float push and pop each instead of a dispatched event.
+
 Two queue engines are available (``Simulator(engine=...)``):
 
 * ``"batch"`` (the default) — :class:`~repro.engine.events.BatchEventQueue`:
@@ -35,9 +45,11 @@ payloads.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from heapq import heappop, heappush
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,8 +61,9 @@ from repro.errors import ConfigurationError, SchedulingError
 __all__ = ["Simulator", "DEFAULT_ENGINE", "DEFAULT_TICK_WINDOW", "schedule_tick_window"]
 
 #: Engine used when ``Simulator(engine=None)`` and ``$REPRO_ENGINE`` is
-#: unset.  ``"batch"`` = struct-of-arrays queue + window batching;
-#: ``"heap"`` = the PR 1 tuple heap (bit-identical legacy trajectories).
+#: unset.  ``"batch"`` = tuple heap with deferred bulk intake + window
+#: batching; ``"heap"`` = the PR 1 tuple heap (bit-identical legacy
+#: trajectories).
 DEFAULT_ENGINE = "batch"
 
 #: Ticks a protocol simulator pre-schedules per node and refill on the
@@ -71,9 +84,9 @@ class Simulator:
     tracer:
         Receives structured trace records; defaults to a no-op tracer.
     engine:
-        ``"batch"`` (struct-of-arrays queue, bulk scheduling) or
-        ``"heap"`` (tuple-heap fallback).  ``None`` resolves the
-        ``REPRO_ENGINE`` environment variable and then
+        ``"batch"`` (tuple heap with deferred bulk intake, window
+        batching) or ``"heap"`` (tuple-heap fallback).  ``None``
+        resolves the ``REPRO_ENGINE`` environment variable and then
         :data:`DEFAULT_ENGINE`.
 
     Notes
@@ -99,6 +112,12 @@ class Simulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._events_executed = 0
         self._stop_requested = False
+        #: Tally stream: pending arrival times (a min-heap), deliveries
+        #: so far, and the armed trigger (count -1 = none armed).
+        self._tally: list[float] = []
+        self._tallied = 0
+        self._trigger_at = -1
+        self._trigger_action: Callable[[], Any] | None = None
 
     @property
     def events_executed(self) -> int:
@@ -107,8 +126,13 @@ class Simulator:
 
     @property
     def batched(self) -> bool:
-        """True when the struct-of-arrays engine is active."""
+        """True on the batch engine (deferred bulk intake, window batching)."""
         return self._batched
+
+    @property
+    def tallied(self) -> int:
+        """Tally arrivals delivered so far."""
+        return self._tallied
 
     @property
     def tick_window(self) -> int:
@@ -242,6 +266,38 @@ class Simulator:
             queue._live.update(range(start, seq))
         return range(start, seq)
 
+    def tally_at(self, times: Iterable[float]) -> None:
+        """File tally arrivals at absolute simulated ``times``.
+
+        The tally counterpart of :meth:`schedule_many_at`: protocols
+        file one pre-drawn block per call.  Past, NaN and infinite times
+        raise.
+        """
+        now = self.now
+        tally = self._tally
+        for time in times:
+            if not now <= time < math.inf:  # rejects past, NaN and inf
+                raise SchedulingError(
+                    f"cannot tally an arrival at {time} (now={now})"
+                )
+            heappush(tally, time)
+
+    def tally_in(self, delay: float) -> None:
+        """File one tally arrival after a non-negative ``delay`` from now."""
+        if not 0 <= delay < math.inf:  # rejects negative, NaN and inf
+            raise SchedulingError(f"cannot tally an arrival after delay {delay}")
+        heappush(self._tally, self.now + delay)
+
+    def arm_tally_trigger(self, count: int, action: Callable[[], Any]) -> None:
+        """Run ``action()`` at the arrival that brings :attr:`tallied` to ``count``.
+
+        ``now`` is that arrival's time during the call.  The trigger
+        fires once; arming again replaces it, and a count already
+        passed never fires.
+        """
+        self._trigger_at = count
+        self._trigger_action = action
+
     def cancel(self, handle: int) -> None:
         """Cancel a previously scheduled event by its sequence handle."""
         self.queue.cancel(handle)
@@ -271,13 +327,18 @@ class Simulator:
         max_events: int | None = None,
         stop_when: Callable[[], bool] | None = None,
     ) -> float:
-        """Execute events until a stopping condition holds.
+        """Execute events and tally arrivals until a stopping condition holds.
+
+        Tally arrivals are delivered in time order between the events;
+        at equal times the event goes first.  Every delivery counts in
+        :attr:`events_executed`, ``max_events`` and ``stop_when``, like
+        an executed event.
 
         Parameters
         ----------
         until:
-            Stop (without executing) at the first event later than this
-            time; the clock is then advanced to ``until``.
+            Stop (without executing) at the first event or arrival later
+            than this time; the clock is then advanced to ``until``.
         max_events:
             Execute at most this many events (guards runaway loops).
         stop_when:
@@ -290,35 +351,42 @@ class Simulator:
             The simulated time when the loop exited.
         """
         self._stop_requested = False
-        if self._batched:
-            return self._run_batch(until, max_events, stop_when)
-        return self._run_heap(until, max_events, stop_when)
+        horizon = math.inf if until is None else until
+        if max_events is None and stop_when is None:
+            self._run_free(horizon)
+        else:
+            self._run_polled(horizon, max_events, stop_when)
+        if until is not None and not self.queue and not self._tally and self.now < until:
+            self.now = until
+        return self.now
 
-    def _run_batch(
-        self,
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        executed = 0
+    def _run_free(self, horizon: float) -> None:
+        """The unpolled loop, the one protocol runs take.
+
+        Protocol runs stop via :meth:`stop` (convergence is detected at
+        the state update, not polled per event), so only the horizon is
+        checked, and every tally arrival due before the next event is
+        delivered in one inner run.
+        """
         queue = self.queue
         heap = queue._heap
-        horizon = float("inf") if until is None else until
+        batched = self._batched
+        tally = self._tally
+        # The first float past the horizon: ``< limit`` bounds a run of
+        # deliveries by both the next event (exclusive) and the horizon
+        # (inclusive).
+        past = math.nextafter(horizon, math.inf)
+        executed = 0
         try:
-            if max_events is None and stop_when is None:
-                # Tight loop: protocol runs stop via Simulator.stop()
-                # (convergence is detected at the state update, not
-                # polled per event), so only the horizon is checked.
-                # Deferred push_many blocks are flushed into the heap
-                # the moment their earliest event could be next.
-                while True:
-                    if not heap:
-                        if not queue._blk:
-                            break
-                        queue._flush_blocks()
-                        continue
+            while True:
+                # Make heap[0] the next live event: flush deferred
+                # push_many blocks the moment their earliest event could
+                # be next, and drop tombstones.  queue._live is re-read
+                # per event because a callback can trigger the first
+                # cancellation mid-run.
+                if heap:
                     entry = heap[0]
-                    if queue._blk_min <= entry[0]:
+                    if batched and queue._blk_min <= entry[0]:
                         queue._flush_blocks()
                         entry = heap[0]
                     live = queue._live
@@ -326,33 +394,76 @@ class Simulator:
                         heappop(heap)
                         queue.dead_pops += 1
                         continue
-                    time = entry[0]
+                    due = entry[0]
+                elif batched and queue._blk:
+                    queue._flush_blocks()
+                    continue
+                elif tally:
+                    due = math.inf
+                else:
+                    return
+                if tally and tally[0] < due:
+                    time = tally[0]
                     if time > horizon:
-                        self.now = until
-                        return self.now
-                    heappop(heap)
-                    if live is not None:
-                        live.remove(entry[1])
-                    self.now = time
-                    payload = entry[3]
-                    if payload is None:
-                        entry[2]()
-                    else:
-                        entry[2](payload)
-                    executed += 1
-                    if self._stop_requested:
-                        break
-            else:
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    if not heap:
-                        if not queue._blk:
+                        self.now = horizon
+                        return
+                    limit = due if due < past else past
+                    count = start = self._tallied
+                    fire = self._trigger_at
+                    while True:
+                        heappop(tally)
+                        count += 1
+                        if count == fire or not tally or tally[0] >= limit:
                             break
-                        queue._flush_blocks()
-                        continue
+                        time = tally[0]
+                    self._tallied = count
+                    executed += count - start
+                    self.now = time
+                    if count == fire:
+                        self._fire_trigger()
+                        if self._stop_requested:
+                            return
+                    continue
+                if due > horizon:
+                    self.now = horizon
+                    return
+                heappop(heap)
+                if live is not None:
+                    live.remove(entry[1])
+                self.now = due
+                payload = entry[3]
+                if payload is None:
+                    entry[2]()
+                else:
+                    entry[2](payload)
+                executed += 1
+                if self._stop_requested:
+                    return
+        finally:
+            self._events_executed += executed
+
+    def _run_polled(
+        self,
+        horizon: float,
+        max_events: int | None,
+        stop_when: Callable[[], bool] | None,
+    ) -> None:
+        """The polled loop: one event or delivery per iteration.
+
+        Head selection mirrors :meth:`_run_free` inline: the batch
+        engine's dispatch-rate floor is measured through this loop.
+        """
+        queue = self.queue
+        heap = queue._heap
+        batched = self._batched
+        tally = self._tally
+        cap = sys.maxsize if max_events is None else max_events
+        executed = 0
+        try:
+            while executed < cap:
+                if heap:
                     entry = heap[0]
-                    if queue._blk_min <= entry[0]:
+                    if batched and queue._blk_min <= entry[0]:
                         queue._flush_blocks()
                         entry = heap[0]
                     live = queue._live
@@ -360,101 +471,52 @@ class Simulator:
                         heappop(heap)
                         queue.dead_pops += 1
                         continue
-                    time = entry[0]
+                    due = entry[0]
+                elif batched and queue._blk:
+                    queue._flush_blocks()
+                    continue
+                elif tally:
+                    due = math.inf
+                else:
+                    return
+                if tally and tally[0] < due:
+                    time = tally[0]
                     if time > horizon:
-                        self.now = until
-                        return self.now
+                        self.now = horizon
+                        return
+                    heappop(tally)
+                    self.now = time
+                    self._tallied += 1
+                    executed += 1
+                    if self._tallied == self._trigger_at:
+                        self._fire_trigger()
+                else:
+                    if due > horizon:
+                        self.now = horizon
+                        return
                     heappop(heap)
                     if live is not None:
                         live.remove(entry[1])
-                    self.now = time
+                    self.now = due
                     payload = entry[3]
                     if payload is None:
                         entry[2]()
                     else:
                         entry[2](payload)
                     executed += 1
-                    if self._stop_requested:
-                        break
-                    if stop_when is not None and stop_when():
-                        break
+                if self._stop_requested:
+                    return
+                if stop_when is not None and stop_when():
+                    return
         finally:
             self._events_executed += executed
-        if until is not None and not queue and self.now < until:
-            self.now = until
-        return self.now
 
-    def _run_heap(
-        self,
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        horizon = float("inf") if until is None else until
-        try:
-            if max_events is None and stop_when is None:
-                # Tight loop; see _run_batch for the stop semantics.
-                # queue._live is re-read per event because a callback
-                # can trigger the first cancellation mid-run.
-                while heap:
-                    entry = heap[0]
-                    live = queue._live
-                    if live is not None and entry[1] not in live:
-                        heappop(heap)
-                        queue.dead_pops += 1
-                        continue
-                    time = entry[0]
-                    if time > horizon:
-                        self.now = until
-                        return self.now
-                    heappop(heap)
-                    if live is not None:
-                        live.remove(entry[1])
-                    self.now = time
-                    payload = entry[3]
-                    if payload is None:
-                        entry[2]()
-                    else:
-                        entry[2](payload)
-                    executed += 1
-                    if self._stop_requested:
-                        break
-            else:
-                while heap:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    entry = heap[0]
-                    live = queue._live
-                    if live is not None and entry[1] not in live:
-                        heappop(heap)
-                        queue.dead_pops += 1
-                        continue
-                    time = entry[0]
-                    if time > horizon:
-                        self.now = until
-                        return self.now
-                    heappop(heap)
-                    if live is not None:
-                        live.remove(entry[1])
-                    self.now = time
-                    payload = entry[3]
-                    if payload is None:
-                        entry[2]()
-                    else:
-                        entry[2](payload)
-                    executed += 1
-                    if self._stop_requested:
-                        break
-                    if stop_when is not None and stop_when():
-                        break
-        finally:
-            self._events_executed += executed
-        if until is not None and not queue and self.now < until:
-            self.now = until
-        return self.now
+    def _fire_trigger(self) -> None:
+        """Disarm the tally trigger, then run its action."""
+        action = self._trigger_action
+        self._trigger_at = -1
+        self._trigger_action = None
+        action()
 
 
 def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int) -> None:

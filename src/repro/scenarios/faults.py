@@ -30,7 +30,10 @@ Both scalar (``schedule_in``) and bulk (``schedule_many`` /
 ``schedule_many_at``) scheduling are intercepted — window-batched
 protocols (see :mod:`repro.engine.simulator`) degrade to per-event
 scheduling under faults, so fault semantics never depend on batching.
-Two residual notes: (1) with :func:`inject_faults` the initial batch of
+The tally stream's filing calls (``tally_at`` / ``tally_in``, the
+single-leader 0-signals) go through the same message transforms, one
+arrival at a time; an arrival has no owner node, so churn never
+suppresses it.  Two residual notes: (1) with :func:`inject_faults` the initial batch of
 tick events is scheduled during protocol construction, *before* the
 wrapper exists, so each node's very first tick escapes the churn guard
 — construct the protocol over :func:`prepare_faulty_simulator`'s
@@ -421,6 +424,8 @@ class FaultInjection:
     ``schedule_many_at``) scheduling paths are intercepted; bulk blocks
     are routed through the same per-event transform chain, so fault
     semantics are independent of how the protocol batches its inserts.
+    Tally arrivals (``tally_at`` / ``tally_in``) take the message
+    transforms with the same arithmetic as a ``_leader_signal`` event.
     """
 
     def __init__(
@@ -444,6 +449,7 @@ class FaultInjection:
         self._original_schedule_in = sim.schedule_in
         self._original_schedule_many = sim.schedule_many
         self._original_schedule_many_at = sim.schedule_many_at
+        self._original_tally_in = sim.tally_in
         self._has_churn = any(
             isinstance(fault, _ChurnBase) or type(fault).crashed_until is not FaultModel.crashed_until
             for fault in faults
@@ -454,6 +460,8 @@ class FaultInjection:
         sim.schedule_in = self._schedule_in
         sim.schedule_many = self._schedule_many
         sim.schedule_many_at = self._schedule_many_at
+        sim.tally_at = self._tally_at
+        sim.tally_in = self._tally_in
         for fault in self.faults:
             fault.install(self)
 
@@ -490,6 +498,21 @@ class FaultInjection:
             self._schedule_in(time - now, action, payload)
             for time, payload in zip(times, payloads)
         ]
+
+    def _tally_at(self, times) -> None:
+        """Tally seam (absolute times): per-arrival message transforms."""
+        now = self.sim.now
+        for time in times:
+            self._tally_in(time - now)
+
+    def _tally_in(self, delay: float) -> None:
+        for fault in self.faults:
+            transformed = fault.transform(MESSAGE, None, delay)
+            if transformed is None:
+                self._note_drop(MESSAGE, None)
+                return
+            delay = transformed
+        self._original_tally_in(delay)
 
     def _schedule_in(self, delay: float, action: Callable, payload: Any = None) -> int:
         name = getattr(action, "__name__", "")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.simulator import Simulator
 from repro.engine.tracing import CountingTracer
@@ -126,3 +130,225 @@ class TestTracerWiring:
         sim = Simulator(tracer=tracer)
         sim.tracer.record("custom", sim.now)
         assert tracer.counts["custom"] == 1
+
+
+@pytest.fixture(params=["heap", "batch"])
+def engine(request):
+    return request.param
+
+
+class TestTallyStream:
+    """Bare arrival times delivered and counted between the events."""
+
+    def test_arrivals_interleave_with_events_in_time_order(self, engine):
+        sim = Simulator(engine=engine)
+        seen = []
+        sim.schedule(1.0, lambda: seen.append((sim.now, sim.tallied)))
+        sim.schedule(3.0, lambda: seen.append((sim.now, sim.tallied)))
+        sim.tally_at([4.0, 0.5, 2.0])
+        sim.run()
+        assert seen == [(1.0, 1), (3.0, 2)]
+        assert sim.tallied == 3
+        assert sim.events_executed == 5
+        assert sim.now == 4.0
+
+    def test_event_goes_first_at_equal_times(self, engine):
+        sim = Simulator(engine=engine)
+        seen = []
+
+        def first():
+            # Filed at now while `second` is already due at now: the
+            # arrival still comes after it.
+            sim.tally_in(0.0)
+            seen.append(sim.tallied)
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: seen.append(sim.tallied))
+        sim.tally_at([1.0])
+        sim.run()
+        assert seen == [0, 0]
+        assert sim.tallied == 2
+        assert sim.now == 1.0
+
+    def test_until_delivers_up_to_the_horizon_only(self, engine):
+        sim = Simulator(engine=engine)
+        sim.tally_at([1.0, 5.0, math.nextafter(5.0, math.inf), 9.0])
+        sim.run(until=5.0)
+        assert sim.tallied == 2
+        assert sim.now == 5.0
+        sim.run()
+        assert sim.tallied == 4
+        assert sim.events_executed == 4
+        assert sim.now == 9.0
+
+    def test_until_advances_clock_once_tally_drains(self, engine):
+        sim = Simulator(engine=engine)
+        sim.tally_at([1.0])
+        sim.run(until=7.0)
+        assert sim.tallied == 1
+        assert sim.now == 7.0
+
+    def test_max_events_counts_deliveries(self, engine):
+        sim = Simulator(engine=engine)
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule(time, lambda time=time: fired.append(time))
+        sim.tally_at([0.5, 1.5, 2.5])
+        sim.run(max_events=3)
+        assert fired == [1.0]
+        assert sim.tallied == 2
+        assert sim.events_executed == 3
+        assert sim.now == 1.5
+
+    def test_stop_when_checked_after_each_delivery(self, engine):
+        sim = Simulator(engine=engine)
+        sim.tally_at([1.0, 2.0, 3.0, 4.0])
+        sim.run(stop_when=lambda: sim.tallied >= 2)
+        assert sim.tallied == 2
+        assert sim.now == 2.0
+
+    def test_trigger_fires_at_the_exact_arrival(self, engine):
+        sim = Simulator(engine=engine)
+        fired = []
+        sim.tally_at([0.3, 0.1, 0.7, 0.5])
+        sim.schedule(0.6, lambda: None)
+        sim.arm_tally_trigger(3, lambda: fired.append((sim.now, sim.tallied)))
+        sim.run()
+        assert fired == [(0.5, 3)]
+        assert sim.tallied == 4
+
+    def test_trigger_can_be_rearmed(self, engine):
+        sim = Simulator(engine=engine)
+        fired = []
+
+        def action():
+            fired.append(sim.now)
+            sim.arm_tally_trigger(sim.tallied + 2, action)
+
+        sim.tally_at([float(time) for time in range(1, 9)])
+        sim.arm_tally_trigger(1, lambda: None)
+        sim.arm_tally_trigger(3, action)  # replaces the first trigger
+        sim.run()
+        assert fired == [3.0, 5.0, 7.0]
+
+    def test_passed_count_never_fires(self, engine):
+        sim = Simulator(engine=engine)
+        fired = []
+        sim.tally_at([1.0, 2.0])
+        sim.run(until=1.5)
+        sim.arm_tally_trigger(1, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == []
+
+    def test_trigger_action_can_stop_the_run(self, engine):
+        sim = Simulator(engine=engine)
+        sim.tally_at([1.0, 2.0, 3.0])
+        sim.schedule(2.5, lambda: None)
+        sim.arm_tally_trigger(2, sim.stop)
+        sim.run()
+        assert sim.now == 2.0
+        assert sim.tallied == 2
+        sim.run()
+        assert sim.tallied == 3
+        assert sim.events_executed == 4
+
+    def test_past_and_nan_arrivals_rejected(self, engine):
+        sim = Simulator(engine=engine)
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SchedulingError):
+            sim.tally_at([4.0])
+        with pytest.raises(SchedulingError):
+            sim.tally_at([math.nan])
+        with pytest.raises(SchedulingError):
+            sim.tally_in(-0.5)
+
+
+# A program for the differential: main events and arrivals on disjoint
+# grids (events at multiples of 1/4, arrivals at odd multiples of 1/8),
+# so no event ever ties an arrival and the reference's seq order cannot
+# differ from the tally stream's event-first rule.
+_children = st.lists(st.tuples(st.booleans(), st.integers(0, 8)), max_size=3)
+_programs = st.fixed_dictionaries(
+    {
+        "events": st.lists(st.tuples(st.integers(0, 40), _children), max_size=12),
+        "arrivals": st.lists(st.integers(0, 40), max_size=30),
+        "trigger": st.integers(1, 25),
+        "rearm": st.integers(0, 6),
+        "mode": st.sampled_from(["free", "until", "max_events", "stop_when"]),
+        "bound": st.integers(0, 80),
+    }
+)
+
+
+def _run_program(engine: str, program: dict, *, tally: bool) -> list:
+    """Run ``program``; arrivals on the tally stream or as counter events."""
+    sim = Simulator(engine=engine)
+    log: list = []
+    reference = {"count": 0, "fire": -1, "action": None}
+
+    def tallied() -> int:
+        return sim.tallied if tally else reference["count"]
+
+    def arm(count, action) -> None:
+        if tally:
+            sim.arm_tally_trigger(count, action)
+        else:
+            reference["fire"], reference["action"] = count, action
+
+    def arrive() -> None:  # the reference's no-op counter event
+        reference["count"] += 1
+        if reference["count"] == reference["fire"]:
+            action = reference["action"]
+            reference["fire"], reference["action"] = -1, None
+            action()
+
+    def file_arrival(time: float) -> None:
+        if tally:
+            sim.tally_at([time])
+        else:
+            sim.schedule(time, arrive)
+
+    def fire() -> None:
+        log.append(("fire", sim.now, tallied()))
+        if program["rearm"]:
+            arm(tallied() + program["rearm"], fire)
+
+    def event(spec) -> None:
+        label, children = spec
+        log.append(("event", label, sim.now, tallied()))
+        for index, (is_event, step) in enumerate(children):
+            if is_event:
+                sim.schedule_in(step * 0.25, event, ((label, index), []))
+            else:
+                file_arrival(sim.now + step * 0.25 + 0.125)
+
+    for label, (slot, children) in enumerate(program["events"]):
+        sim.schedule(slot * 0.25, event, (label, children))
+    for slot in program["arrivals"]:
+        file_arrival(slot * 0.25 + 0.125)
+    arm(program["trigger"], fire)
+
+    mode, bound = program["mode"], program["bound"]
+    if mode == "until":
+        sim.run(until=bound * 0.125)
+    elif mode == "max_events":
+        sim.run(max_events=bound)
+    elif mode == "stop_when":
+        sim.run(stop_when=lambda: tallied() + len(log) >= bound)
+    else:
+        sim.run()
+    log.append(("paused", sim.now, sim.events_executed, tallied()))
+    sim.run()
+    log.append(("drained", sim.now, sim.events_executed, tallied()))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs)
+@pytest.mark.parametrize("engine_name", ["heap", "batch"])
+def test_tally_matches_counter_event_dispatch(engine_name, program):
+    """Differential: the tally stream vs one no-op counter event per arrival."""
+    assert _run_program(engine_name, program, tally=True) == _run_program(
+        engine_name, program, tally=False
+    )

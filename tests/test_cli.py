@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -298,6 +303,40 @@ class TestSupervisedSweep:
         assert main(["chaos"]) == 0
         out = capsys.readouterr().out
         assert "6/6 checks passed" in out
+
+
+class TestErrorBoundary:
+    """A ConfigurationError from any command is one line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--n", "3", "--k", "8"],
+            ["demo", "--asynchronous", "--n", "3", "--k", "8"],
+            ["demo", "--asynchronous", "--shards", "2"],
+            ["sweep", "--no-cache"],
+            ["sweep", "single_leader", "--set", "drop=1.5", "--no-cache"],
+        ],
+        ids=["demo-sync", "demo-async", "demo-shards", "sweep-no-target", "sweep-bad-knob"],
+    )
+    def test_configuration_error_is_one_line_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    def test_demo_impossible_workload_has_no_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "demo", "--n", "3", "--k", "8"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestCacheGcMaxBytes:
