@@ -242,33 +242,75 @@ class TestBatchEngineGolden:
     def test_single_leader_batch(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+        for tag in DEFAULT_GRAPHS:
+            rngs = RngRegistry(42)
+            params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
+            sim = SingleLeaderSim(
+                params, biased_counts(300, 3, 2.0), rngs.stream("sl"), graph=_graph(tag, 300)
+            )
+            result = sim.run(max_time=800.0)
+            assert [
+                bool(result.converged),
+                int(result.winner),
+                repr(result.elapsed),
+                result.final_color_counts.tolist(),
+                int(sim.sim.events_executed),
+            ] == GOLDEN_BATCH["single_leader"]
+
+    @pytest.mark.parametrize("tag", DEFAULT_GRAPHS)
+    def test_delayed_exchange_batch(self, monkeypatch, tag):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
         rngs = RngRegistry(42)
         params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
-        sim = SingleLeaderSim(params, biased_counts(300, 3, 2.0), rngs.stream("sl"))
-        result = sim.run(max_time=800.0)
+        sim = DelayedExchangeSim(
+            params,
+            biased_counts(300, 3, 2.0),
+            rngs.stream("dx"),
+            exchange_rate=2.0,
+            graph=_graph(tag, 300),
+        )
+        result = sim.run(max_time=1200.0)
         assert [
             bool(result.converged),
             int(result.winner),
             repr(result.elapsed),
             result.final_color_counts.tolist(),
             int(sim.sim.events_executed),
-        ] == GOLDEN_BATCH["single_leader"]
+        ] == GOLDEN_BATCH["delayed"]
 
     def test_multileader_batch(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
-        rngs = RngRegistry(42)
-        params = MultiLeaderParams(n=400, k=3, alpha0=2.0)
-        result = run_multileader(
-            params,
-            biased_counts(400, 3, 2.0),
-            rngs.stream("ml"),
-            clustering_max_time=300.0,
-            max_time=1500.0,
+        for tag in DEFAULT_GRAPHS:
+            rngs = RngRegistry(42)
+            params = MultiLeaderParams(n=400, k=3, alpha0=2.0)
+            result = run_multileader(
+                params,
+                biased_counts(400, 3, 2.0),
+                rngs.stream("ml"),
+                clustering_max_time=300.0,
+                max_time=1500.0,
+                graph=_graph(tag, 400),
+            )
+            assert [
+                bool(result.converged),
+                int(result.winner),
+                repr(result.elapsed),
+                result.final_color_counts.tolist(),
+            ] == GOLDEN_BATCH["multileader"]
+
+    def test_sweep_records_batch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+        spec = SweepSpec(
+            target="single_leader",
+            base={"k": 3, "alpha": 2.0},
+            grid={"n": [200, 300]},
+            repetitions=2,
+            seed=7,
         )
-        assert [
-            bool(result.converged),
-            int(result.winner),
-            repr(result.elapsed),
-            result.final_color_counts.tolist(),
-        ] == GOLDEN_BATCH["multileader"]
+        records = [execute_run(config) for config in spec.expand()]
+        for record in records:
+            record.pop("wall_time", None)
+        assert records == GOLDEN_BATCH["sweep_records"]
