@@ -33,21 +33,14 @@ def test_bench_thm13(run_and_save):
         assert row[3] > row[4]
 
 
-@pytest.mark.parametrize("engine", ["batch", "heap"])
-def test_bench_single_leader_events(benchmark, engine, monkeypatch):
+def test_bench_single_leader_events(benchmark):
     """Protocol-event throughput of the single-leader simulator.
 
-    Measured on both queue engines.  NOTE: the batched engine's
-    skip-tick chains mean one dispatched event carries ~40% more
-    simulated time than a heap-engine event (locked no-op ticks are
-    counted, not dispatched), so the wall-per-20k-events numbers are
-    not directly comparable across engines; ``extra_info`` records the
-    simulated time covered so BENCH_4.json can normalize.
+    NOTE: the skip-tick chains mean one dispatched event carries more
+    simulated time than one tick (locked no-op ticks are counted, not
+    dispatched); ``extra_info`` records the simulated time covered so
+    BENCH_4.json can normalize.
     """
-    import repro.engine.simulator as engine_sim
-
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", engine)
     params = SingleLeaderParams(n=1000, k=3, alpha0=2.0)
     counts = biased_counts(1000, 3, 2.0)
 

@@ -15,7 +15,6 @@ Usage::
     repro chaos                         # fault-injection smoke of the supervisor
     repro trace-metrics trace.jsonl     # offline metrics from a JSONL trace
     repro trace-diff a.jsonl b.jsonl    # structural diff; exit 1 on divergence
-    repro trace-merge a.jsonl b.jsonl   # merge per-shard traces by (t, seq)
     repro trace-view trace.jsonl        # static-HTML replay of a trace
     repro metrics-report m.json         # render a --metrics snapshot
     repro metrics-report m.json --compare base.json   # regression tables
@@ -316,17 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--prom", action="store_true",
         help="print the Prometheus text rendering instead of tables",
-    )
-
-    merge_parser = sub.add_parser(
-        "trace-merge", help="merge per-shard JSONL trace streams into one time-ordered stream"
-    )
-    merge_parser.add_argument(
-        "traces", type=Path, nargs="+", help="JSONL trace files (one per shard/stream)"
-    )
-    merge_parser.add_argument(
-        "--out", type=Path, default=None,
-        help="write the merged stream here (default: stdout)",
     )
 
     view_parser = sub.add_parser(
@@ -728,22 +716,6 @@ def _command_metrics_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_trace_merge(args: argparse.Namespace) -> int:
-    from repro.analysis.trace_merge import merge_trace_files
-
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        count = merge_trace_files(args.traces, args.out)
-        print(
-            f"[trace-merge] {count} records from {len(args.traces)} "
-            f"stream{'s' if len(args.traces) != 1 else ''} -> {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        count = merge_trace_files(args.traces, sys.stdout)
-    return 0
-
-
 def _command_trace_view(args: argparse.Namespace) -> int:
     from repro.visualizer import write_replay_html
 
@@ -787,7 +759,6 @@ _COMMANDS = {
     "trace-metrics": _command_trace_metrics,
     "trace-diff": _command_trace_diff,
     "metrics-report": _command_metrics_report,
-    "trace-merge": _command_trace_merge,
     "trace-view": _command_trace_view,
     "cache": _command_cache,
 }

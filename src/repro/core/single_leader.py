@@ -27,17 +27,16 @@ Engine notes (the hot path):
   :meth:`SingleLeaderSim._propagation_trigger` at the generation's
   ``C3·n``-th one, the only 0-signal Algorithm 3 acts on (see
   :meth:`~repro.engine.simulator.Simulator.tally_at`);
-* scheduling is *batch-granular* on the batch engine, via skip-tick
-  chains: each node pre-draws
-  :attr:`~repro.engine.simulator.Simulator.tick_window` future tick
+* scheduling is *batch-granular*, via skip-tick chains: each node
+  pre-draws :attr:`~repro.engine.simulator.Simulator.tick_window` future tick
   times per refill and files the whole 0-signal fan-out with one
   :meth:`~repro.engine.simulator.Simulator.tally_at` call; tick
   *events* exist only while the node is unlocked (a locked tick is a
   no-op by lines 3-4, so it is counted at unlock — exactly as many as
-  the event engine would dispatch — never dispatched).  With window 1
-  (the heap fallback, or block-1 pools) everything degenerates to the
-  event-granular draw/push sequence of the pre-batching engine,
-  draw-for-draw;
+  a tick-per-event schedule would dispatch — never dispatched).  With window 1
+  (block-1 pools) everything degenerates to the event-granular
+  draw/push sequence of the scalar-draw reference engine, draw for
+  draw;
 * payloads are node ids (ticks), generations (gen-signals) or
   ``(node, first, second)`` triples (exchanges) — no per-event
   closures;
@@ -158,8 +157,8 @@ class SingleLeaderSim:
         self._tally_origin = self._tally_base = self.sim.tallied
         self._arm_propagation()
         # Protocol-level trace hooks (state transitions and leader phase
-        # changes, never raw dispatches — the batch engine's skip-tick
-        # chains would make a dispatch trace under-report).  The flags
+        # changes, never raw dispatches — the skip-tick chains would
+        # make a dispatch trace under-report).  The flags
         # are cached so the untraced hot path pays one bool test.
         self._tracer = self.sim.tracer
         self._trace_state = self._tracer.enabled_for("state")
@@ -236,9 +235,9 @@ class SingleLeaderSim:
         self._eps_stop = False
         self._eps_time: float | None = None
 
-        # Tick scheduling.  Window 1 (heap fallback / block-1 pools):
-        # the legacy event-granular pattern, one tick event per tick.
-        # Window > 1 (batch engine): *skip-tick chains* — each node's
+        # Tick scheduling.  Window 1 (block-1 pools): the reference
+        # engine's event-granular pattern, one tick event per tick.
+        # Window > 1: *skip-tick chains* — each node's
         # future tick times are pre-drawn per window and only the ticks
         # that can matter (the node is unlocked) become events; ticks
         # elapsing while the node is locked mid-cycle are no-ops by
@@ -694,10 +693,9 @@ class SingleLeaderSim:
         epsilon_time = self._eps_time
         converged = max(counts) == n
         if self._tracer.enabled_for("end"):
-            # Only engine-independent (protocol-level) counters: at
-            # draw-pool block 1 both event engines emit byte-identical
-            # end records (dispatch-lagging stats like total_ticks stay
-            # in RunResult.info instead).
+            # Only engine-independent (protocol-level) counters; the
+            # dispatch-lagging stats like total_ticks stay in
+            # RunResult.info instead.
             self._tracer.record(
                 "end",
                 self.sim.now,

@@ -7,7 +7,7 @@ deterministic RNG substreams, and structured tracing.
 """
 
 from repro.engine.clocks import PoissonClock
-from repro.engine.events import BatchEventQueue, EventQueue
+from repro.engine.events import EventQueue
 from repro.engine.hypoexp import Hypoexponential
 from repro.engine.latency import (
     ChannelPlan,
@@ -43,7 +43,6 @@ from repro.engine.tracing import (
 __all__ = [
     "PoissonClock",
     "EventQueue",
-    "BatchEventQueue",
     "ChannelDelayPool",
     "DrawPool",
     "ExponentialPool",

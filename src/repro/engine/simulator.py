@@ -4,7 +4,7 @@
 the classic event loop: repeatedly pop the earliest event, advance the
 clock to its timestamp, and execute its action.  Actions schedule
 further events through :meth:`Simulator.schedule` /
-:meth:`Simulator.schedule_in` / :meth:`Simulator.schedule_many`.
+:meth:`Simulator.schedule_in` / :meth:`Simulator.schedule_many_at`.
 
 Next to the event queue runs a *tally stream*: a float min-heap of bare
 arrival times, filed with :meth:`Simulator.tally_at` /
@@ -16,24 +16,14 @@ that brings the count to a target.  This models messages whose receiver
 only counts them up to a threshold — the single-leader protocol's
 0-signals — for a float push and pop each instead of a dispatched event.
 
-Two queue engines are available (``Simulator(engine=...)``):
-
-* ``"batch"`` (the default) — :class:`~repro.engine.events.BatchEventQueue`:
-  the C tuple heap plus *deferred bulk intake*.  :meth:`schedule_many`
-  / :meth:`schedule_many_at` file a whole block of events (one
-  DrawPool block worth of pre-drawn times, passed as a zero-copy
-  array view) with two list appends, flushed into the heap in one
-  C-level loop only when the clock approaches the block.  Protocol
-  simulators key their tick-window batching off :attr:`tick_window`,
-  which collapses to 1 when the draw-pool block size is 1 — that
-  degenerate configuration replays the scalar-draw reference engine
-  draw for draw (see ``tests/engine/test_fast_equivalence.py``).
-* ``"heap"`` — the PR 1 tuple dispatcher: ``(time, seq, action,
-  payload)`` tuples on a raw ``heapq`` with lazy tombstones.  This is
-  the compatibility fallback; protocols running on it schedule one
-  event per call exactly as before, so its trajectories are
-  bit-identical to the pre-batching engine
-  (``tests/scenarios/test_default_path_regression.py`` pins them).
+The queue is :class:`~repro.engine.events.EventQueue`: ``(time, seq,
+action, payload)`` tuples on the C ``heapq`` with lazy tombstones.
+:meth:`Simulator.schedule_many_at` files a whole block of events (one
+draw-pool block of pre-drawn times) in one call.  Protocol simulators
+size those blocks by :attr:`Simulator.tick_window`, which collapses to
+1 when the draw-pool block size is 1 — that degenerate configuration
+replays the scalar-draw reference engine draw for draw (see
+``tests/engine/test_fast_equivalence.py``).
 
 Dispatching one event costs a couple of list loads and the callback
 itself.  Protocol components (nodes, leaders, clocks) are plain Python
@@ -46,7 +36,6 @@ payloads.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Sequence
@@ -54,26 +43,21 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 import repro.engine.rng as engine_rng
-from repro.engine.events import BatchEventQueue, EventQueue
+from repro.engine.events import EventQueue
 from repro.engine.tracing import NULL_TRACER, Tracer
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import SchedulingError
 
 __all__ = ["Simulator", "DEFAULT_ENGINE", "DEFAULT_TICK_WINDOW", "schedule_tick_window"]
 
-#: Engine used when ``Simulator(engine=None)`` and ``$REPRO_ENGINE`` is
-#: unset.  ``"batch"`` = tuple heap with deferred bulk intake + window
-#: batching; ``"heap"`` = the PR 1 tuple heap (bit-identical legacy
-#: trajectories).
+#: Name of the event engine, recorded in ledger provenance and in the
+#: ``engine.runs.<name>`` metrics counter.
 DEFAULT_ENGINE = "batch"
 
-#: Ticks a protocol simulator pre-schedules per node and refill on the
-#: batch engine.  The effective window is
-#: ``min(DEFAULT_TICK_WINDOW, rng.DEFAULT_BLOCK)`` so that forcing draw
-#: pools to block size 1 (the equivalence suite) also forces
-#: event-granular scheduling in the exact scalar draw order.
+#: Ticks a protocol simulator pre-schedules per node and refill.  The
+#: effective window is ``min(DEFAULT_TICK_WINDOW, rng.DEFAULT_BLOCK)``
+#: so that forcing draw pools to block size 1 (the equivalence suite)
+#: also forces event-granular scheduling in the exact scalar draw order.
 DEFAULT_TICK_WINDOW = 8
-
-_ENGINES = ("batch", "heap")
 
 
 class Simulator:
@@ -83,11 +67,6 @@ class Simulator:
     ----------
     tracer:
         Receives structured trace records; defaults to a no-op tracer.
-    engine:
-        ``"batch"`` (tuple heap with deferred bulk intake, window
-        batching) or ``"heap"`` (tuple-heap fallback).  ``None``
-        resolves the ``REPRO_ENGINE`` environment variable and then
-        :data:`DEFAULT_ENGINE`.
 
     Notes
     -----
@@ -96,18 +75,8 @@ class Simulator:
     this library never need it and it is almost always a bug.
     """
 
-    def __init__(self, *, tracer: Tracer | None = None, engine: str | None = None):
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; available: {', '.join(_ENGINES)}"
-            )
-        self.engine = engine
-        self._batched = engine == "batch"
-        self.queue: BatchEventQueue | EventQueue = (
-            BatchEventQueue() if self._batched else EventQueue()
-        )
+    def __init__(self, *, tracer: Tracer | None = None):
+        self.queue = EventQueue()
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._events_executed = 0
@@ -125,11 +94,6 @@ class Simulator:
         return self._events_executed
 
     @property
-    def batched(self) -> bool:
-        """True on the batch engine (deferred bulk intake, window batching)."""
-        return self._batched
-
-    @property
     def tallied(self) -> int:
         """Tally arrivals delivered so far."""
         return self._tallied
@@ -138,12 +102,9 @@ class Simulator:
     def tick_window(self) -> int:
         """Events a protocol should pre-schedule per bulk call.
 
-        ``min(DEFAULT_TICK_WINDOW, DEFAULT_BLOCK)`` on the batch engine
-        (so block-1 pools imply window 1 and exact scalar draw order);
-        always 1 on the heap fallback.
+        ``min(DEFAULT_TICK_WINDOW, DEFAULT_BLOCK)``, so block-1 pools
+        imply window 1 and exact scalar draw order.
         """
-        if not self._batched:
-            return 1
         return max(1, min(DEFAULT_TICK_WINDOW, engine_rng.DEFAULT_BLOCK))
 
     def schedule(
@@ -159,8 +120,6 @@ class Simulator:
                 f"cannot schedule event at {time} in the past (now={self.now})"
             )
         queue = self.queue
-        if self._batched:
-            return queue.push(time, action, payload)
         # Inlined EventQueue.push — one event is scheduled per event
         # executed in steady state, so this is as hot as the run loop.
         seq = queue._next_seq
@@ -177,8 +136,6 @@ class Simulator:
         if not delay >= 0:  # rejects negative delays and NaN
             raise SchedulingError(f"negative delay {delay}")
         queue = self.queue
-        if self._batched:
-            return queue.push(self.now + delay, action, payload)
         seq = queue._next_seq
         queue._next_seq = seq + 1
         heappush(queue._heap, (self.now + delay, seq, action, payload))
@@ -186,85 +143,29 @@ class Simulator:
             queue._live.add(seq)
         return seq
 
-    def schedule_many(
-        self,
-        delays: Sequence[float],
-        action: Callable[..., Any],
-        payloads: Sequence[Any] | None = None,
-    ) -> range:
-        """Bulk-schedule ``action`` after each non-negative delay from now.
-
-        The bulk counterpart of :meth:`schedule_in`: one call files a
-        whole block of events (typically a DrawPool block of delays).
-        ``payloads`` is a parallel sequence; ``None`` dispatches every
-        event with no arguments.  Returns the contiguous range of
-        sequence handles.
-
-        On the batch engine the block costs a few C-level column
-        extends; on the heap fallback it degrades to a local
-        ``heappush`` loop with identical semantics, so callers never
-        need to branch on the engine.
-        """
-        if len(delays):
-            # min() rejects negatives; a NaN anywhere poisons sum().
-            total = sum(delays)
-            if not min(delays) >= 0 or total != total:
-                raise SchedulingError(
-                    f"negative or NaN delay in bulk schedule: {list(delays)}"
-                )
-        now = self.now
-        return self.schedule_many_at([now + d for d in delays], action, payloads)
-
     def schedule_many_at(
         self,
-        times: Sequence[float],
+        times: "Sequence[float] | np.ndarray",
         action: Callable[..., Any],
         payloads: Sequence[Any] | None = None,
     ) -> range:
         """Bulk-schedule ``action`` at each *absolute* simulated time.
 
-        The absolute-time twin of :meth:`schedule_many` — the protocol
-        hot path uses it because window refills compute cumulative tick
-        times anyway.  Past times (and a NaN in first position) raise;
-        semantics otherwise match :meth:`schedule_many`.
+        The bulk counterpart of :meth:`schedule`: one call files a whole
+        block of events (typically a draw-pool block of tick or signal
+        times).  ``payloads`` is a parallel sequence; ``None`` dispatches
+        every event with no arguments.  A past or NaN time anywhere in
+        the block raises before any event is filed.  Returns the
+        contiguous range of sequence handles.
         """
-        queue = self.queue
-        if self._batched:
-            if len(times):
-                lo = times.min() if isinstance(times, np.ndarray) else min(times)
-                if not lo >= self.now:
-                    raise SchedulingError(
-                        f"bulk schedule contains a past or NaN time (now={self.now})"
-                    )
-            return queue.push_many(times, action, payloads)
-        now = self.now
-        seq = queue._next_seq
-        start = seq
-        heap = queue._heap
-        if payloads is None:
-            for time in times:
-                if not time >= now:
-                    raise SchedulingError(
-                        f"cannot schedule event at {time} in the past (now={now})"
-                    )
-                heappush(heap, (time, seq, action, None))
-                seq += 1
-        else:
-            if len(payloads) != len(times):
-                raise SchedulingError(
-                    f"schedule_many got {len(times)} times but {len(payloads)} payloads"
-                )
-            for time, payload in zip(times, payloads):
-                if not time >= now:
-                    raise SchedulingError(
-                        f"cannot schedule event at {time} in the past (now={now})"
-                    )
-                heappush(heap, (time, seq, action, payload))
-                seq += 1
-        queue._next_seq = seq
-        if queue._live is not None:
-            queue._live.update(range(start, seq))
-        return range(start, seq)
+        if isinstance(times, np.ndarray):
+            # Plain floats: a numpy scalar must never become ``now``.
+            times = times.tolist()
+        if len(times) and not min(times) >= self.now:
+            raise SchedulingError(
+                f"bulk schedule contains a past or NaN time (now={self.now})"
+            )
+        return self.queue.push_many(times, action, payloads)
 
     def tally_at(self, times: Iterable[float]) -> None:
         """File tally arrivals at absolute simulated ``times``.
@@ -306,13 +207,13 @@ class Simulator:
         """Harvest engine counters into a metrics registry (run epilogue).
 
         Nothing on the event loop itself changes for metrics: the loop
-        already counts executed events and the queues count their own
-        amortized-path telemetry (flushes, cancels, tombstone pops), so
-        enabling metrics costs one dict harvest after the run.
+        already counts executed events and the queue counts its own
+        amortized-path telemetry (bulk blocks, cancels, tombstone pops),
+        so enabling metrics costs one dict harvest after the run.
         """
         if metrics is None or not metrics.enabled:
             return
-        metrics.counter(f"engine.runs.{self.engine}").inc()
+        metrics.counter(f"engine.runs.{DEFAULT_ENGINE}").inc()
         metrics.counter("engine.events_executed").inc(self._events_executed)
         metrics.add_counters(self.queue.stats(), prefix="engine.")
 
@@ -370,7 +271,6 @@ class Simulator:
         """
         queue = self.queue
         heap = queue._heap
-        batched = self._batched
         tally = self._tally
         # The first float past the horizon: ``< limit`` bounds a run of
         # deliveries by both the next event (exclusive) and the horizon
@@ -379,25 +279,17 @@ class Simulator:
         executed = 0
         try:
             while True:
-                # Make heap[0] the next live event: flush deferred
-                # push_many blocks the moment their earliest event could
-                # be next, and drop tombstones.  queue._live is re-read
-                # per event because a callback can trigger the first
-                # cancellation mid-run.
+                # Make heap[0] the next live event: drop tombstones.
+                # queue._live is re-read per event because a callback
+                # can trigger the first cancellation mid-run.
                 if heap:
                     entry = heap[0]
-                    if batched and queue._blk_min <= entry[0]:
-                        queue._flush_blocks()
-                        entry = heap[0]
                     live = queue._live
                     if live is not None and entry[1] not in live:
                         heappop(heap)
                         queue.dead_pops += 1
                         continue
                     due = entry[0]
-                elif batched and queue._blk:
-                    queue._flush_blocks()
-                    continue
                 elif tally:
                     due = math.inf
                 else:
@@ -450,12 +342,11 @@ class Simulator:
     ) -> None:
         """The polled loop: one event or delivery per iteration.
 
-        Head selection mirrors :meth:`_run_free` inline: the batch
-        engine's dispatch-rate floor is measured through this loop.
+        Head selection mirrors :meth:`_run_free` inline: the engine's
+        dispatch-rate floor is measured through this loop.
         """
         queue = self.queue
         heap = queue._heap
-        batched = self._batched
         tally = self._tally
         cap = sys.maxsize if max_events is None else max_events
         executed = 0
@@ -463,18 +354,12 @@ class Simulator:
             while executed < cap:
                 if heap:
                     entry = heap[0]
-                    if batched and queue._blk_min <= entry[0]:
-                        queue._flush_blocks()
-                        entry = heap[0]
                     live = queue._live
                     if live is not None and entry[1] not in live:
                         heappop(heap)
                         queue.dead_pops += 1
                         continue
                     due = entry[0]
-                elif batched and queue._blk:
-                    queue._flush_blocks()
-                    continue
                 elif tally:
                     due = math.inf
                 else:

@@ -11,12 +11,11 @@ visualizer.
 
 The record vocabulary is protocol-level, not dispatch-level: engines
 emit ``run`` headers, ``state`` transitions, ``phase`` changes,
-``round`` snapshots, ``fault`` events, and ``end`` summaries.  The batch
-event engine's skip-tick chains never dispatch locked no-op ticks, so a
+``round`` snapshots, ``fault`` events, and ``end`` summaries.  The event
+engine's skip-tick chains never dispatch locked no-op ticks, so a
 dispatch-level trace would silently under-report ~40% of the protocol's
-activity — hooking the state machine instead makes same-seed traces
-byte-identical across both event engines at draw-pool block size 1
-(pinned by ``tests/engine/test_trace_determinism.py``).
+activity — hooking the state machine instead keeps records free of
+engine internals (pinned by ``tests/engine/test_trace_determinism.py``).
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ Fault semantics:
 * **Stragglers** multiply channel-establishment delays of a fixed
   random subset of nodes.
 
-Both scalar (``schedule_in``) and bulk (``schedule_many`` /
-``schedule_many_at``) scheduling are intercepted — window-batched
+Both scalar (``schedule`` / ``schedule_in``) and bulk
+(``schedule_many_at``) scheduling are intercepted — window-batched
 protocols (see :mod:`repro.engine.simulator`) degrade to per-event
 scheduling under faults, so fault semantics never depend on batching.
 The tally stream's filing calls (``tally_at`` / ``tally_in``, the
@@ -420,8 +420,8 @@ class FaultInjection:
     through :meth:`info` and the internal scheduling seam fault models
     use.
 
-    Both the scalar (``schedule_in``) and the bulk (``schedule_many`` /
-    ``schedule_many_at``) scheduling paths are intercepted; bulk blocks
+    Both the scalar (``schedule`` / ``schedule_in``) and the bulk
+    (``schedule_many_at``) scheduling paths are intercepted; bulk blocks
     are routed through the same per-event transform chain, so fault
     semantics are independent of how the protocol batches its inserts.
     Tally arrivals (``tally_at`` / ``tally_in``) take the message
@@ -447,8 +447,6 @@ class FaultInjection:
         self.dead_ticks = 0
         self._original_schedule = sim.schedule
         self._original_schedule_in = sim.schedule_in
-        self._original_schedule_many = sim.schedule_many
-        self._original_schedule_many_at = sim.schedule_many_at
         self._original_tally_in = sim.tally_in
         self._has_churn = any(
             isinstance(fault, _ChurnBase) or type(fault).crashed_until is not FaultModel.crashed_until
@@ -458,7 +456,6 @@ class FaultInjection:
         # scheduling methods up on the simulator object per call.
         sim.schedule = self._schedule
         sim.schedule_in = self._schedule_in
-        sim.schedule_many = self._schedule_many
         sim.schedule_many_at = self._schedule_many_at
         sim.tally_at = self._tally_at
         sim.tally_in = self._tally_in
@@ -479,15 +476,6 @@ class FaultInjection:
     def _schedule(self, time: float, action: Callable, payload: Any = None) -> int:
         """Absolute-time seam: route through the scalar transform chain."""
         return self._schedule_in(time - self.sim.now, action, payload)
-
-    def _schedule_many(self, delays, action: Callable, payloads=None) -> list[int]:
-        """Bulk seam: route every event through the scalar transform chain."""
-        if payloads is None:
-            return [self._schedule_in(delay, action) for delay in delays]
-        return [
-            self._schedule_in(delay, action, payload)
-            for delay, payload in zip(delays, payloads)
-        ]
 
     def _schedule_many_at(self, times, action: Callable, payloads=None) -> list[int]:
         """Bulk seam (absolute times): per-event transform chain."""
@@ -630,7 +618,6 @@ def prepare_faulty_simulator(
     faults: Sequence[FaultModel],
     rng: np.random.Generator,
     *,
-    engine: str | None = None,
     tracer=None,
 ) -> "tuple[Simulator | None, FaultInjection | None]":
     """Pre-wrap a fresh :class:`Simulator` so construction is governed too.
@@ -651,8 +638,8 @@ def prepare_faulty_simulator(
     if not faults:
         if tracer is None:
             return None, None
-        return Simulator(engine=engine, tracer=tracer), None
-    simulator = Simulator(engine=engine, tracer=tracer)
+        return Simulator(tracer=tracer), None
+    simulator = Simulator(tracer=tracer)
     return simulator, FaultInjection(simulator, faults, rng, n=n)
 
 

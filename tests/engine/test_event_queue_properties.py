@@ -1,14 +1,12 @@
-"""Hypothesis property tests for the event queues.
+"""Hypothesis property tests for the event queue.
 
 The queue is the substrate every protocol trajectory rests on, so its
 contract is pinned down property-style: pops come out time-ordered,
 ties break FIFO by insertion order, tombstoned events never dispatch,
 and ``peek_time``/``pop`` agree under arbitrary interleavings of
-pushes, cancels, peeks, and pops.  The batched engine's
-:class:`BatchEventQueue` is additionally pinned against the tuple heap:
-under arbitrary interleavings of scalar pushes, bulk ``push_many``
-blocks, cancels, and pops the two implementations must be
-observationally identical.
+pushes, cancels, peeks, and pops.  A bulk ``push_many`` block must be
+observationally identical to the same entries pushed one by one, under
+arbitrary interleavings with scalar pushes, cancels, and pops.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.events import BatchEventQueue, EventQueue
+from repro.engine.events import EventQueue
 
 times = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -164,18 +162,16 @@ def mixed_operations(draw):
     return ops
 
 
-class TestBatchQueueEquivalence:
-    """The struct-of-arrays :class:`BatchEventQueue` must be observationally
-    identical to the tuple heap under arbitrary interleavings — same pop
+class TestPushMany:
+    """``push_many`` blocks behave exactly like scalar pushes — same pop
     order (time + FIFO tie-break + payload), same peeks, same sizes,
-    same tombstone semantics — with bulk pushes exercised only on the
-    batched side (the heap receives them as scalar pushes)."""
+    same tombstone semantics."""
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_operations())
-    def test_pop_stream_matches_heap(self, ops):
+    def test_block_matches_scalar_pushes(self, ops):
         reference = EventQueue()
-        batched = BatchEventQueue()
+        batched = EventQueue()
         for op, arg in ops:
             if op == "push":
                 assert reference.push(arg, noop, arg) == batched.push(arg, noop, arg)
@@ -204,7 +200,7 @@ class TestBatchQueueEquivalence:
 
     @given(st.lists(times, min_size=1, max_size=50))
     def test_bulk_block_pops_sorted_with_fifo_ties(self, block):
-        queue = BatchEventQueue()
+        queue = EventQueue()
         queue.push_many(block, noop, list(range(len(block))))
         popped = [queue.pop() for _ in range(len(block))]
         assert [entry[0] for entry in popped] == sorted(block)
@@ -214,7 +210,7 @@ class TestBatchQueueEquivalence:
 
     @given(st.lists(times, min_size=1, max_size=30), st.data())
     def test_cancelled_bulk_events_never_pop(self, block, data):
-        queue = BatchEventQueue()
+        queue = EventQueue()
         handles = list(queue.push_many(block, noop))
         doomed = set(data.draw(st.lists(st.sampled_from(handles), max_size=10)))
         for handle in doomed:

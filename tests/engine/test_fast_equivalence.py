@@ -12,10 +12,9 @@ the simulated protocols:
    scalar calls, so the fast simulators must reproduce the preserved
    seed implementations (:mod:`repro.core.reference`) *trajectory for
    trajectory* — same elapsed time, same event count, same final
-   counts. This pins the protocol-logic conversion exactly, and runs
-   against **both** queue engines (block-1 pools force the batched
-   engine's tick window to 1, collapsing it to event-granular
-   scheduling in scalar draw order).
+   counts. This pins the protocol-logic conversion exactly (block-1
+   pools force the tick window to 1, collapsing the batched chains to
+   event-granular scheduling in scalar draw order).
 
 3. **Batched runs, statistical**: with production block sizes the draw
    interleaving differs (identical law, different sequence), so
@@ -32,7 +31,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 import repro.engine.rng as engine_rng
-import repro.engine.simulator as engine_sim
 from repro.baselines.population import PairwiseScheduler, ThreeStateMajority
 from repro.core.delayed_exchange import DelayedExchangeSim
 from repro.core.params import SingleLeaderParams
@@ -51,18 +49,15 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-@pytest.fixture(params=["batch", "heap"])
-def scalar_blocks(monkeypatch, request):
+@pytest.fixture
+def scalar_blocks(monkeypatch):
     """Force pool block size 1: one generator call per draw, seed order.
 
-    Parametrized over both queue engines: block-1 pools force tick
-    window 1, so the batched engine must replay the scalar-draw
-    reference exactly too — same draws, same dispatch order, same
-    event counts.
+    Block-1 pools force tick window 1, so the engine must replay the
+    scalar-draw reference exactly — same draws, same dispatch order,
+    same event counts.
     """
     monkeypatch.setattr(engine_rng, "DEFAULT_BLOCK", 1)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", request.param)
 
 
 def ci95(values: np.ndarray) -> tuple[float, float]:

@@ -2,10 +2,9 @@
 
 Pins events/second floors for the event-dispatch hot path so a
 regression back to per-event numpy calls or object allocation fails
-loudly in the default suite.  Both queue engines are covered — the
-batched default and the tuple-heap fallback — plus the bulk
-``schedule_many`` path, so neither path can become the silently
-untested one.
+loudly in the default suite.  Both the scalar ``schedule_in`` path
+and the bulk ``schedule_many_at`` path are covered, so neither can
+become the silently untested one.
 
 The default floor is ~5x below the rate measured on a development
 machine (~1.3-2.0M events/s depending on path) to stay robust on slow
@@ -21,7 +20,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.engine.rng import ExponentialPool
 from repro.engine.simulator import Simulator
@@ -38,10 +36,9 @@ TRACE_OVERHEAD_CEILING = float(os.environ.get("REPRO_TRACE_OVERHEAD", 2.0))
 METRICS_OVERHEAD_CEILING = float(os.environ.get("REPRO_METRICS_OVERHEAD", 1.10))
 
 
-@pytest.mark.parametrize("engine", ["batch", "heap"])
-def test_event_loop_throughput_floor(engine):
+def test_event_loop_throughput_floor():
     """Scalar self-rescheduling chain: one push + one pop per event."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     waits = ExponentialPool(np.random.Generator(np.random.PCG64(0)), 1.0)
     remaining = [EVENTS]
 
@@ -57,20 +54,20 @@ def test_event_loop_throughput_floor(engine):
     assert sim.events_executed == EVENTS
     rate = EVENTS / elapsed
     assert rate > FLOOR_EVENTS_PER_SECOND, (
-        f"[{engine}] event loop ran at {rate:,.0f} events/s, "
+        f"event loop ran at {rate:,.0f} events/s, "
         f"below the {FLOOR_EVENTS_PER_SECOND:,.0f} floor"
     )
 
 
 def test_bulk_dispatch_throughput_floor():
-    """Window-batched chain on the batch engine: the schedule_many path.
+    """Window-batched chain: the schedule_many_at path.
 
     This is the shape of the protocol hot path after the batched-core
     refactor — whole pool blocks of delays per bulk insert — and the
     rate the CI perf-floor job pins at the historical 1.35M events/s.
     """
     window = 64
-    sim = Simulator(engine="batch")
+    sim = Simulator()
     waits = ExponentialPool(np.random.Generator(np.random.PCG64(0)), 1.0)
     count = [0]
 
@@ -78,12 +75,12 @@ def test_bulk_dispatch_throughput_floor():
         count[0] += 1
         if credit == 0 and count[0] < EVENTS:
             draws = waits.take(window)
-            total = 0.0
-            delays = []
+            tick = sim.now
+            times = []
             for wait in draws:
-                total += wait
-                delays.append(total)
-            sim.schedule_many(delays, hop, list(range(window - 1, -1, -1)))
+                tick += wait
+                times.append(tick)
+            sim.schedule_many_at(times, hop, list(range(window - 1, -1, -1)))
 
     sim.schedule_in(0.0, hop, 0)
     start = time.perf_counter()

@@ -29,6 +29,24 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             Simulator().schedule_in(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_rejected_bulk_block_files_nothing(self, bad):
+        """A block with a past or NaN time anywhere is refused whole."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        queue = sim.queue
+        with pytest.raises(SchedulingError):
+            sim.schedule_many_at([sim.now + 1.0, sim.now + bad], print, [1, 2])
+        assert len(queue) == 0
+        assert queue._next_seq == 1
+        fired = []
+        sim.schedule(2.0, fired.append, "scalar")
+        sim.schedule(2.0, lambda: fired.append("tie"))
+        sim.schedule_many_at([2.0, 3.0], fired.append, ["bulk", "late"])
+        sim.run()
+        assert fired == ["scalar", "tie", "bulk", "late"]
+
     def test_events_execute_in_order(self):
         sim = Simulator()
         order = []
@@ -132,16 +150,11 @@ class TestTracerWiring:
         assert tracer.counts["custom"] == 1
 
 
-@pytest.fixture(params=["heap", "batch"])
-def engine(request):
-    return request.param
-
-
 class TestTallyStream:
     """Bare arrival times delivered and counted between the events."""
 
-    def test_arrivals_interleave_with_events_in_time_order(self, engine):
-        sim = Simulator(engine=engine)
+    def test_arrivals_interleave_with_events_in_time_order(self):
+        sim = Simulator()
         seen = []
         sim.schedule(1.0, lambda: seen.append((sim.now, sim.tallied)))
         sim.schedule(3.0, lambda: seen.append((sim.now, sim.tallied)))
@@ -152,8 +165,8 @@ class TestTallyStream:
         assert sim.events_executed == 5
         assert sim.now == 4.0
 
-    def test_event_goes_first_at_equal_times(self, engine):
-        sim = Simulator(engine=engine)
+    def test_event_goes_first_at_equal_times(self):
+        sim = Simulator()
         seen = []
 
         def first():
@@ -170,8 +183,8 @@ class TestTallyStream:
         assert sim.tallied == 2
         assert sim.now == 1.0
 
-    def test_until_delivers_up_to_the_horizon_only(self, engine):
-        sim = Simulator(engine=engine)
+    def test_until_delivers_up_to_the_horizon_only(self):
+        sim = Simulator()
         sim.tally_at([1.0, 5.0, math.nextafter(5.0, math.inf), 9.0])
         sim.run(until=5.0)
         assert sim.tallied == 2
@@ -181,15 +194,15 @@ class TestTallyStream:
         assert sim.events_executed == 4
         assert sim.now == 9.0
 
-    def test_until_advances_clock_once_tally_drains(self, engine):
-        sim = Simulator(engine=engine)
+    def test_until_advances_clock_once_tally_drains(self):
+        sim = Simulator()
         sim.tally_at([1.0])
         sim.run(until=7.0)
         assert sim.tallied == 1
         assert sim.now == 7.0
 
-    def test_max_events_counts_deliveries(self, engine):
-        sim = Simulator(engine=engine)
+    def test_max_events_counts_deliveries(self):
+        sim = Simulator()
         fired = []
         for time in (1.0, 2.0, 3.0):
             sim.schedule(time, lambda time=time: fired.append(time))
@@ -200,15 +213,15 @@ class TestTallyStream:
         assert sim.events_executed == 3
         assert sim.now == 1.5
 
-    def test_stop_when_checked_after_each_delivery(self, engine):
-        sim = Simulator(engine=engine)
+    def test_stop_when_checked_after_each_delivery(self):
+        sim = Simulator()
         sim.tally_at([1.0, 2.0, 3.0, 4.0])
         sim.run(stop_when=lambda: sim.tallied >= 2)
         assert sim.tallied == 2
         assert sim.now == 2.0
 
-    def test_trigger_fires_at_the_exact_arrival(self, engine):
-        sim = Simulator(engine=engine)
+    def test_trigger_fires_at_the_exact_arrival(self):
+        sim = Simulator()
         fired = []
         sim.tally_at([0.3, 0.1, 0.7, 0.5])
         sim.schedule(0.6, lambda: None)
@@ -217,8 +230,8 @@ class TestTallyStream:
         assert fired == [(0.5, 3)]
         assert sim.tallied == 4
 
-    def test_trigger_can_be_rearmed(self, engine):
-        sim = Simulator(engine=engine)
+    def test_trigger_can_be_rearmed(self):
+        sim = Simulator()
         fired = []
 
         def action():
@@ -231,8 +244,8 @@ class TestTallyStream:
         sim.run()
         assert fired == [3.0, 5.0, 7.0]
 
-    def test_passed_count_never_fires(self, engine):
-        sim = Simulator(engine=engine)
+    def test_passed_count_never_fires(self):
+        sim = Simulator()
         fired = []
         sim.tally_at([1.0, 2.0])
         sim.run(until=1.5)
@@ -240,8 +253,8 @@ class TestTallyStream:
         sim.run()
         assert fired == []
 
-    def test_trigger_action_can_stop_the_run(self, engine):
-        sim = Simulator(engine=engine)
+    def test_trigger_action_can_stop_the_run(self):
+        sim = Simulator()
         sim.tally_at([1.0, 2.0, 3.0])
         sim.schedule(2.5, lambda: None)
         sim.arm_tally_trigger(2, sim.stop)
@@ -252,8 +265,8 @@ class TestTallyStream:
         assert sim.tallied == 3
         assert sim.events_executed == 4
 
-    def test_past_and_nan_arrivals_rejected(self, engine):
-        sim = Simulator(engine=engine)
+    def test_past_and_nan_arrivals_rejected(self):
+        sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
         with pytest.raises(SchedulingError):
@@ -281,9 +294,9 @@ _programs = st.fixed_dictionaries(
 )
 
 
-def _run_program(engine: str, program: dict, *, tally: bool) -> list:
+def _run_program(program: dict, *, tally: bool) -> list:
     """Run ``program``; arrivals on the tally stream or as counter events."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     log: list = []
     reference = {"count": 0, "fire": -1, "action": None}
 
@@ -346,9 +359,6 @@ def _run_program(engine: str, program: dict, *, tally: bool) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(_programs)
-@pytest.mark.parametrize("engine_name", ["heap", "batch"])
-def test_tally_matches_counter_event_dispatch(engine_name, program):
+def test_tally_matches_counter_event_dispatch(program):
     """Differential: the tally stream vs one no-op counter event per arrival."""
-    assert _run_program(engine_name, program, tally=True) == _run_program(
-        engine_name, program, tally=False
-    )
+    assert _run_program(program, tally=True) == _run_program(program, tally=False)

@@ -1,69 +1,40 @@
-"""Cross-engine trace determinism: heap vs batch, byte for byte.
+"""Trace records carry no engine fingerprint.
 
 The trace vocabulary is protocol-level by design — no engine names, no
-dispatch counters, no tick totals. With the draw pool forced to block
-size 1, both event engines replay the identical scalar draw sequence
-(the property `test_fast_equivalence.py` pins on trajectories), so the
-state machines they drive must emit the *identical record stream* —
-and the deterministic JSONL serialization turns that into a
-byte-identity claim on the files themselves.
-
-Any engine-dependent field sneaking into a record (an events-executed
-counter, a tick count, the engine name) breaks this test immediately,
-which is exactly the regression it exists to catch.
+dispatch counters, no tick totals — so a record stream depends only on
+the protocol's state machine, not on how the event engine batches its
+dispatches.  Any engine-dependent field sneaking into a record (an
+events-executed counter, a tick count, the engine name) breaks this
+test immediately, which is exactly the regression it exists to catch.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import json
 
-import repro.engine.rng as engine_rng
-from repro.core.delayed_exchange import DelayedExchangeSim
+import numpy as np
+
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim
 from repro.engine.simulator import Simulator
 from repro.engine.tracing import JsonlTracer
 
 
-def generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-@pytest.fixture(autouse=True)
-def scalar_blocks(monkeypatch):
-    """Block-1 pools: both engines draw scalars in identical order."""
-    monkeypatch.setattr(engine_rng, "DEFAULT_BLOCK", 1)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-
-
-def traced_run(sim_cls, engine: str, path, *, seed: int = 11) -> None:
-    params = SingleLeaderParams(n=60, k=3, alpha0=2.0)
-    counts = np.array([30, 20, 10])
-    with JsonlTracer(path) as tracer:
-        simulator = Simulator(engine=engine, tracer=tracer)
-        sim = sim_cls(params, counts, generator(seed), simulator=simulator)
-        sim.run(max_time=500.0)
-
-
-@pytest.mark.parametrize("sim_cls", [SingleLeaderSim, DelayedExchangeSim])
-def test_same_seed_traces_byte_identical_across_engines(sim_cls, tmp_path):
-    paths = {}
-    for engine in ("heap", "batch"):
-        paths[engine] = tmp_path / f"{engine}.jsonl"
-        traced_run(sim_cls, engine, paths[engine])
-    heap_bytes = paths["heap"].read_bytes()
-    assert heap_bytes  # a trivially-empty trace would pass vacuously
-    assert heap_bytes == paths["batch"].read_bytes()
-
-
 def test_trace_records_carry_no_engine_fingerprint(tmp_path):
     """No record field may name or count engine internals."""
-    import json
-
     path = tmp_path / "trace.jsonl"
-    traced_run(SingleLeaderSim, "batch", path)
+    params = SingleLeaderParams(n=60, k=3, alpha0=2.0)
+    with JsonlTracer(path) as tracer:
+        sim = SingleLeaderSim(
+            params,
+            np.array([30, 20, 10]),
+            np.random.Generator(np.random.PCG64(11)),
+            simulator=Simulator(tracer=tracer),
+        )
+        sim.run(max_time=500.0)
     forbidden = {"engine", "events_executed", "total_ticks", "queue"}
-    for line in path.read_text().splitlines():
+    lines = path.read_text().splitlines()
+    assert lines  # a trivially-empty trace would pass vacuously
+    for line in lines:
         record = json.loads(line)
         assert not forbidden & set(record), record

@@ -1,16 +1,15 @@
 """Default-path regression guard: no graph argument == pre-scenario engine.
 
 ``golden_default_path.json`` was generated from the repository *before*
-the scenario subsystem existed (same seeds, same configurations). Every
-protocol invoked with ``graph=None`` or ``graph=CompleteGraph(n)`` on
-the **heap fallback engine** must reproduce those trajectories
-byte-for-byte — neither the scenario layer nor the batched-engine
-refactor is allowed to perturb the legacy world, not even by one RNG
-draw.  The batched default engine draws in window-granular order, so
-its trajectories differ (statistically equivalent — see
-``tests/engine/test_fast_equivalence.py``); they are pinned separately
-in ``golden_default_path_batch.json`` so future engine changes cannot
-slip through unnoticed.
+the scenario subsystem existed (same seeds, same configurations). The
+round-based protocols invoked with ``graph=None`` or
+``graph=CompleteGraph(n)`` must reproduce those trajectories
+byte-for-byte — the scenario layer is not allowed to perturb the legacy
+world, not even by one RNG draw.  The event engine draws in
+window-granular order (statistically equivalent to the scalar-draw
+reference — see ``tests/engine/test_fast_equivalence.py``); its
+trajectories are pinned in ``golden_default_path_batch.json`` so future
+engine changes cannot slip through unnoticed.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from repro.sweep.runner import execute_run
 from repro.sweep.spec import SweepSpec
 from repro.workloads.opinions import biased_counts
 
-import repro.engine.simulator as engine_sim
-
 GOLDEN = json.loads((Path(__file__).parent / "golden_default_path.json").read_text())
 GOLDEN_BATCH = json.loads(
     (Path(__file__).parent / "golden_default_path_batch.json").read_text()
@@ -50,53 +47,12 @@ GOLDEN_ROUND = json.loads(
 DEFAULT_GRAPHS = [None, "complete"]
 
 
-@pytest.fixture(autouse=True)
-def _heap_engine(monkeypatch):
-    """The legacy goldens are heap-engine trajectories."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "heap")
-
-
 def _graph(tag, n):
     return CompleteGraph(n) if tag == "complete" else None
 
 
 @pytest.mark.parametrize("tag", DEFAULT_GRAPHS)
 class TestByteIdenticalDefaults:
-    def test_single_leader(self, tag):
-        rngs = RngRegistry(42)
-        params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
-        sim = SingleLeaderSim(
-            params, biased_counts(300, 3, 2.0), rngs.stream("sl"), graph=_graph(tag, 300)
-        )
-        result = sim.run(max_time=800.0)
-        assert [
-            bool(result.converged),
-            int(result.winner),
-            repr(result.elapsed),
-            result.final_color_counts.tolist(),
-            int(sim.sim.events_executed),
-        ] == GOLDEN["single_leader"]
-
-    def test_delayed_exchange(self, tag):
-        rngs = RngRegistry(42)
-        params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
-        sim = DelayedExchangeSim(
-            params,
-            biased_counts(300, 3, 2.0),
-            rngs.stream("dx"),
-            exchange_rate=2.0,
-            graph=_graph(tag, 300),
-        )
-        result = sim.run(max_time=1200.0)
-        assert [
-            bool(result.converged),
-            int(result.winner),
-            repr(result.elapsed),
-            result.final_color_counts.tolist(),
-            int(sim.sim.events_executed),
-        ] == GOLDEN["delayed"]
-
     def test_pernode_synchronous(self, tag):
         rngs = RngRegistry(42)
         counts = biased_counts(400, 4, 2.0)
@@ -114,24 +70,6 @@ class TestByteIdenticalDefaults:
             result.final_color_counts.tolist(),
         ] == GOLDEN["pernode_sync"]
 
-    def test_multileader(self, tag):
-        rngs = RngRegistry(42)
-        params = MultiLeaderParams(n=400, k=3, alpha0=2.0)
-        result = run_multileader(
-            params,
-            biased_counts(400, 3, 2.0),
-            rngs.stream("ml"),
-            clustering_max_time=300.0,
-            max_time=1500.0,
-            graph=_graph(tag, 400),
-        )
-        assert [
-            bool(result.converged),
-            int(result.winner),
-            repr(result.elapsed),
-            result.final_color_counts.tolist(),
-        ] == GOLDEN["multileader"]
-
     def test_baseline_dynamics(self, tag):
         rngs = RngRegistry(42)
         result = run_dynamics(
@@ -147,21 +85,6 @@ class TestByteIdenticalDefaults:
             repr(result.elapsed),
             result.final_color_counts.tolist(),
         ] == GOLDEN["three_majority"]
-
-
-class TestSweepRecords:
-    def test_default_target_records_byte_identical(self):
-        spec = SweepSpec(
-            target="single_leader",
-            base={"k": 3, "alpha": 2.0},
-            grid={"n": [200, 300]},
-            repetitions=2,
-            seed=7,
-        )
-        records = [execute_run(config) for config in spec.expand()]
-        for record in records:
-            record.pop("wall_time", None)
-        assert records == GOLDEN["sweep_records"]
 
 
 class TestRoundSeamDefaults:
@@ -237,11 +160,9 @@ class TestRoundSeamDefaults:
 
 
 class TestBatchEngineGolden:
-    """Pin the batched default engine's trajectories going forward."""
+    """Pin the event engine's default trajectories going forward."""
 
-    def test_single_leader_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+    def test_single_leader_batch(self):
         for tag in DEFAULT_GRAPHS:
             rngs = RngRegistry(42)
             params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
@@ -258,9 +179,7 @@ class TestBatchEngineGolden:
             ] == GOLDEN_BATCH["single_leader"]
 
     @pytest.mark.parametrize("tag", DEFAULT_GRAPHS)
-    def test_delayed_exchange_batch(self, monkeypatch, tag):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+    def test_delayed_exchange_batch(self, tag):
         rngs = RngRegistry(42)
         params = SingleLeaderParams(n=300, k=3, alpha0=2.0)
         sim = DelayedExchangeSim(
@@ -279,9 +198,7 @@ class TestBatchEngineGolden:
             int(sim.sim.events_executed),
         ] == GOLDEN_BATCH["delayed"]
 
-    def test_multileader_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+    def test_multileader_batch(self):
         for tag in DEFAULT_GRAPHS:
             rngs = RngRegistry(42)
             params = MultiLeaderParams(n=400, k=3, alpha0=2.0)
@@ -300,9 +217,7 @@ class TestBatchEngineGolden:
                 result.final_color_counts.tolist(),
             ] == GOLDEN_BATCH["multileader"]
 
-    def test_sweep_records_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", "batch")
+    def test_sweep_records_batch(self):
         spec = SweepSpec(
             target="single_leader",
             base={"k": 3, "alpha": 2.0},

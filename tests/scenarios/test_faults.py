@@ -1,10 +1,9 @@
 """Fault-injection behavior on real protocol simulators.
 
-The behavioral classes (injection, churn, prepared simulator) run on a
-4-way engine matrix: the heap fallback plus the batch engine at pool
-block sizes 1, 2, and the production default — block 1 collapses the
-batch engine's tick window to the event-granular legacy sequence and
-block 2 sits exactly on the window-collapse boundary, the two places a
+The behavioral classes (injection, churn, prepared simulator) run at
+pool block sizes 1, 2, and the production default — block 1 collapses
+the tick window to the event-granular reference sequence and block 2
+sits exactly on the window-collapse boundary, the two places a
 fault/batching interaction bug would hide.
 """
 
@@ -15,10 +14,10 @@ import math
 import pytest
 
 import repro.engine.rng as engine_rng
-import repro.engine.simulator as engine_sim
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim
 from repro.engine.rng import RngRegistry
+from repro.engine.simulator import DEFAULT_ENGINE
 from repro.errors import ConfigurationError
 from repro.scenarios.faults import (
     CrashAtTimes,
@@ -34,16 +33,12 @@ from repro.workloads.opinions import biased_counts
 
 
 @pytest.fixture(
-    params=[("heap", None), ("batch", 1), ("batch", 2), ("batch", None)],
-    ids=["heap", "batch-block1", "batch-block2", "batch-blockD"],
+    params=[1, 2, None], ids=[f"{DEFAULT_ENGINE}-block{b}" for b in ("1", "2", "D")]
 )
-def fault_engine(request, monkeypatch):
-    """Engine × pool-block matrix for the behavioral fault tests."""
-    engine, block = request.param
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setattr(engine_sim, "DEFAULT_ENGINE", engine)
-    if block is not None:
-        monkeypatch.setattr(engine_rng, "DEFAULT_BLOCK", block)
+def pool_block(request, monkeypatch):
+    """Pool-block matrix for the behavioral fault tests (D = default)."""
+    if request.param is not None:
+        monkeypatch.setattr(engine_rng, "DEFAULT_BLOCK", request.param)
     return request.param
 
 
@@ -53,7 +48,7 @@ def _sim(seed: int, n: int = 200, k: int = 3) -> SingleLeaderSim:
     return SingleLeaderSim(params, biased_counts(n, k, 2.0), rngs.stream("sim"))
 
 
-@pytest.mark.usefixtures("fault_engine")
+@pytest.mark.usefixtures("pool_block")
 class TestInjection:
     def test_empty_fault_list_is_identity(self, rngs):
         baseline = _sim(1)
@@ -111,7 +106,7 @@ class TestInjection:
         )
 
 
-@pytest.mark.usefixtures("fault_engine")
+@pytest.mark.usefixtures("pool_block")
 class TestChurn:
     def test_poisson_churn_crashes_and_rejoins(self, rngs):
         sim = _sim(6)
@@ -195,7 +190,7 @@ class TestBuildFaults:
         assert run(11) != run(12)
 
 
-@pytest.mark.usefixtures("fault_engine")
+@pytest.mark.usefixtures("pool_block")
 class TestPreparedSimulator:
     """`prepare_faulty_simulator` closes the initial-tick churn escape."""
 

@@ -1,9 +1,10 @@
 """Faulty single-leader runs, pinned byte for byte.
 
 ``golden_faulty_single_leader.json`` holds single-leader runs under
-i.i.d. drop, bursty drop, stragglers and churn, on the heap engine and
-on the batch engine, with the protocol and the faults sharing one
-generator as in the ``single_leader`` sweep target.  Every fault
+i.i.d. drop, bursty drop, stragglers and churn, with the protocol and
+the faults sharing one generator as in the ``single_leader`` sweep
+target.  Entries are keyed ``case/engine``, the engine being
+:data:`~repro.engine.simulator.DEFAULT_ENGINE`.  Every fault
 decision — which message or exchange is dropped, delayed or suppressed,
 and in which order the fault pools draw — shows in the pinned fields, so
 a change to how the protocol files its messages cannot quietly change
@@ -29,6 +30,7 @@ import pytest
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim
 from repro.engine.rng import RngRegistry
+from repro.engine.simulator import DEFAULT_ENGINE
 from repro.engine.tracing import TraceRecorder
 from repro.scenarios.faults import build_faults, prepare_faulty_simulator
 from repro.workloads.opinions import biased_counts
@@ -44,20 +46,19 @@ CASES: dict[str, tuple[dict, int, float]] = {
     "mixed": ({"drop": 0.1, "churn": 0.5, "stragglers": 0.2}, 300, 800.0),
     "wide": ({"drop": 0.2, "churn": 0.5}, 5000, 1.5),
 }
-ENGINES = ("heap", "batch")
 
 
 def _records(tracer: TraceRecorder, kind: str) -> list:
     return [[r.time, r.fields] for r in tracer.by_kind(kind)]
 
 
-def faulty_run(engine: str, case: str) -> dict:
+def faulty_run(case: str) -> dict:
     """One faulty run, reduced to JSON-exact fields (floats via JSON repr)."""
     knobs, n, max_time = CASES[case]
     rng = RngRegistry(42).stream(f"faulty/{case}")
     tracer = TraceRecorder(kinds=("phase", "end", "fault"))
     simulator, wiring = prepare_faulty_simulator(
-        n, build_faults(**knobs), rng, engine=engine, tracer=tracer
+        n, build_faults(**knobs), rng, tracer=tracer
     )
     sim = SingleLeaderSim(
         SingleLeaderParams(n=n, k=3, alpha0=2.0),
@@ -89,33 +90,30 @@ def _roundtrip(value):
     return json.loads(json.dumps(value, sort_keys=True))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_faulty_run_matches_golden(engine, case):
+@pytest.mark.parametrize(
+    "case", sorted(CASES), ids=lambda case: f"{case}-{DEFAULT_ENGINE}"
+)
+def test_faulty_run_matches_golden(case):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert _roundtrip(faulty_run(engine, case)) == golden[f"{case}/{engine}"]
+    assert _roundtrip(faulty_run(case)) == golden[f"{case}/{DEFAULT_ENGINE}"]
 
 
 def test_golden_runs_exercise_every_fault():
     """Each case really drops, delays or churns (no vacuous pins)."""
     golden = json.loads(GOLDEN_PATH.read_text())
-    for engine in ENGINES:
-        assert golden[f"iid/{engine}"]["wiring"]["fault_iid_dropped"] > 0
-        assert golden[f"bursty/{engine}"]["wiring"]["fault_ge_bursts"] > 0
-        assert golden[f"churn/{engine}"]["wiring"]["fault_crashes"] > 0
-        assert golden[f"wide/{engine}"]["wiring"]["fault_dropped_messages"] > 0
-        for case in CASES:
-            assert golden[f"{case}/{engine}"]["info"]["leader_zero_signals"] > 0
+    engine = DEFAULT_ENGINE
+    assert golden[f"iid/{engine}"]["wiring"]["fault_iid_dropped"] > 0
+    assert golden[f"bursty/{engine}"]["wiring"]["fault_ge_bursts"] > 0
+    assert golden[f"churn/{engine}"]["wiring"]["fault_crashes"] > 0
+    assert golden[f"wide/{engine}"]["wiring"]["fault_dropped_messages"] > 0
+    for case in CASES:
+        assert golden[f"{case}/{engine}"]["info"]["leader_zero_signals"] > 0
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(
         json.dumps(
-            {
-                f"{case}/{engine}": faulty_run(engine, case)
-                for case in sorted(CASES)
-                for engine in ENGINES
-            },
+            {f"{case}/{DEFAULT_ENGINE}": faulty_run(case) for case in sorted(CASES)},
             indent=1,
             sort_keys=True,
         )
