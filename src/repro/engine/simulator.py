@@ -145,7 +145,7 @@ class Simulator:
 
     def schedule_many_at(
         self,
-        times: "Sequence[float] | np.ndarray",
+        times: Sequence[float] | np.ndarray,
         action: Callable[..., Any],
         payloads: Sequence[Any] | None = None,
     ) -> range:
