@@ -136,8 +136,9 @@ class DrawPool:
     one vectorized refill.  The refill is the only numpy call on the
     path, so per-draw cost is a couple of list operations.  The numpy
     block itself is kept alongside the list, so :meth:`take_array`
-    hands out zero-copy array slices for bulk consumers (the
-    window-batched protocol schedulers).
+    hands out zero-copy array slices for vectorized consumers (the
+    sparse-graph neighbor pools); the window-batched protocol
+    schedulers take plain lists (:meth:`take`).
 
     Examples
     --------

@@ -410,11 +410,17 @@ def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int
     The shared refill for protocols whose ticks carry no pre-computable
     side events (clustering, broadcast): the soonest tick goes in as a
     scalar so the bulk block matures late, the rest as one
-    :meth:`Simulator.schedule_many_at` array block.  ``window`` must be
-    at least 2 (window 1 uses the caller's event-granular fallback).
+    :meth:`Simulator.schedule_many_at` block.  ``window`` must be at
+    least 2 (window 1 uses the caller's event-granular fallback).  The
+    tick times are a plain-Python running sum, added in
+    ``np.cumsum``'s order.
     """
-    waits = wait_pool.take_array(window)
-    ticks = np.cumsum(waits)
-    ticks += sim.now
-    sim.schedule_in(float(waits[0]), tick, node)  # soonest tick: scalar
+    waits = wait_pool.take(window)
+    now = sim.now
+    total = 0.0
+    ticks = []
+    for wait in waits:
+        total += wait
+        ticks.append(total + now)
+    sim.schedule_in(waits[0], tick, node)  # soonest tick: scalar
     sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1))

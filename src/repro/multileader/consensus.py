@@ -182,15 +182,22 @@ class MultiLeaderConsensusSim:
             sim.schedule_in(self._tick_wait(), self._tick, node)
             sim.schedule_in(self._latency(), self._deliver_signal, payload)
             return
-        waits = self._tick_wait.take_array(window)
-        lats = self._latency.take_array(window)
+        waits = self._tick_wait.take(window)
+        lats = self._latency.take(window)
         # Soonest tick + the firing tick's signal as scalars; the rest
-        # in two array blocks (see core.single_leader._refill_window).
-        ticks = np.cumsum(waits)
-        ticks += sim.now
-        sim.schedule_in(float(lats[0]), self._deliver_signal, payload)  # line 1
-        sigs = ticks[:-1] + lats[1:]
-        sim.schedule_in(float(waits[0]), self._tick, node)
+        # in two bulk blocks.  Plain-Python cumsum: at window sizes
+        # numpy's per-call overhead costs more than the loop, and the
+        # running sum adds in np.cumsum's order (see
+        # core.single_leader._extend_chain).
+        now = sim.now
+        total = 0.0
+        ticks = []
+        for wait in waits:
+            total += wait
+            ticks.append(total + now)
+        sim.schedule_in(lats[0], self._deliver_signal, payload)  # line 1
+        sigs = [tick + lat for tick, lat in zip(ticks, lats[1:])]
+        sim.schedule_in(waits[0], self._tick, node)
         sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1))
         sim.schedule_many_at(sigs, self._deliver_signal, [payload] * (window - 1))
         self._credit[node] = window

@@ -27,13 +27,17 @@ Fault semantics:
   random subset of nodes.
 
 Both scalar (``schedule`` / ``schedule_in``) and bulk
-(``schedule_many_at``) scheduling are intercepted — window-batched
-protocols (see :mod:`repro.engine.simulator`) degrade to per-event
-scheduling under faults, so fault semantics never depend on batching.
+(``schedule_many_at``) scheduling are intercepted.  Window-batched
+protocols (see :mod:`repro.engine.simulator`) stay on the block path
+under faults: a block is validated whole, tick blocks without churn go
+straight to the simulator, and message blocks run the transform chain
+entry by entry in block order and file their survivors in one bulk
+call.  Every draw, drop and pop happens as if the entries had been
+scheduled one at a time — fault semantics never depend on batching.
 The tally stream's filing calls (``tally_at`` / ``tally_in``, the
-single-leader 0-signals) go through the same message transforms, one
-arrival at a time; an arrival has no owner node, so churn never
-suppresses it.  Two residual notes: (1) with :func:`inject_faults` the initial batch of
+single-leader 0-signals) take the same message transforms; an arrival
+has no owner node, so churn never suppresses it.  Two residual notes:
+(1) with :func:`inject_faults` the initial batch of
 tick events is scheduled during protocol construction, *before* the
 wrapper exists, so each node's very first tick escapes the churn guard
 — construct the protocol over :func:`prepare_faulty_simulator`'s
@@ -55,7 +59,7 @@ import numpy as np
 
 from repro.engine.rng import UniformPool
 from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -421,11 +425,12 @@ class FaultInjection:
     use.
 
     Both the scalar (``schedule`` / ``schedule_in``) and the bulk
-    (``schedule_many_at``) scheduling paths are intercepted; bulk blocks
-    are routed through the same per-event transform chain, so fault
-    semantics are independent of how the protocol batches its inserts.
-    Tally arrivals (``tally_at`` / ``tally_in``) take the message
-    transforms with the same arithmetic as a ``_leader_signal`` event.
+    (``schedule_many_at``) scheduling paths are intercepted; a bulk
+    block runs the same per-event transform chain, in block order, and
+    is filed whole, so fault semantics are independent of how the
+    protocol batches its inserts.  Tally arrivals (``tally_at`` /
+    ``tally_in``) take the message transforms with the same arithmetic
+    as a ``_leader_signal`` event.
     """
 
     def __init__(
@@ -447,6 +452,8 @@ class FaultInjection:
         self.dead_ticks = 0
         self._original_schedule = sim.schedule
         self._original_schedule_in = sim.schedule_in
+        self._original_schedule_many_at = sim.schedule_many_at
+        self._original_tally_at = sim.tally_at
         self._original_tally_in = sim.tally_in
         self._has_churn = any(
             isinstance(fault, _ChurnBase) or type(fault).crashed_until is not FaultModel.crashed_until
@@ -477,21 +484,105 @@ class FaultInjection:
         """Absolute-time seam: route through the scalar transform chain."""
         return self._schedule_in(time - self.sim.now, action, payload)
 
-    def _schedule_many_at(self, times, action: Callable, payloads=None) -> list[int]:
-        """Bulk seam (absolute times): per-event transform chain."""
+    def _schedule_many_at(self, times, action: Callable, payloads=None) -> Sequence[int]:
+        """Bulk seam (absolute times): one transform pass, whole-block filing.
+
+        A past or NaN time, or a payload count that does not match,
+        raises before anything is drawn, dropped or filed.  Times go
+        through the scalar seam's arithmetic (``now + (time - now)``),
+        so they match the scalar path bit for bit.  Returns one handle
+        per entry, a dropped entry's being a fresh never-scheduled one.
+        """
+        if isinstance(times, np.ndarray):
+            times = times.tolist()  # plain floats: numpy scalars never reach ``now``
         now = self.sim.now
+        name = getattr(action, "__name__", "")
+        category = _CATEGORY.get(name)
+        if category is None or (category is TICK and not self._has_churn):
+            # No transforms and no guard; the simulator checks the block.
+            return self._original_schedule_many_at(
+                [now + (time - now) for time in times], action, payloads
+            )
+        total = sum(times)  # a NaN anywhere poisons the sum
+        if times and (not min(times) >= now or total != total):
+            raise SchedulingError(f"bulk schedule contains a past or NaN time (now={now})")
         if payloads is None:
-            return [self._schedule_in(time - now, action) for time in times]
-        return [
-            self._schedule_in(time - now, action, payload)
-            for time, payload in zip(times, payloads)
-        ]
+            payloads = [None] * len(times)
+        elif len(payloads) != len(times):
+            raise SchedulingError(
+                f"bulk schedule got {len(times)} times but {len(payloads)} payloads"
+            )
+        if category is EXCHANGE:
+            # A dropped exchange unlocks its node, which may schedule:
+            # entry by entry keeps those events between the block's own.
+            return [
+                self._schedule_in(time - now, action, payload)
+                for time, payload in zip(times, payloads)
+            ]
+        # Messages, or ticks under churn (no transforms, only the guard).
+        faults = self.faults if category is MESSAGE else ()
+        churn = self._has_churn
+        reserve = self.sim.queue.reserve_handle
+        out_times: list[float] = []
+        out_payloads: list = []
+        dropped: list[tuple[int, int]] = []
+        last = node = None
+        for time, payload in zip(times, payloads):
+            if payload is not last:
+                # _node_of once per distinct payload object (refill
+                # blocks repeat one payload); None has no owner node.
+                last = payload
+                node = _node_of(name, payload)
+            delay = time - now
+            for fault in faults:
+                delay = fault.transform(category, node, delay)
+                if delay is None:
+                    break
+            if delay is None:
+                dropped.append((len(out_times) + len(dropped), reserve()))
+                self._note_drop(category, node)
+                continue
+            out_times.append(now + delay)
+            out_payloads.append((action, payload, category, node) if churn else payload)
+        filed = (
+            self._original_schedule_many_at(
+                out_times, self._guard if churn else action, out_payloads
+            )
+            if out_times
+            else range(0)
+        )
+        if not dropped:
+            return filed
+        handles = list(filed)
+        for index, handle in dropped:
+            handles.insert(index, handle)
+        return handles
 
     def _tally_at(self, times) -> None:
-        """Tally seam (absolute times): per-arrival message transforms."""
+        """Tally seam (absolute times): one message-transform pass, one filing.
+
+        Past, NaN and infinite times anywhere in the block raise before
+        any arrival is drawn for, dropped or filed.
+        """
         now = self.sim.now
         for time in times:
-            self._tally_in(time - now)
+            if not now <= time < math.inf:  # rejects past, NaN and inf
+                raise SchedulingError(
+                    f"cannot tally an arrival at {time} (now={now})"
+                )
+        faults = self.faults
+        arrivals = []
+        for time in times:
+            delay = time - now
+            for fault in faults:
+                delay = fault.transform(MESSAGE, None, delay)
+                if delay is None:
+                    break
+            if delay is None:
+                self._note_drop(MESSAGE, None)
+            else:
+                arrivals.append(now + delay)
+        self._original_tally_at(arrivals)
 
     def _tally_in(self, delay: float) -> None:
         for fault in self.faults:
@@ -505,7 +596,7 @@ class FaultInjection:
     def _schedule_in(self, delay: float, action: Callable, payload: Any = None) -> int:
         name = getattr(action, "__name__", "")
         category = _CATEGORY.get(name)
-        if category is None:
+        if category is None or (category is TICK and not self._has_churn):
             return self._original_schedule_in(delay, action, payload)
         node = _node_of(name, payload)
         if category is not TICK:
