@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.simulator import Simulator
+from repro.engine.rng import ExponentialPool
+from repro.engine.simulator import Simulator, schedule_tick_window
 from repro.engine.tracing import CountingTracer
 from repro.errors import SchedulingError
 
@@ -46,6 +48,25 @@ class TestScheduling:
         sim.schedule_many_at([2.0, 3.0], fired.append, ["bulk", "late"])
         sim.run()
         assert fired == ["scalar", "tie", "bulk", "late"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 9),
+        st.floats(0.0, 1e4, allow_nan=False),
+    )
+    def test_tick_window_times_match_numpy_cumsum(self, seed, window, now):
+        """The plain-Python running sum adds in np.cumsum's order."""
+        sim = Simulator()
+        sim.now = now
+        pool = ExponentialPool(np.random.default_rng(seed), 1.0)
+        schedule_tick_window(sim, pool, print, 0, window)
+        waits = ExponentialPool(np.random.default_rng(seed), 1.0).take_array(window)
+        expected = (np.cumsum(waits) + now).tolist()
+        filed = sorted(entry[0] for entry in sim.queue._heap)
+        assert filed[1:] == expected[1:]
+        assert filed[0] == now + waits[0]
+        assert all(type(time) is float for time in filed)
 
     def test_events_execute_in_order(self):
         sim = Simulator()
