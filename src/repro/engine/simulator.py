@@ -47,7 +47,13 @@ from repro.engine.events import EventQueue
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import SchedulingError
 
-__all__ = ["Simulator", "DEFAULT_ENGINE", "DEFAULT_TICK_WINDOW", "schedule_tick_window"]
+__all__ = [
+    "Simulator",
+    "DEFAULT_ENGINE",
+    "DEFAULT_TICK_WINDOW",
+    "schedule_tick_window",
+    "tick_times",
+]
 
 #: Name of the event engine, recorded in ledger provenance and in the
 #: ``engine.runs.<name>`` metrics counter.
@@ -404,6 +410,21 @@ class Simulator:
         action()
 
 
+def tick_times(waits: Sequence[float], now: float) -> list[float]:
+    """Absolute tick times ``now + cumsum(waits)``, as plain floats.
+
+    The window refills' running sum: at window sizes numpy's per-call
+    overhead costs more than this loop, and ``total += wait`` adds in
+    ``np.cumsum``'s order, so the times match it bit for bit.
+    """
+    total = 0.0
+    ticks = []
+    for wait in waits:
+        total += wait
+        ticks.append(total + now)
+    return ticks
+
+
 def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int) -> None:
     """Pre-schedule a node's next ``window`` ticks (wait-only chains).
 
@@ -411,16 +432,9 @@ def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int
     side events (clustering, broadcast): the soonest tick goes in as a
     scalar so the bulk block matures late, the rest as one
     :meth:`Simulator.schedule_many_at` block.  ``window`` must be at
-    least 2 (window 1 uses the caller's event-granular fallback).  The
-    tick times are a plain-Python running sum, added in
-    ``np.cumsum``'s order.
+    least 2 (window 1 uses the caller's event-granular fallback).
     """
     waits = wait_pool.take(window)
-    now = sim.now
-    total = 0.0
-    ticks = []
-    for wait in waits:
-        total += wait
-        ticks.append(total + now)
+    ticks = tick_times(waits, sim.now)
     sim.schedule_in(waits[0], tick, node)  # soonest tick: scalar
     sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1))

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.results import GenerationBirth, RunResult, StepStats
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Simulator, tick_times
 from repro.errors import ConfigurationError
 from repro.multileader.cluster_leader import (
     STATE_PROPAGATION,
@@ -185,16 +185,8 @@ class MultiLeaderConsensusSim:
         waits = self._tick_wait.take(window)
         lats = self._latency.take(window)
         # Soonest tick + the firing tick's signal as scalars; the rest
-        # in two bulk blocks.  Plain-Python cumsum: at window sizes
-        # numpy's per-call overhead costs more than the loop, and the
-        # running sum adds in np.cumsum's order (see
-        # core.single_leader._extend_chain).
-        now = sim.now
-        total = 0.0
-        ticks = []
-        for wait in waits:
-            total += wait
-            ticks.append(total + now)
+        # in two bulk blocks.
+        ticks = tick_times(waits, sim.now)
         sim.schedule_in(lats[0], self._deliver_signal, payload)  # line 1
         sigs = [tick + lat for tick, lat in zip(ticks, lats[1:])]
         sim.schedule_in(waits[0], self._tick, node)

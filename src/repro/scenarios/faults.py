@@ -27,13 +27,13 @@ Fault semantics:
   random subset of nodes.
 
 Both scalar (``schedule`` / ``schedule_in``) and bulk
-(``schedule_many_at``) scheduling are intercepted.  Window-batched
-protocols (see :mod:`repro.engine.simulator`) stay on the block path
-under faults: a block is validated whole, tick blocks without churn go
-straight to the simulator, and message blocks run the transform chain
-entry by entry in block order and file their survivors in one bulk
-call.  Every draw, drop and pop happens as if the entries had been
-scheduled one at a time — fault semantics never depend on batching.
+(``schedule_many_at``) scheduling are intercepted.  A block from a
+window-batched protocol (see :mod:`repro.engine.simulator`) is checked
+whole before anything is filed; a tick block without churn then goes
+straight to the simulator, and any other block runs through the scalar
+seam entry by entry, in block order.  Every draw, drop and pop happens
+as if the entries had been scheduled one at a time — fault semantics
+never depend on batching.
 The tally stream's filing calls (``tally_at`` / ``tally_in``, the
 single-leader 0-signals) take the same message transforms; an arrival
 has no owner node, so churn never suppresses it.  Two residual notes:
@@ -426,8 +426,8 @@ class FaultInjection:
 
     Both the scalar (``schedule`` / ``schedule_in``) and the bulk
     (``schedule_many_at``) scheduling paths are intercepted; a bulk
-    block runs the same per-event transform chain, in block order, and
-    is filed whole, so fault semantics are independent of how the
+    block is checked whole, then runs the same per-event transform
+    chain in block order, so fault semantics are independent of how the
     protocol batches its inserts.  Tally arrivals (``tally_at`` /
     ``tally_in``) take the message transforms with the same arithmetic
     as a ``_leader_signal`` event.
@@ -453,7 +453,6 @@ class FaultInjection:
         self._original_schedule = sim.schedule
         self._original_schedule_in = sim.schedule_in
         self._original_schedule_many_at = sim.schedule_many_at
-        self._original_tally_at = sim.tally_at
         self._original_tally_in = sim.tally_in
         self._has_churn = any(
             isinstance(fault, _ChurnBase) or type(fault).crashed_until is not FaultModel.crashed_until
@@ -485,19 +484,19 @@ class FaultInjection:
         return self._schedule_in(time - self.sim.now, action, payload)
 
     def _schedule_many_at(self, times, action: Callable, payloads=None) -> Sequence[int]:
-        """Bulk seam (absolute times): one transform pass, whole-block filing.
+        """Bulk seam (absolute times): whole-block check, then filing.
 
         A past or NaN time, or a payload count that does not match,
-        raises before anything is drawn, dropped or filed.  Times go
-        through the scalar seam's arithmetic (``now + (time - now)``),
-        so they match the scalar path bit for bit.  Returns one handle
-        per entry, a dropped entry's being a fresh never-scheduled one.
+        raises before anything is drawn, dropped or filed.  A tick block
+        without churn takes no transforms and goes to the simulator
+        whole; any other classified block runs through the scalar seam
+        entry by entry, in block order.  Both routes compute times with
+        the scalar seam's arithmetic (``now + (time - now)``).
         """
         if isinstance(times, np.ndarray):
             times = times.tolist()  # plain floats: numpy scalars never reach ``now``
         now = self.sim.now
-        name = getattr(action, "__name__", "")
-        category = _CATEGORY.get(name)
+        category = _CATEGORY.get(getattr(action, "__name__", ""))
         if category is None or (category is TICK and not self._has_churn):
             # No transforms and no guard; the simulator checks the block.
             return self._original_schedule_many_at(
@@ -512,54 +511,13 @@ class FaultInjection:
             raise SchedulingError(
                 f"bulk schedule got {len(times)} times but {len(payloads)} payloads"
             )
-        if category is EXCHANGE:
-            # A dropped exchange unlocks its node, which may schedule:
-            # entry by entry keeps those events between the block's own.
-            return [
-                self._schedule_in(time - now, action, payload)
-                for time, payload in zip(times, payloads)
-            ]
-        # Messages, or ticks under churn (no transforms, only the guard).
-        faults = self.faults if category is MESSAGE else ()
-        churn = self._has_churn
-        reserve = self.sim.queue.reserve_handle
-        out_times: list[float] = []
-        out_payloads: list = []
-        dropped: list[tuple[int, int]] = []
-        last = node = None
-        for time, payload in zip(times, payloads):
-            if payload is not last:
-                # _node_of once per distinct payload object (refill
-                # blocks repeat one payload); None has no owner node.
-                last = payload
-                node = _node_of(name, payload)
-            delay = time - now
-            for fault in faults:
-                delay = fault.transform(category, node, delay)
-                if delay is None:
-                    break
-            if delay is None:
-                dropped.append((len(out_times) + len(dropped), reserve()))
-                self._note_drop(category, node)
-                continue
-            out_times.append(now + delay)
-            out_payloads.append((action, payload, category, node) if churn else payload)
-        filed = (
-            self._original_schedule_many_at(
-                out_times, self._guard if churn else action, out_payloads
-            )
-            if out_times
-            else range(0)
-        )
-        if not dropped:
-            return filed
-        handles = list(filed)
-        for index, handle in dropped:
-            handles.insert(index, handle)
-        return handles
+        return [
+            self._schedule_in(time - now, action, payload)
+            for time, payload in zip(times, payloads)
+        ]
 
     def _tally_at(self, times) -> None:
-        """Tally seam (absolute times): one message-transform pass, one filing.
+        """Tally seam (absolute times): whole-block check, per-arrival transforms.
 
         Past, NaN and infinite times anywhere in the block raise before
         any arrival is drawn for, dropped or filed.
@@ -570,19 +528,8 @@ class FaultInjection:
                 raise SchedulingError(
                     f"cannot tally an arrival at {time} (now={now})"
                 )
-        faults = self.faults
-        arrivals = []
         for time in times:
-            delay = time - now
-            for fault in faults:
-                delay = fault.transform(MESSAGE, None, delay)
-                if delay is None:
-                    break
-            if delay is None:
-                self._note_drop(MESSAGE, None)
-            else:
-                arrivals.append(now + delay)
-        self._original_tally_at(arrivals)
+            self._tally_in(time - now)
 
     def _tally_in(self, delay: float) -> None:
         for fault in self.faults:

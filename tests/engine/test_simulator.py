@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.rng import ExponentialPool
-from repro.engine.simulator import Simulator, schedule_tick_window
+from repro.engine.simulator import Simulator, schedule_tick_window, tick_times
 from repro.engine.tracing import CountingTracer
 from repro.errors import SchedulingError
 
@@ -56,13 +56,18 @@ class TestScheduling:
         st.floats(0.0, 1e4, allow_nan=False),
     )
     def test_tick_window_times_match_numpy_cumsum(self, seed, window, now):
-        """The plain-Python running sum adds in np.cumsum's order."""
+        """The plain-Python running sum adds in np.cumsum's order.
+
+        ``tick_times`` serves every window refill (this one and the
+        multi-leader pipeline's).
+        """
         sim = Simulator()
         sim.now = now
         pool = ExponentialPool(np.random.default_rng(seed), 1.0)
         schedule_tick_window(sim, pool, print, 0, window)
         waits = ExponentialPool(np.random.default_rng(seed), 1.0).take_array(window)
         expected = (np.cumsum(waits) + now).tolist()
+        assert tick_times(waits.tolist(), now) == expected
         filed = sorted(entry[0] for entry in sim.queue._heap)
         assert filed[1:] == expected[1:]
         assert filed[0] == now + waits[0]

@@ -1,9 +1,10 @@
 """The fault seam's bulk paths against its scalar path.
 
-``FaultInjection`` files a ``schedule_many_at`` block (or a ``tally_at``
-block) whole: it validates the block, runs the transform chain entry by
-entry in block order, and files the survivors in bulk.  These tests pin
-that to the scalar seam: a rejected block leaves every queue, counter
+``FaultInjection`` validates a ``schedule_many_at`` block (or a
+``tally_at`` block) whole before it files anything, then sends a tick
+block without churn to the simulator in one call and every other block
+through the scalar seam in block order.  These tests pin that to the
+scalar seam: a rejected block leaves every queue, counter
 and fault pool untouched, a block pops, drops and draws exactly as the
 same entries filed one by one through ``schedule_in`` / ``tally_in``,
 and no numpy scalar reaches the clock or the trace.
