@@ -10,7 +10,9 @@ from the round-seam change, and through the sweep-target layer.
 Bit-reproducibility at ``shards > 1`` (same seed, same shard count →
 identical results, for fork *and* spawn) is pinned alongside, because
 it is the precondition for the statistical equivalence suite in
-``test_differential.py`` meaning anything.
+``test_differential.py`` meaning anything. The sharded per-node engine
+is also pinned against ``golden_sharded_pernode.json``, so a speed
+change to its round cannot move a single trajectory unnoticed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import pytest
 from repro.baselines.base import run_dynamics
 from repro.baselines.three_majority import ThreeMajority
 from repro.baselines.population import PairwiseScheduler, ThreeStateMajority
-from repro.core.schedule import FixedSchedule
+from repro.core.schedule import AlwaysTwoChoices, FixedSchedule
 from repro.core.synchronous import run_synchronous
 from repro.engine.rng import RngRegistry
 from repro.shard import (
@@ -38,6 +40,10 @@ GOLDEN_ROUND = json.loads(
     (
         Path(__file__).parent.parent / "scenarios" / "golden_round_defaults.json"
     ).read_text()
+)
+
+GOLDEN_SHARDED_PERNODE = json.loads(
+    (Path(__file__).parent / "golden_sharded_pernode.json").read_text()
 )
 
 
@@ -171,3 +177,62 @@ class TestShardedReproducibility:
             results[0].final_color_counts.tolist()
             == results[1].final_color_counts.tolist()
         )
+
+
+#: name -> (n, k, alpha, schedule factory, shards, seed, max_steps).
+#: The fixed and always-two-choices schedules drive both branches of
+#: the worker's two-choices flag; ``wide_int64`` has more generation
+#: rows than ``int8`` holds, so it runs on ``int64`` shared state.
+SHARDED_PERNODE_CASES = {
+    "fixed_shards2": (
+        600, 4, 2.0, lambda: FixedSchedule(n=600, k=4, alpha0=2.0), 2, 21, 4000
+    ),
+    "fixed_shards3": (
+        900, 3, 1.5, lambda: FixedSchedule(n=900, k=3, alpha0=1.5), 3, 22, 4000
+    ),
+    "always_shards2": (600, 4, 2.0, lambda: AlwaysTwoChoices(), 2, 23, 300),
+    "always_shards3": (900, 3, 1.5, lambda: AlwaysTwoChoices(), 3, 24, 300),
+    "wide_int64": (
+        400, 3, 2.0, lambda: AlwaysTwoChoices(max_generation=130), 2, 25, 300
+    ),
+}
+
+
+def sharded_pernode_record(name: str) -> list:
+    """The pinned record of one sharded per-node case (floats as repr)."""
+    n, k, alpha, schedule, shards, seed, max_steps = SHARDED_PERNODE_CASES[name]
+    result = run_sharded_synchronous(
+        biased_counts(n, k, alpha),
+        schedule(),
+        RngRegistry(seed).stream("pernode-golden"),
+        shards=shards,
+        engine="pernode",
+        max_steps=max_steps,
+        epsilon=0.05,
+        record_trajectory=True,
+    )
+    return [
+        bool(result.converged),
+        int(result.winner),
+        repr(result.elapsed),
+        result.final_color_counts.tolist(),
+        repr(result.epsilon_convergence_time),
+        [
+            [b.generation, repr(b.time), repr(b.fraction), repr(b.bias),
+             repr(b.collision_probability)]
+            for b in result.births
+        ],
+        [
+            [repr(s.time), s.top_generation, repr(s.top_generation_fraction),
+             repr(s.plurality_fraction), repr(s.bias)]
+            for s in result.trajectory
+        ],
+    ]
+
+
+class TestShardedPerNodeGolden:
+    """``shards > 1`` per-node runs reproduce their committed records."""
+
+    @pytest.mark.parametrize("name", sorted(SHARDED_PERNODE_CASES))
+    def test_matches_golden(self, name):
+        assert sharded_pernode_record(name) == GOLDEN_SHARDED_PERNODE[name]
