@@ -58,6 +58,7 @@ __all__ = [
     "PerNodeSynchronousSim",
     "AggregateSynchronousSim",
     "aggregate_round",
+    "pernode_update",
     "run_synchronous",
 ]
 
@@ -135,6 +136,48 @@ def aggregate_round(
             new_matrix += moved
             new_matrix[g, c] += outcome[flat_categories] + frozen
     return new_matrix
+
+
+def pernode_update(
+    gen_a: np.ndarray,
+    col_a: np.ndarray,
+    gen_b: np.ndarray,
+    col_b: np.ndarray,
+    own_gens: np.ndarray,
+    own_cols: np.ndarray,
+    two_choices_step: bool,
+    active: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of Algorithm 1's per-node rule; returns new ``(gens, cols)``.
+
+    ``(gen_a, col_a)`` and ``(gen_b, col_b)`` are each node's two sampled
+    contacts and ``own_*`` its current state. The higher-generation
+    sample ``v'`` is ``(max(gen_a, gen_b), col_hi)``; the two-choices
+    test is symmetric in the pair, so no swap is needed. A promoted node
+    lands one generation above the pair, so after ``gen_hi += two_choices``
+    every node adopts exactly when ``gen_hi > own_gens``. ``active``
+    (round faults) masks nodes that learn nothing this round.
+
+    Selections are integer arithmetic, ``b + mask * (a - b)``, not
+    ``np.where``, whose per-element branch is several times slower on
+    random masks; the results are the same integers in the inputs'
+    dtype. The inputs are only read, so callers may pass views of the
+    state they overwrite.
+    """
+    gen_hi = np.maximum(gen_a, gen_b)
+    col_hi = col_a + (gen_b > gen_a) * (col_b - col_a)
+    if two_choices_step:
+        two_choices = (gen_a == gen_b) & (col_a == col_b) & (own_gens <= gen_hi)
+        if active is not None:
+            two_choices &= active
+        gen_hi += two_choices
+    adopt = gen_hi > own_gens
+    if active is not None:
+        adopt &= active
+    return (
+        own_gens + adopt * (gen_hi - own_gens),
+        own_cols + adopt * (col_hi - own_cols),
+    )
 
 
 def _matrix_stats(matrix: np.ndarray, n: int, time: float) -> StepStats:
@@ -431,30 +474,21 @@ class PerNodeSynchronousSim(_SynchronousBase):
                     1.0 if active is None else float(np.count_nonzero(active)) / self.n
                 )
         first, second = self._sample_pairs()
-        gen_a, col_a = self.generations[first], self.colors[first]
-        gen_b, col_b = self.generations[second], self.colors[second]
-        # Order so sample "a" is the higher-generation one (ties keep order).
-        swap = gen_b > gen_a
-        gen_a, gen_b = np.where(swap, gen_b, gen_a), np.where(swap, gen_a, gen_b)
-        col_a, col_b = np.where(swap, col_b, col_a), np.where(swap, col_a, col_b)
+        generations, colors = self.generations, self.colors
         top_fraction = self._top_generation_fraction()
-        if self.schedule.is_two_choices_step(self.steps_done, top_fraction):
-            two_choices = (gen_a == gen_b) & (col_a == col_b) & (self.generations <= gen_a)
-        else:
-            two_choices = np.zeros(self.n, dtype=bool)
-        propagation = ~two_choices & (gen_a > self.generations)
-        if active is not None:
-            # Masked nodes learn nothing this round: no promotion, no
-            # adoption.  They were still sampled above — a crashed or
-            # cut-off node's state remains readable by its neighbors.
-            two_choices &= active
-            propagation &= active
-        new_generations = np.where(
-            two_choices, gen_a + 1, np.where(propagation, gen_a, self.generations)
+        # Masked nodes learn nothing this round (``active``); they were
+        # still sampled above — a crashed or cut-off node's state
+        # remains readable by its neighbors.
+        self.generations, self.colors = pernode_update(
+            generations[first],
+            colors[first],
+            generations[second],
+            colors[second],
+            generations,
+            colors,
+            self.schedule.is_two_choices_step(self.steps_done, top_fraction),
+            active,
         )
-        adopt = two_choices | propagation
-        self.generations = new_generations
-        self.colors = np.where(adopt, col_a, self.colors)
 
     def _top_generation_fraction(self) -> float:
         top = int(self.generations.max())

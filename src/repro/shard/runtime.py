@@ -273,8 +273,15 @@ class ShardHarness:
             )
             for index, (payload, sidecar) in enumerate(zip(payloads, sidecars))
         ]
-        for proc in self._procs:
-            proc.start()
+        try:
+            for proc in self._procs:
+                proc.start()
+        except BaseException:
+            # No stop round: the workers that did start are parked at a
+            # barrier the rest will never reach, so close() kills them.
+            self._stopped = True
+            self.close()
+            raise
 
     def _wait(self) -> None:
         # Poll until every worker is parked at the barrier before
@@ -397,7 +404,7 @@ class ShardHarness:
         if not self._stopped:
             self.stop()
         for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - defensive
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(5.0)
         self._merge_worker_metrics()

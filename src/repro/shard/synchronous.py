@@ -13,10 +13,16 @@ code; only :meth:`step` crosses the process boundary.
   ``generations`` arrays live in shared memory; each worker computes the
   update for its contiguous node slice while sampling contacts from the
   *whole* population (reads in phase one, slice writes in phase two).
-  That is exactly the unsharded Markov kernel — per-node updates only
-  read the previous round's state — so this engine, too, is
-  distribution-identical, just not bit-identical (per-shard substreams
-  replace the single stream).
+  The update is :func:`~repro.core.synchronous.pernode_update`, the
+  same function the unsharded per-node engine runs. That is exactly the
+  unsharded Markov kernel — per-node updates only read the previous
+  round's state — so this engine, too, is distribution-identical, just
+  not bit-identical (per-shard substreams replace the single stream).
+  The state arrays are ``int8`` whenever the run's generation rows and
+  colors fit, which shrinks the random gathers eightfold, and each
+  worker tallies its own slice's ``(gen, col)`` counts into a shared
+  ``(shards, rows * k)`` block, so the controller sums a few hundred
+  integers per round instead of counting all ``n`` nodes.
 
 Schedules are stateful (:class:`~repro.core.schedule.AdaptiveSchedule`
 latches its decisions), so only the controller consults
@@ -35,7 +41,7 @@ import numpy as np
 
 from repro.core.results import RunResult
 from repro.core.schedule import Schedule
-from repro.core.synchronous import _SynchronousBase, run_synchronous
+from repro.core.synchronous import _SynchronousBase, pernode_update, run_synchronous
 from repro.engine.tracing import Tracer
 from repro.errors import ConfigurationError
 from repro.shard.count_engine import AggregateSyncKernel, count_worker
@@ -81,7 +87,9 @@ class _ShardedSynchronousBase(_SynchronousBase):
         if self._harness is not None:
             self._harness.close()
             self._harness = None
-        for name in ("_slots", "_rng_states", "_shared_colors", "_shared_generations"):
+        for name in (
+            "_slots", "_rng_states", "_shared_colors", "_shared_generations", "_tally"
+        ):
             block = getattr(self, name, None)
             if block is not None:
                 block.close()
@@ -126,60 +134,64 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
             self._tracer = tracer
         self._rows = schedule.max_generation + 2
         self.steps_done = 0
-        slot_counts = partition_counts(counts, self.shards)
-        self._slots = SharedArray.create((self.shards, self._rows, self.k), np.int64)
-        self._slots.array[:, 0, :] = slot_counts
-        seeds = shard_seed_sequences(rng, self.shards)
-        kernel = AggregateSyncKernel(self.n, promotion)
-        if resumable:
-            # Recovery seam: shared generator-state rows + a checkpoint
-            # controller that restarts the round loop on ShardError (see
-            # repro.shard.recovery for the determinism contract).
-            from repro.shard.recovery import (
-                PCG64_STATE_WORDS,
-                CheckpointingController,
-                initial_rng_states,
-            )
+        try:
+            slot_counts = partition_counts(counts, self.shards)
+            self._slots = SharedArray.create((self.shards, self._rows, self.k), np.int64)
+            self._slots.array[:, 0, :] = slot_counts
+            seeds = shard_seed_sequences(rng, self.shards)
+            kernel = AggregateSyncKernel(self.n, promotion)
+            if resumable:
+                # Recovery seam: shared generator-state rows + a checkpoint
+                # controller that restarts the round loop on ShardError (see
+                # repro.shard.recovery for the determinism contract).
+                from repro.shard.recovery import (
+                    PCG64_STATE_WORDS,
+                    CheckpointingController,
+                    initial_rng_states,
+                )
 
-            self._rng_states = SharedArray.create(
-                (self.shards, PCG64_STATE_WORDS), np.uint64
-            )
-            self._rng_states.array[:] = initial_rng_states(seeds)
+                self._rng_states = SharedArray.create(
+                    (self.shards, PCG64_STATE_WORDS), np.uint64
+                )
+                self._rng_states.array[:] = initial_rng_states(seeds)
 
-            def build(resume: bool) -> ShardHarness:
+                def build(resume: bool) -> ShardHarness:
+                    payloads = [
+                        {
+                            "slots_spec": self._slots.spec,
+                            "kernel": kernel,
+                            "seed_seq": seed,
+                            "rng_state_spec": self._rng_states.spec,
+                            "checkpoint_every": int(checkpoint_every),
+                            "resume": resume,
+                        }
+                        for seed in seeds
+                    ]
+                    return ShardHarness(
+                        count_worker, payloads, phases=2, start_method=start_method,
+                        metrics=metrics,
+                    )
+
+                self._harness = CheckpointingController(
+                    build,
+                    slots=self._slots,
+                    rng_states=self._rng_states,
+                    checkpoint_every=int(checkpoint_every),
+                    max_restarts=int(max_restarts),
+                    metrics=metrics,
+                )
+            else:
                 payloads = [
-                    {
-                        "slots_spec": self._slots.spec,
-                        "kernel": kernel,
-                        "seed_seq": seed,
-                        "rng_state_spec": self._rng_states.spec,
-                        "checkpoint_every": int(checkpoint_every),
-                        "resume": resume,
-                    }
+                    {"slots_spec": self._slots.spec, "kernel": kernel, "seed_seq": seed}
                     for seed in seeds
                 ]
-                return ShardHarness(
+                self._harness = ShardHarness(
                     count_worker, payloads, phases=2, start_method=start_method,
                     metrics=metrics,
                 )
-
-            self._harness = CheckpointingController(
-                build,
-                slots=self._slots,
-                rng_states=self._rng_states,
-                checkpoint_every=int(checkpoint_every),
-                max_restarts=int(max_restarts),
-                metrics=metrics,
-            )
-        else:
-            payloads = [
-                {"slots_spec": self._slots.spec, "kernel": kernel, "seed_seq": seed}
-                for seed in seeds
-            ]
-            self._harness = ShardHarness(
-                count_worker, payloads, phases=2, start_method=start_method,
-                metrics=metrics,
-            )
+        except BaseException:
+            self.close()
+            raise
 
     def generation_color_matrix(self) -> np.ndarray:
         return self._slots.array.sum(axis=0)
@@ -200,22 +212,31 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
 def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
     """Per-node shard round: update one node slice from full-state reads.
 
-    The body mirrors :meth:`~repro.core.synchronous.PerNodeSynchronousSim.step`
-    restricted to ``[start, stop)`` — contacts are sampled from the
-    *whole* population via the shared arrays (shift trick skips only the
-    sampler's own global index), every read happens before the first
+    Contacts are sampled from the *whole* population via the shared
+    arrays (the shift trick skips only the sampler's own global index)
+    and fed to :func:`~repro.core.synchronous.pernode_update`, the rule
+    the unsharded engine runs too. Every read happens before the first
     phase barrier and every write after it, so each round sees exactly
-    the previous round's global state: the unsharded Markov kernel.
+    the previous round's global state: the unsharded Markov kernel. The
+    slice's own state is therefore read through views, not copies.
+    After writing its slice the worker stores the ``np.bincount`` of
+    its new ``(gen, col)`` keys in its row of the shared tally, which
+    the controller sums instead of counting all ``n`` nodes itself.
     """
     colors_block = SharedArray.attach(payload["colors_spec"])
     generations_block = SharedArray.attach(payload["generations_spec"])
+    tally_block = SharedArray.attach(payload["tally_spec"])
     try:
         colors = colors_block.array
         generations = generations_block.array
+        tally = tally_block.array[ctx.index]
         start, stop = payload["range"]
         n = int(payload["n"])
+        k = int(payload["k"])
         rng = np.random.Generator(np.random.PCG64(payload["seed_seq"]))
         own = np.arange(start, stop)
+        own_gens = generations[start:stop]
+        own_cols = colors[start:stop]
         size = stop - start
         while True:
             ctx.wait()  # round start
@@ -225,28 +246,36 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
             second = rng.integers(n - 1, size=size)
             first += first >= own
             second += second >= own
-            gen_a, col_a = generations[first], colors[first]
-            gen_b, col_b = generations[second], colors[second]
-            # Order so sample "a" is the higher-generation one.
-            swap = gen_b > gen_a
-            gen_a, gen_b = np.where(swap, gen_b, gen_a), np.where(swap, gen_a, gen_b)
-            col_a, col_b = np.where(swap, col_b, col_a), np.where(swap, col_a, col_b)
-            own_gens = generations[start:stop].copy()
-            own_cols = colors[start:stop].copy()
-            if ctx.flag:  # the controller's two-choices decision
-                two_choices = (gen_a == gen_b) & (col_a == col_b) & (own_gens <= gen_a)
-            else:
-                two_choices = np.zeros(size, dtype=bool)
-            propagation = ~two_choices & (gen_a > own_gens)
-            new_gens = np.where(two_choices, gen_a + 1, np.where(propagation, gen_a, own_gens))
-            new_cols = np.where(two_choices | propagation, col_a, own_cols)
+            new_gens, new_cols = pernode_update(
+                generations[first],
+                colors[first],
+                generations[second],
+                colors[second],
+                own_gens,
+                own_cols,
+                bool(ctx.flag),  # the controller's two-choices decision
+            )
             ctx.wait()  # everyone has read the old state; writes may begin
-            generations[start:stop] = new_gens
-            colors[start:stop] = new_cols
+            own_gens[:] = new_gens
+            own_cols[:] = new_cols
+            keys = new_gens.astype(np.intp)
+            keys *= k
+            keys += new_cols
+            tally[:] = np.bincount(keys, minlength=tally.size)
             ctx.wait()  # round complete
     finally:
         colors_block.close()
         generations_block.close()
+        tally_block.close()
+
+
+def _state_dtype(rows: int, k: int) -> type:
+    """``int8`` when every generation, color and difference of two fits.
+
+    Generations stay below ``rows - 1`` (the schedule fires at most
+    ``max_generation`` two-choices steps), so ``gen + 1`` cannot overflow.
+    """
+    return np.int8 if max(rows, k) <= np.iinfo(np.int8).max else np.int64
 
 
 class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
@@ -254,7 +283,10 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
 
     The initial placement consumes ``rng`` exactly like the unsharded
     constructor (one uniform shuffle); the per-round sampling moves to
-    the per-shard substreams.
+    the per-shard substreams. The shared ``colors``/``generations`` are
+    ``int8`` whenever the run's ``max_generation + 2`` rows and ``k``
+    colors fit (:func:`_state_dtype`), else ``int64``; a ``(shards,
+    rows * k)`` tally holds each shard's ``(gen, col)`` counts.
     """
 
     def __init__(
@@ -279,38 +311,46 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
             self._tracer = tracer
         self._rows = schedule.max_generation + 2
         self.steps_done = 0
-        self._shared_colors = SharedArray.create((self.n,), np.int64)
-        self._shared_generations = SharedArray.create((self.n,), np.int64)
-        self._shared_colors.array[:] = counts_to_assignment(counts, rng)
-        ranges = partition_nodes(self.n, self.shards)
-        seeds = shard_seed_sequences(rng, self.shards)
-        payloads = [
-            {
-                "colors_spec": self._shared_colors.spec,
-                "generations_spec": self._shared_generations.spec,
-                "range": node_range,
-                "n": self.n,
-                "seed_seq": seed,
-            }
-            for node_range, seed in zip(ranges, seeds)
-        ]
-        self._harness = ShardHarness(
-            pernode_worker, payloads, phases=2, start_method=start_method,
-            metrics=metrics,
-        )
+        try:
+            dtype = _state_dtype(self._rows, self.k)
+            self._shared_colors = SharedArray.create((self.n,), dtype)
+            self._shared_generations = SharedArray.create((self.n,), dtype)
+            self._tally = SharedArray.create((self.shards, self._rows * self.k), np.int64)
+            colors = self._shared_colors.array
+            colors[:] = counts_to_assignment(counts, rng)
+            ranges = partition_nodes(self.n, self.shards)
+            # Generation 0 everywhere: a node's key is its color.
+            for row, (start, stop) in zip(self._tally.array, ranges):
+                row[:] = np.bincount(colors[start:stop], minlength=row.size)
+            seeds = shard_seed_sequences(rng, self.shards)
+            payloads = [
+                {
+                    "colors_spec": self._shared_colors.spec,
+                    "generations_spec": self._shared_generations.spec,
+                    "tally_spec": self._tally.spec,
+                    "range": node_range,
+                    "n": self.n,
+                    "k": self.k,
+                    "seed_seq": seed,
+                }
+                for node_range, seed in zip(ranges, seeds)
+            ]
+            self._harness = ShardHarness(
+                pernode_worker, payloads, phases=2, start_method=start_method,
+                metrics=metrics,
+            )
+        except BaseException:
+            self.close()
+            raise
 
     def generation_color_matrix(self) -> np.ndarray:
-        flat = np.bincount(
-            self._shared_generations.array * self.k + self._shared_colors.array,
-            minlength=self._rows * self.k,
-        )
-        return flat.reshape(self._rows, self.k).astype(np.int64, copy=False)
+        return self._tally.array.sum(axis=0).reshape(self._rows, self.k)
 
     def step(self) -> None:
         self.steps_done += 1
-        generations = self._shared_generations.array
-        top = int(generations.max())
-        top_fraction = float(np.count_nonzero(generations == top)) / self.n
+        per_generation = self.generation_color_matrix().sum(axis=1)
+        top = int(np.nonzero(per_generation)[0][-1])
+        top_fraction = float(per_generation[top]) / self.n
         two_choices_step = self.schedule.is_two_choices_step(self.steps_done, top_fraction)
         self._harness.step(flag=1.0 if two_choices_step else 0.0)
 

@@ -120,6 +120,11 @@ class TestFastDifferential:
         sharded = _sync_times("aggregate", 2000, 4, 1.5, self.SEEDS, 2)
         _assert_equivalent(baseline, sharded, "synchronous-aggregate shards=2")
 
+    def test_synchronous_pernode(self):
+        baseline = _sync_times("pernode", 2000, 4, 1.5, self.SEEDS, 1)
+        sharded = _sync_times("pernode", 2000, 4, 1.5, self.SEEDS, 2)
+        _assert_equivalent(baseline, sharded, "synchronous-pernode shards=2")
+
     def test_population_ci_overlap(self):
         seeds = range(200, 210)
         baseline = _population_interactions(2000, 2.0, seeds, 1)

@@ -34,6 +34,7 @@ from repro.shard import (
     run_sharded_population,
     run_sharded_synchronous,
 )
+from repro.shard.synchronous import ShardedPerNodeSynchronousSim
 from repro.workloads import biased_counts
 
 GOLDEN_ROUND = json.loads(
@@ -236,3 +237,31 @@ class TestShardedPerNodeGolden:
     @pytest.mark.parametrize("name", sorted(SHARDED_PERNODE_CASES))
     def test_matches_golden(self, name):
         assert sharded_pernode_record(name) == GOLDEN_SHARDED_PERNODE[name]
+
+
+class TestShardedPerNodeState:
+    """The narrow shared state and the per-shard tallies stay consistent."""
+
+    @pytest.mark.parametrize(
+        "schedule, dtype",
+        [
+            (FixedSchedule(n=600, k=4, alpha0=2.0), np.int8),
+            (AlwaysTwoChoices(max_generation=130), np.int64),
+        ],
+    )
+    def test_tally_matches_shared_state(self, schedule, dtype):
+        sim = ShardedPerNodeSynchronousSim(
+            biased_counts(600, 4, 2.0), schedule, RngRegistry(3).stream("tally"),
+            shards=3,
+        )
+        try:
+            generations = sim._shared_generations.array
+            colors = sim._shared_colors.array
+            assert generations.dtype == dtype and colors.dtype == dtype
+            for _ in range(6):
+                keys = generations.astype(np.intp) * sim.k + colors
+                expected = np.bincount(keys, minlength=sim._rows * sim.k)
+                assert sim.generation_color_matrix().ravel().tolist() == expected.tolist()
+                sim.step()
+        finally:
+            sim.close()

@@ -7,13 +7,21 @@ and resource cleanup are all exercised end to end.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from repro.core.schedule import FixedSchedule
+from repro.engine.rng import RngRegistry
 from repro.shard import SharedArray, ShardError, ShardHarness
 from repro.shard.runtime import ShardWorkerContext
+from repro.shard.synchronous import (
+    ShardedAggregateSynchronousSim,
+    ShardedPerNodeSynchronousSim,
+)
+from repro.workloads import biased_counts
 
 
 def _echo_worker(ctx: ShardWorkerContext, payload: dict) -> None:
@@ -116,3 +124,46 @@ class TestHungWorker:
         # bounded by the configured timeout plus teardown slack.
         assert elapsed < timeout + 3.0
         harness.close()  # idempotent; the error path already cleaned up
+
+
+def _psm_segments() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestFailedConstructionReleasesSharedMemory:
+    """A constructor that raises leaves no ``psm_*`` segment behind."""
+
+    def test_harness_start_failing_partway(self):
+        before = _psm_segments()
+        slots = SharedArray.create((2,), np.float64)
+        payloads = [
+            {"slots_spec": slots.spec, "base": 1.0},
+            # Unpicklable, so spawning the second worker fails after the
+            # first one has started.
+            {"slots_spec": slots.spec, "base": lambda: 0.0},
+        ]
+        with pytest.raises(Exception):
+            ShardHarness(_echo_worker, payloads, phases=1, start_method="spawn")
+        slots.close()
+        shard_workers = [
+            proc for proc in multiprocessing.active_children()
+            if proc.name.startswith("shard-")
+        ]
+        assert not shard_workers
+        assert _psm_segments() == before
+
+    @pytest.mark.parametrize(
+        "sim", [ShardedAggregateSynchronousSim, ShardedPerNodeSynchronousSim]
+    )
+    def test_synchronous_sim_bad_start_method(self, sim):
+        before = _psm_segments()
+        with pytest.raises(ValueError):
+            sim(
+                biased_counts(600, 3, 2.0),
+                FixedSchedule(n=600, k=3, alpha0=2.0),
+                RngRegistry(1).stream("leak"),
+                shards=2,
+                start_method="bogus",
+            )
+        assert _psm_segments() == before
