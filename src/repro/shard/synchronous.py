@@ -315,7 +315,9 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
             dtype = _state_dtype(self._rows, self.k)
             self._shared_colors = SharedArray.create((self.n,), dtype)
             self._shared_generations = SharedArray.create((self.n,), dtype)
-            self._tally = SharedArray.create((self.shards, self._rows * self.k), np.int64)
+            self._tally = SharedArray.create(
+                (self.shards, self._rows * self.k), np.int64
+            )
             colors = self._shared_colors.array
             colors[:] = counts_to_assignment(counts, rng)
             ranges = partition_nodes(self.n, self.shards)

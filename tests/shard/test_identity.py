@@ -261,7 +261,8 @@ class TestShardedPerNodeState:
             for _ in range(6):
                 keys = generations.astype(np.intp) * sim.k + colors
                 expected = np.bincount(keys, minlength=sim._rows * sim.k)
-                assert sim.generation_color_matrix().ravel().tolist() == expected.tolist()
+                matrix = sim.generation_color_matrix()
+                assert matrix.ravel().tolist() == expected.tolist()
                 sim.step()
         finally:
             sim.close()
