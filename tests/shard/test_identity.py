@@ -240,7 +240,11 @@ class TestShardedPerNodeGolden:
 
 
 class TestShardedPerNodeState:
-    """The narrow shared state and the per-shard tallies stay consistent."""
+    """The narrow shared state and the per-shard tallies stay consistent.
+
+    Five shards outnumber the cores of the usual test host, so workers
+    are preempted mid-round; a lost or torn tally write would show.
+    """
 
     @pytest.mark.parametrize(
         "schedule, dtype",
@@ -252,7 +256,7 @@ class TestShardedPerNodeState:
     def test_tally_matches_shared_state(self, schedule, dtype):
         sim = ShardedPerNodeSynchronousSim(
             biased_counts(600, 4, 2.0), schedule, RngRegistry(3).stream("tally"),
-            shards=3,
+            shards=5,
         )
         try:
             generations = sim._shared_generations.array
