@@ -9,7 +9,10 @@ world, not even by one RNG draw.  The event engine draws in
 window-granular order (statistically equivalent to the scalar-draw
 reference — see ``tests/engine/test_fast_equivalence.py``); its
 trajectories are pinned in ``golden_default_path_batch.json`` so future
-engine changes cannot slip through unnoticed.
+engine changes cannot slip through unnoticed.  The unsharded per-node
+synchronous engine's full trajectories (fixed schedule, ``int64`` state
+fallback, round faults with churn rejoins, a sparse graph, an explicit
+placement) are pinned under ``pernode_unsharded``.
 """
 
 from __future__ import annotations
@@ -22,16 +25,18 @@ import pytest
 from repro.baselines import ThreeMajority, run_dynamics
 from repro.core.delayed_exchange import DelayedExchangeSim
 from repro.core.params import SingleLeaderParams
-from repro.core.schedule import FixedSchedule
+from repro.core.schedule import AlwaysTwoChoices, FixedSchedule
 from repro.core.single_leader import SingleLeaderSim
 from repro.core.synchronous import PerNodeSynchronousSim
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import RngRegistry
 from repro.multileader.params import MultiLeaderParams
 from repro.multileader.protocol import run_multileader
+from repro.scenarios.round_faults import build_round_faults, prepare_round_faults
+from repro.scenarios.topology import build_graph
 from repro.sweep.runner import execute_run
 from repro.sweep.spec import SweepSpec
-from repro.workloads.opinions import biased_counts
+from repro.workloads.opinions import biased_counts, counts_to_assignment
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_default_path.json").read_text())
 GOLDEN_BATCH = json.loads(
@@ -87,6 +92,72 @@ class TestByteIdenticalDefaults:
         ] == GOLDEN["three_majority"]
 
 
+#: Unsharded per-node cases, all at n=2000, k=4, alpha=1.5: the fixed
+#: schedule; ``wide_int64`` has more generation rows than ``int8``
+#: holds; ``round_faults`` drops, straggles and churns nodes, some of
+#: which rejoin at generation 0; ``sparse`` samples a random 16-regular
+#: graph; ``assignment`` places the colors in blocks instead of
+#: shuffling them.
+PERNODE_CASES = ("assignment", "fixed", "round_faults", "sparse", "wide_int64")
+
+
+def _run_pernode_case(name: str):
+    n, k, alpha = 2000, 4, 1.5
+    rngs = RngRegistry(31)
+    counts = biased_counts(n, k, alpha)
+    schedule = FixedSchedule(n=n, k=k, alpha0=alpha)
+    max_steps = 4000
+    options = {}
+    if name == "wide_int64":
+        schedule, max_steps = AlwaysTwoChoices(max_generation=130), 300
+    elif name == "round_faults":
+        options["round_faults"] = prepare_round_faults(
+            n,
+            build_round_faults(drop=0.1, churn=0.05, stragglers=0.1),
+            rngs.stream("faults"),
+        )
+    elif name == "sparse":
+        options["graph"] = build_graph("regular", n, rngs.stream("graph"), degree=16)
+    elif name == "assignment":
+        options["assignment"] = counts_to_assignment(counts)
+    sim = PerNodeSynchronousSim(counts, schedule, rngs.stream("sync"), **options)
+    result = sim.run(max_steps=max_steps, epsilon=0.05, record_trajectory=True)
+    return sim, result
+
+
+def pernode_record(result) -> list:
+    """The pinned record of one per-node run (floats as repr)."""
+    return [
+        bool(result.converged),
+        int(result.winner),
+        repr(result.elapsed),
+        result.final_color_counts.tolist(),
+        repr(result.epsilon_convergence_time),
+        [
+            [b.generation, repr(b.time), repr(b.fraction), repr(b.bias),
+             repr(b.collision_probability)]
+            for b in result.births
+        ],
+        [
+            [repr(s.time), s.top_generation, repr(s.top_generation_fraction),
+             repr(s.plurality_fraction), repr(s.bias)]
+            for s in result.trajectory
+        ],
+    ]
+
+
+class TestPerNodeGolden:
+    """Unsharded per-node runs reproduce their committed trajectories."""
+
+    @pytest.mark.parametrize("name", PERNODE_CASES)
+    def test_matches_golden(self, name):
+        sim, result = _run_pernode_case(name)
+        assert pernode_record(result) == GOLDEN["pernode_unsharded"][name]
+        if name == "round_faults":
+            churn = sim._round_faults.models[1]
+            assert churn.rejoins > 0  # the case exercises the reset path
+
+
 class TestRoundSeamDefaults:
     """The round-level fault subsystem's zero-fault paths, pinned.
 
@@ -127,7 +198,7 @@ class TestRoundSeamDefaults:
         ] == GOLDEN_ROUND["population_four_state"]
 
     def test_aggregate_synchronous(self):
-        from repro.core.schedule import FixedSchedule
+        from repro.core.schedule import AlwaysTwoChoices, FixedSchedule
         from repro.core.synchronous import AggregateSynchronousSim
 
         rngs = RngRegistry(42)
