@@ -14,7 +14,12 @@ Two exact simulators are provided:
 
 :class:`PerNodeSynchronousSim`
     Literal per-node implementation (self-sampling excluded), vectorized
-    with numpy. Use for ``n`` up to ~10^5.
+    with numpy. Its state layout is shared with the sharded per-node
+    engine (:mod:`repro.shard.synchronous`): ``colors``/``generations``
+    in the narrow dtype of :func:`state_dtype`, contacts drawn by
+    :func:`sample_contacts`, and a ``(gen, col)`` tally
+    (:func:`state_tally`) built from each round's new state, which
+    serves the count matrix and the schedule's top-generation share.
 
 :class:`AggregateSynchronousSim`
     The per-node update depends only on the sampled pair's
@@ -60,6 +65,9 @@ __all__ = [
     "aggregate_round",
     "pernode_update",
     "run_synchronous",
+    "sample_contacts",
+    "state_dtype",
+    "state_tally",
 ]
 
 
@@ -180,16 +188,55 @@ def pernode_update(
     )
 
 
-def _matrix_stats(matrix: np.ndarray, n: int, time: float) -> StepStats:
-    """Summary statistics from a generation×color count matrix."""
+def state_dtype(rows: int, k: int) -> type:
+    """``int8`` per-node state when every generation, color and difference
+    of two fits, else ``int64``; generations stay below ``rows - 1``, so
+    ``gen + 1`` cannot overflow. Narrow state makes the gathers cheap.
+    """
+    return np.int8 if max(rows, k) <= np.iinfo(np.int8).max else np.int64
+
+
+def sample_contacts(rng: np.random.Generator, n: int, own: np.ndarray) -> np.ndarray:
+    """One uniform contact per node in ``own`` among all ``n``, never itself:
+    a draw from ``n - 1`` indices, shifted up by one at or above ``own``.
+    """
+    contacts = rng.integers(n - 1, size=own.size)
+    contacts += contacts >= own
+    return contacts
+
+
+def state_tally(gens: np.ndarray, cols: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Flat ``(gen, col)`` counts (``size = rows * k``) of per-node state:
+    ``np.bincount`` of the intp keys ``gen * k + col``.
+    """
+    keys = gens.astype(np.intp)
+    keys *= k
+    keys += cols
+    return np.bincount(keys, minlength=size)
+
+
+def _top_generation(matrix: np.ndarray, n: int) -> tuple[int, float]:
+    """``(top, share)``: the highest occupied generation and its fraction."""
     per_generation = matrix.sum(axis=1)
     occupied = np.nonzero(per_generation)[0]
     top = int(occupied[-1]) if occupied.size else 0
+    return top, float(per_generation[top]) / n
+
+
+def _mean_field_top_share(matrix: np.ndarray, n: int) -> float:
+    """The aggregate engines' schedule feed: the top generation's fractions summed."""
+    per_generation = (matrix / n).sum(axis=1)
+    return float(per_generation[np.nonzero(per_generation)[0][-1]])
+
+
+def _matrix_stats(matrix: np.ndarray, n: int, time: float) -> StepStats:
+    """Summary statistics from a generation×color count matrix."""
+    top, top_fraction = _top_generation(matrix, n)
     color_counts = matrix.sum(axis=0)
     return StepStats(
         time=time,
         top_generation=top,
-        top_generation_fraction=float(per_generation[top]) / n,
+        top_generation_fraction=top_fraction,
         plurality_fraction=float(color_counts.max()) / n,
         bias=multiplicative_bias(color_counts),
     )
@@ -214,6 +261,25 @@ class _SynchronousBase:
     _track_active = False
     _active_fractions: "list[float] | tuple" = ()
 
+    def _setup(self, counts, schedule, rng, tracer, round_faults=None) -> np.ndarray:
+        """Constructor prologue shared by every engine; returns ``counts`` validated."""
+        counts = validate_counts(counts)
+        self.n = int(counts.sum())
+        if self.n < 2:
+            raise ConfigurationError("need at least 2 nodes")
+        self.k = int(counts.size)
+        self.schedule = schedule
+        schedule.reset()
+        self._rng = rng
+        self._rows = schedule.max_generation + 2
+        self.steps_done = 0
+        self._round_faults = round_faults
+        if tracer is not None:
+            self._tracer = tracer
+            if round_faults is not None:
+                round_faults.tracer = tracer
+        return counts
+
     def enable_metrics_sampling(self) -> None:
         """Opt in to per-round active-fraction sampling (metrics runs)."""
         self._track_active = self._round_faults is not None
@@ -235,9 +301,7 @@ class _SynchronousBase:
     def _note_births(
         self, matrix: np.ndarray, before_top: int, births: list[GenerationBirth]
     ) -> int:
-        per_generation = matrix.sum(axis=1)
-        occupied = np.nonzero(per_generation)[0]
-        top = int(occupied[-1]) if occupied.size else 0
+        top, _ = _top_generation(matrix, self.n)
         trace_phase = self._tracer.enabled_for("phase")
         for generation in range(before_top + 1, top + 1):
             row = matrix[generation]
@@ -407,18 +471,7 @@ class PerNodeSynchronousSim(_SynchronousBase):
         assignment=None,
         tracer: Tracer | None = None,
     ):
-        counts = validate_counts(counts)
-        self.n = int(counts.sum())
-        if self.n < 2:
-            raise ConfigurationError("need at least 2 nodes")
-        self.k = int(counts.size)
-        self.schedule = schedule
-        schedule.reset()
-        self._rng = rng
-        if tracer is not None:
-            self._tracer = tracer
-            if round_faults is not None:
-                round_faults.tracer = tracer
+        counts = self._setup(counts, schedule, rng, tracer, round_faults)
         if graph is not None and isinstance(graph, CompleteGraph):
             graph = None  # identical semantics, keep the fast clique path
         if graph is not None:
@@ -427,37 +480,31 @@ class PerNodeSynchronousSim(_SynchronousBase):
             if graph.min_degree < 1:
                 raise ConfigurationError("graph has isolated nodes; per-node sampling needs degree >= 1")
         self.graph = graph
-        self._round_faults = round_faults
         if assignment is None:
-            self.colors = counts_to_assignment(counts, rng)
+            colors = counts_to_assignment(counts, rng)
         else:
-            self.colors = validate_assignment(assignment, counts)
-        self.generations = np.zeros(self.n, dtype=np.int64)
-        self.steps_done = 0
-        self._rows = schedule.max_generation + 2
+            colors = validate_assignment(assignment, counts)
+        dtype = state_dtype(self._rows, self.k)
+        self.colors = colors.astype(dtype)
+        self.generations = np.zeros(self.n, dtype=dtype)
+        self._tally = state_tally(self.generations, colors, self.k, self._rows * self.k)
         self._nodes = np.arange(self.n)
 
     def _sample_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two independent uniform neighbors per node, never the node itself.
-
-        On the clique: one batched ``rng.integers`` call per sample
-        vector plus the shift trick (skip the sampler's own index). On a
-        sparse graph: one batched
-        :meth:`~repro.scenarios.topology.SparseGraph.sample_per_node`
-        call per vector — the whole round's contact sampling stays two
-        numpy expressions.
+        """Two independent uniform neighbors per node, never the node itself:
+        :func:`sample_contacts` on the clique, one batched
+        :meth:`~repro.scenarios.topology.SparseGraph.sample_per_node` call
+        per vector on a sparse graph.
         """
         if self.graph is not None:
             return (
                 self.graph.sample_per_node(self._rng),
                 self.graph.sample_per_node(self._rng),
             )
-        nodes = self._nodes
-        first = self._rng.integers(self.n - 1, size=self.n)
-        second = self._rng.integers(self.n - 1, size=self.n)
-        first += first >= nodes
-        second += second >= nodes
-        return first, second
+        return (
+            sample_contacts(self._rng, self.n, self._nodes),
+            sample_contacts(self._rng, self.n, self._nodes),
+        )
 
     def step(self) -> None:
         self.steps_done += 1
@@ -469,13 +516,16 @@ class PerNodeSynchronousSim(_SynchronousBase):
             active, rejoined = self._round_faults.begin_round(float(self.steps_done))
             if rejoined is not None:
                 self.generations[rejoined] = 0
+                self._tally = state_tally(
+                    self.generations, self.colors, self.k, self._tally.size
+                )
             if self._track_active:
                 self._active_fractions.append(
                     1.0 if active is None else float(np.count_nonzero(active)) / self.n
                 )
         first, second = self._sample_pairs()
         generations, colors = self.generations, self.colors
-        top_fraction = self._top_generation_fraction()
+        _, top_fraction = _top_generation(self.generation_color_matrix(), self.n)
         # Masked nodes learn nothing this round (``active``); they were
         # still sampled above — a crashed or cut-off node's state
         # remains readable by its neighbors.
@@ -489,18 +539,12 @@ class PerNodeSynchronousSim(_SynchronousBase):
             self.schedule.is_two_choices_step(self.steps_done, top_fraction),
             active,
         )
-
-    def _top_generation_fraction(self) -> float:
-        top = int(self.generations.max())
-        return float(np.count_nonzero(self.generations == top)) / self.n
+        self._tally = state_tally(
+            self.generations, self.colors, self.k, self._tally.size
+        )
 
     def generation_color_matrix(self) -> np.ndarray:
-        # bincount over flattened (generation, color) keys — much faster
-        # than np.add.at's unbuffered fancy-index accumulation.
-        flat = np.bincount(
-            self.generations * self.k + self.colors, minlength=self._rows * self.k
-        )
-        return flat.reshape(self._rows, self.k).astype(np.int64, copy=False)
+        return self._tally.reshape(self._rows, self.k).copy()
 
 
 class AggregateSynchronousSim(_SynchronousBase):
@@ -535,33 +579,19 @@ class AggregateSynchronousSim(_SynchronousBase):
         round_faults=None,
         tracer: Tracer | None = None,
     ):
-        if tracer is not None:
-            self._tracer = tracer
-            if round_faults is not None:
-                round_faults.tracer = tracer
         if graph is not None and not isinstance(graph, CompleteGraph):
             raise ConfigurationError(
                 "the aggregate (mean-field multinomial) engine is exact only on "
                 "the complete graph; use engine='pernode' for sparse topologies"
             )
-        counts = validate_counts(counts)
-        self.n = int(counts.sum())
-        if self.n < 2:
-            raise ConfigurationError("need at least 2 nodes")
-        self.k = int(counts.size)
-        self.schedule = schedule
-        schedule.reset()
-        self._rng = rng
+        counts = self._setup(counts, schedule, rng, tracer, round_faults)
         if promotion not in ("pair", "single"):
             raise ConfigurationError(
                 f"promotion must be 'pair' or 'single', got {promotion!r}"
             )
         self.promotion = promotion
-        self._round_faults = round_faults
-        self._rows = schedule.max_generation + 2
         self.matrix = np.zeros((self._rows, self.k), dtype=np.int64)
         self.matrix[0, :] = counts
-        self.steps_done = 0
 
     def generation_color_matrix(self) -> np.ndarray:
         return self.matrix.copy()
@@ -595,12 +625,8 @@ class AggregateSynchronousSim(_SynchronousBase):
                 self._active_fractions.append(
                     participation * (self.n - parked) / self.n
                 )
-        fractions = self.matrix / self.n
-        per_generation = fractions.sum(axis=1)
-        occupied = np.nonzero(per_generation)[0]
-        top = int(occupied[-1])
         two_choices_step = self.schedule.is_two_choices_step(
-            self.steps_done, float(per_generation[top])
+            self.steps_done, _mean_field_top_share(self.matrix, self.n)
         )
         new_matrix = aggregate_round(
             self.matrix,

@@ -13,16 +13,14 @@ code; only :meth:`step` crosses the process boundary.
   ``generations`` arrays live in shared memory; each worker computes the
   update for its contiguous node slice while sampling contacts from the
   *whole* population (reads in phase one, slice writes in phase two).
-  The update is :func:`~repro.core.synchronous.pernode_update`, the
-  same function the unsharded per-node engine runs. That is exactly the
-  unsharded Markov kernel — per-node updates only read the previous
-  round's state — so this engine, too, is distribution-identical, just
-  not bit-identical (per-shard substreams replace the single stream).
-  The state arrays are ``int8`` whenever the run's generation rows and
-  colors fit, which shrinks the random gathers eightfold, and each
-  worker tallies its own slice's ``(gen, col)`` counts into a shared
-  ``(shards, rows * k)`` block, so the controller sums a few hundred
-  integers per round instead of counting all ``n`` nodes.
+  State layout, contact sampler, update rule and ``(gen, col)`` tally
+  are the unsharded per-node engine's (:mod:`repro.core.synchronous`),
+  so this is exactly the unsharded Markov kernel — per-node updates
+  only read the previous round's state — and distribution-identical,
+  just not bit-identical (per-shard substreams replace the single
+  stream). Each worker writes its slice's tally into its row of a
+  shared ``(shards, rows * k)`` block, which the controller sums
+  instead of counting all ``n`` nodes.
 
 Schedules are stateful (:class:`~repro.core.schedule.AdaptiveSchedule`
 latches its decisions), so only the controller consults
@@ -41,13 +39,21 @@ import numpy as np
 
 from repro.core.results import RunResult
 from repro.core.schedule import Schedule
-from repro.core.synchronous import _SynchronousBase, pernode_update, run_synchronous
+from repro.core.synchronous import (
+    _SynchronousBase,
+    _mean_field_top_share,
+    _top_generation,
+    pernode_update,
+    run_synchronous,
+    sample_contacts,
+    state_dtype,
+    state_tally,
+)
 from repro.engine.tracing import Tracer
 from repro.errors import ConfigurationError
 from repro.shard.count_engine import AggregateSyncKernel, count_worker
 from repro.shard.partition import partition_counts, partition_nodes, shard_seed_sequences
 from repro.shard.runtime import ShardHarness, ShardWorkerContext, SharedArray
-from repro.workloads.bias import validate_counts
 from repro.workloads.opinions import counts_to_assignment
 
 __all__ = [
@@ -119,21 +125,12 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
         checkpoint_every: int = 100,
         max_restarts: int = 2,
     ):
-        counts = validate_counts(counts)
-        self.n = int(counts.sum())
-        self.k = int(counts.size)
+        counts = self._setup(counts, schedule, rng, tracer)
         self.shards = _validate_shard_run(self.n, shards)
         if promotion not in ("pair", "single"):
             raise ConfigurationError(
                 f"promotion must be 'pair' or 'single', got {promotion!r}"
             )
-        self.schedule = schedule
-        schedule.reset()
-        self._rng = rng
-        if tracer is not None:
-            self._tracer = tracer
-        self._rows = schedule.max_generation + 2
-        self.steps_done = 0
         try:
             slot_counts = partition_counts(counts, self.shards)
             self._slots = SharedArray.create((self.shards, self._rows, self.k), np.int64)
@@ -198,13 +195,9 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
 
     def step(self) -> None:
         self.steps_done += 1
-        matrix = self.generation_color_matrix()
-        # Same float expressions as the unsharded engine's schedule feed.
-        fractions = matrix / self.n
-        per_generation = fractions.sum(axis=1)
-        top = int(np.nonzero(per_generation)[0][-1])
         two_choices_step = self.schedule.is_two_choices_step(
-            self.steps_done, float(per_generation[top])
+            self.steps_done,
+            _mean_field_top_share(self.generation_color_matrix(), self.n),
         )
         self._harness.step(flag=1.0 if two_choices_step else 0.0)
 
@@ -213,15 +206,17 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
     """Per-node shard round: update one node slice from full-state reads.
 
     Contacts are sampled from the *whole* population via the shared
-    arrays (the shift trick skips only the sampler's own global index)
-    and fed to :func:`~repro.core.synchronous.pernode_update`, the rule
-    the unsharded engine runs too. Every read happens before the first
+    arrays (:func:`~repro.core.synchronous.sample_contacts` skips only
+    the sampler's own global index) and fed to
+    :func:`~repro.core.synchronous.pernode_update`, the rule the
+    unsharded engine runs too. Every read happens before the first
     phase barrier and every write after it, so each round sees exactly
     the previous round's global state: the unsharded Markov kernel. The
     slice's own state is therefore read through views, not copies.
-    After writing its slice the worker stores the ``np.bincount`` of
-    its new ``(gen, col)`` keys in its row of the shared tally, which
-    the controller sums instead of counting all ``n`` nodes itself.
+    After writing its slice the worker stores the
+    :func:`~repro.core.synchronous.state_tally` of its new state in its
+    row of the shared tally, which the controller sums instead of
+    counting all ``n`` nodes itself.
     """
     colors_block = SharedArray.attach(payload["colors_spec"])
     generations_block = SharedArray.attach(payload["generations_spec"])
@@ -237,15 +232,12 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
         own = np.arange(start, stop)
         own_gens = generations[start:stop]
         own_cols = colors[start:stop]
-        size = stop - start
         while True:
             ctx.wait()  # round start
             if ctx.stopped:
                 break
-            first = rng.integers(n - 1, size=size)
-            second = rng.integers(n - 1, size=size)
-            first += first >= own
-            second += second >= own
+            first = sample_contacts(rng, n, own)
+            second = sample_contacts(rng, n, own)
             new_gens, new_cols = pernode_update(
                 generations[first],
                 colors[first],
@@ -258,10 +250,7 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
             ctx.wait()  # everyone has read the old state; writes may begin
             own_gens[:] = new_gens
             own_cols[:] = new_cols
-            keys = new_gens.astype(np.intp)
-            keys *= k
-            keys += new_cols
-            tally[:] = np.bincount(keys, minlength=tally.size)
+            tally[:] = state_tally(new_gens, new_cols, k, tally.size)
             ctx.wait()  # round complete
     finally:
         colors_block.close()
@@ -269,24 +258,15 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
         tally_block.close()
 
 
-def _state_dtype(rows: int, k: int) -> type:
-    """``int8`` when every generation, color and difference of two fits.
-
-    Generations stay below ``rows - 1`` (the schedule fires at most
-    ``max_generation`` two-choices steps), so ``gen + 1`` cannot overflow.
-    """
-    return np.int8 if max(rows, k) <= np.iinfo(np.int8).max else np.int64
-
-
 class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
     """Multiprocess per-node simulator over shared state arrays.
 
     The initial placement consumes ``rng`` exactly like the unsharded
     constructor (one uniform shuffle); the per-round sampling moves to
-    the per-shard substreams. The shared ``colors``/``generations`` are
-    ``int8`` whenever the run's ``max_generation + 2`` rows and ``k``
-    colors fit (:func:`_state_dtype`), else ``int64``; a ``(shards,
-    rows * k)`` tally holds each shard's ``(gen, col)`` counts.
+    the per-shard substreams. The shared ``colors``/``generations`` have
+    the unsharded engine's :func:`~repro.core.synchronous.state_dtype`;
+    a ``(shards, rows * k)`` tally holds each shard's ``(gen, col)``
+    counts.
     """
 
     def __init__(
@@ -300,19 +280,10 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
         start_method: str | None = None,
         metrics=None,
     ):
-        counts = validate_counts(counts)
-        self.n = int(counts.sum())
-        self.k = int(counts.size)
+        counts = self._setup(counts, schedule, rng, tracer)
         self.shards = _validate_shard_run(self.n, shards)
-        self.schedule = schedule
-        schedule.reset()
-        self._rng = rng
-        if tracer is not None:
-            self._tracer = tracer
-        self._rows = schedule.max_generation + 2
-        self.steps_done = 0
         try:
-            dtype = _state_dtype(self._rows, self.k)
+            dtype = state_dtype(self._rows, self.k)
             self._shared_colors = SharedArray.create((self.n,), dtype)
             self._shared_generations = SharedArray.create((self.n,), dtype)
             self._tally = SharedArray.create(
@@ -320,10 +291,12 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
             )
             colors = self._shared_colors.array
             colors[:] = counts_to_assignment(counts, rng)
+            generations = self._shared_generations.array
             ranges = partition_nodes(self.n, self.shards)
-            # Generation 0 everywhere: a node's key is its color.
             for row, (start, stop) in zip(self._tally.array, ranges):
-                row[:] = np.bincount(colors[start:stop], minlength=row.size)
+                row[:] = state_tally(
+                    generations[start:stop], colors[start:stop], self.k, row.size
+                )
             seeds = shard_seed_sequences(rng, self.shards)
             payloads = [
                 {
@@ -350,9 +323,7 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
 
     def step(self) -> None:
         self.steps_done += 1
-        per_generation = self.generation_color_matrix().sum(axis=1)
-        top = int(np.nonzero(per_generation)[0][-1])
-        top_fraction = float(per_generation[top]) / self.n
+        _, top_fraction = _top_generation(self.generation_color_matrix(), self.n)
         two_choices_step = self.schedule.is_two_choices_step(self.steps_done, top_fraction)
         self._harness.step(flag=1.0 if two_choices_step else 0.0)
 
