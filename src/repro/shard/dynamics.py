@@ -69,8 +69,6 @@ def run_sharded_dynamics(
     plurality = plurality_color(counts)
     initial_state = dynamics.initial_state(counts)
     states = int(initial_state.size)
-    slots = SharedArray.create((int(shards), states), np.int64)
-    slots.array[:] = partition_counts(initial_state, int(shards))
     seeds = shard_seed_sequences(rng, int(shards))
     kernel = DynamicsKernel(dynamics)
     if tracer is None:
@@ -85,52 +83,54 @@ def run_sharded_dynamics(
     epsilon_time: float | None = None
     rounds = 0
     converged = False
-    rng_states = None
-    if resumable:
-        from repro.shard.recovery import (
-            PCG64_STATE_WORDS,
-            CheckpointingController,
-            initial_rng_states,
-        )
+    slots = rng_states = harness = None
+    try:
+        slots = SharedArray.create((int(shards), states), np.int64)
+        slots.array[:] = partition_counts(initial_state, int(shards))
+        if resumable:
+            from repro.shard.recovery import (
+                PCG64_STATE_WORDS,
+                CheckpointingController,
+                initial_rng_states,
+            )
 
-        rng_states = SharedArray.create((int(shards), PCG64_STATE_WORDS), np.uint64)
-        rng_states.array[:] = initial_rng_states(seeds)
+            rng_states = SharedArray.create((int(shards), PCG64_STATE_WORDS), np.uint64)
+            rng_states.array[:] = initial_rng_states(seeds)
 
-        def build(resume: bool) -> ShardHarness:
+            def build(resume: bool) -> ShardHarness:
+                payloads = [
+                    {
+                        "slots_spec": slots.spec,
+                        "kernel": kernel,
+                        "seed_seq": seed,
+                        "rng_state_spec": rng_states.spec,
+                        "checkpoint_every": int(checkpoint_every),
+                        "resume": resume,
+                    }
+                    for seed in seeds
+                ]
+                return ShardHarness(
+                    count_worker, payloads, phases=2, start_method=start_method,
+                    metrics=metrics,
+                )
+
+            harness = CheckpointingController(
+                build,
+                slots=slots,
+                rng_states=rng_states,
+                checkpoint_every=int(checkpoint_every),
+                max_restarts=int(max_restarts),
+                metrics=metrics,
+            )
+        else:
             payloads = [
-                {
-                    "slots_spec": slots.spec,
-                    "kernel": kernel,
-                    "seed_seq": seed,
-                    "rng_state_spec": rng_states.spec,
-                    "checkpoint_every": int(checkpoint_every),
-                    "resume": resume,
-                }
+                {"slots_spec": slots.spec, "kernel": kernel, "seed_seq": seed}
                 for seed in seeds
             ]
-            return ShardHarness(
+            harness = ShardHarness(
                 count_worker, payloads, phases=2, start_method=start_method,
                 metrics=metrics,
             )
-
-        harness = CheckpointingController(
-            build,
-            slots=slots,
-            rng_states=rng_states,
-            checkpoint_every=int(checkpoint_every),
-            max_restarts=int(max_restarts),
-            metrics=metrics,
-        )
-    else:
-        payloads = [
-            {"slots_spec": slots.spec, "kernel": kernel, "seed_seq": seed}
-            for seed in seeds
-        ]
-        harness = ShardHarness(
-            count_worker, payloads, phases=2, start_method=start_method,
-            metrics=metrics,
-        )
-    try:
         while rounds < max_rounds:
             harness.step()
             rounds += 1
@@ -159,10 +159,9 @@ def run_sharded_dynamics(
                 break
         final = dynamics.project_colors(slots.array.sum(axis=0))
     finally:
-        harness.close()
-        slots.close()
-        if rng_states is not None:
-            rng_states.close()
+        for resource in (harness, slots, rng_states):
+            if resource is not None:
+                resource.close()
     if tracer.enabled_for("end"):
         tracer.record(
             "end", float(rounds), converged=converged,

@@ -152,24 +152,7 @@ def run_sharded_population(
     node_state = np.repeat(np.arange(num_states, dtype=np.int64), state)
     rng.shuffle(node_state)
     ranges = partition_nodes(n, shards)
-    states_block = SharedArray.create((n,), np.int64)
-    states_block.array[:] = node_state
-    counts_block = SharedArray.create((shards, num_states), np.int64)
-    for index, (start, stop) in enumerate(ranges):
-        counts_block.array[index] = np.bincount(
-            node_state[start:stop], minlength=num_states
-        )
     seeds = shard_seed_sequences(rng, shards)
-    payloads = [
-        {
-            "states_spec": states_block.spec,
-            "counts_spec": counts_block.spec,
-            "range": node_range,
-            "seed_seq": seed,
-            "protocol": protocol,
-        }
-        for node_range, seed in zip(ranges, seeds)
-    ]
     if tracer is None:
         tracer = NULL_TRACER
     trace_round = tracer.enabled_for("round")
@@ -182,11 +165,29 @@ def run_sharded_population(
     exchanged = 0
     counts_now = np.asarray(state, dtype=np.int64).copy()
     converged = protocol.is_converged(counts_now)
-    harness = ShardHarness(
-        population_worker, payloads, phases=1, start_method=start_method,
-        metrics=metrics,
-    )
+    states_block = counts_block = harness = None
     try:
+        states_block = SharedArray.create((n,), np.int64)
+        states_block.array[:] = node_state
+        counts_block = SharedArray.create((shards, num_states), np.int64)
+        for index, (start, stop) in enumerate(ranges):
+            counts_block.array[index] = np.bincount(
+                node_state[start:stop], minlength=num_states
+            )
+        payloads = [
+            {
+                "states_spec": states_block.spec,
+                "counts_spec": counts_block.spec,
+                "range": node_range,
+                "seed_seq": seed,
+                "protocol": protocol,
+            }
+            for node_range, seed in zip(ranges, seeds)
+        ]
+        harness = ShardHarness(
+            population_worker, payloads, phases=1, start_method=start_method,
+            metrics=metrics,
+        )
         while not converged and interactions < max_interactions:
             remaining = max_interactions - interactions
             this_block = min(block, max(1, remaining // shards))
@@ -221,9 +222,9 @@ def run_sharded_population(
                     top_gen=0, interactions=interactions,
                 )
     finally:
-        harness.close()
-        states_block.close()
-        counts_block.close()
+        for resource in (harness, states_block, counts_block):
+            if resource is not None:
+                resource.close()
     winner = None
     if converged:
         live = np.nonzero(counts_now)[0]

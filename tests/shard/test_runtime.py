@@ -13,9 +13,17 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines.population import ThreeStateMajority
+from repro.baselines.three_majority import ThreeMajority
 from repro.core.schedule import FixedSchedule
 from repro.engine.rng import RngRegistry
-from repro.shard import SharedArray, ShardError, ShardHarness
+from repro.shard import (
+    SharedArray,
+    ShardError,
+    ShardHarness,
+    run_sharded_dynamics,
+    run_sharded_population,
+)
 from repro.shard.runtime import ShardWorkerContext
 from repro.shard.synchronous import (
     ShardedAggregateSynchronousSim,
@@ -162,6 +170,32 @@ class TestFailedConstructionReleasesSharedMemory:
             sim(
                 biased_counts(600, 3, 2.0),
                 FixedSchedule(n=600, k=3, alpha0=2.0),
+                RngRegistry(1).stream("leak"),
+                shards=2,
+                start_method="bogus",
+            )
+        assert _psm_segments() == before
+
+    @pytest.mark.parametrize("resumable", [False, True])
+    def test_dynamics_runner_bad_start_method(self, resumable):
+        before = _psm_segments()
+        with pytest.raises(ValueError):
+            run_sharded_dynamics(
+                ThreeMajority(),
+                biased_counts(600, 3, 2.0),
+                RngRegistry(1).stream("leak"),
+                shards=2,
+                start_method="bogus",
+                resumable=resumable,
+            )
+        assert _psm_segments() == before
+
+    def test_population_runner_bad_start_method(self):
+        before = _psm_segments()
+        with pytest.raises(ValueError):
+            run_sharded_population(
+                ThreeStateMajority(),
+                biased_counts(600, 2, 2.0),
                 RngRegistry(1).stream("leak"),
                 shards=2,
                 start_method="bogus",
