@@ -8,7 +8,9 @@ Kolmogorov–Smirnov plus a CI-overlap check on the means, the same gate
 :mod:`tests.engine.test_fast_equivalence` applies to the batched event
 engine. The sharded *population* scheduler is the one approximate
 engine (block-granular intra-shard pairs plus a small cross-shard
-exchange), so it gets the CI-overlap gate only.
+exchange), so it gets the CI-overlap gate only. The unsharded per-node
+and aggregate synchronous engines are held to the same gate against
+each other.
 
 A fast subset runs in tier-1; the full matrix (voter / three-majority /
 both synchronous engines at n=2000, shards {2, 4}, ≥30 seeds) is
@@ -124,6 +126,17 @@ class TestFastDifferential:
         baseline = _sync_times("pernode", 2000, 4, 1.5, self.SEEDS, 1)
         sharded = _sync_times("pernode", 2000, 4, 1.5, self.SEEDS, 2)
         _assert_equivalent(baseline, sharded, "synchronous-pernode shards=2")
+
+    def test_synchronous_pernode_vs_aggregate(self):
+        """The two unsharded engines model the same process.
+
+        The aggregate engine samples pairs with self-inclusion (the
+        sampler is one of the ``n`` candidates), an ``O(1/n)``
+        perturbation of the per-node law that excludes the sampler.
+        """
+        pernode = _sync_times("pernode", 2000, 4, 1.5, self.SEEDS, 1)
+        aggregate = _sync_times("aggregate", 2000, 4, 1.5, self.SEEDS, 1)
+        _assert_equivalent(pernode, aggregate, "synchronous pernode vs aggregate")
 
     def test_population_ci_overlap(self):
         seeds = range(200, 210)
