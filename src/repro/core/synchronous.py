@@ -487,8 +487,11 @@ class PerNodeSynchronousSim(_SynchronousBase):
         dtype = state_dtype(self._rows, self.k)
         self.colors = colors.astype(dtype)
         self.generations = np.zeros(self.n, dtype=dtype)
-        self._tally = state_tally(self.generations, colors, self.k, self._rows * self.k)
+        self._recount()
         self._nodes = np.arange(self.n)
+
+    def _recount(self) -> None:
+        self._tally = state_tally(self.generations, self.colors, self.k, self._rows * self.k)
 
     def _sample_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Two independent uniform neighbors per node, never the node itself:
@@ -516,9 +519,7 @@ class PerNodeSynchronousSim(_SynchronousBase):
             active, rejoined = self._round_faults.begin_round(float(self.steps_done))
             if rejoined is not None:
                 self.generations[rejoined] = 0
-                self._tally = state_tally(
-                    self.generations, self.colors, self.k, self._tally.size
-                )
+                self._recount()
             if self._track_active:
                 self._active_fractions.append(
                     1.0 if active is None else float(np.count_nonzero(active)) / self.n
@@ -539,9 +540,7 @@ class PerNodeSynchronousSim(_SynchronousBase):
             self.schedule.is_two_choices_step(self.steps_done, top_fraction),
             active,
         )
-        self._tally = state_tally(
-            self.generations, self.colors, self.k, self._tally.size
-        )
+        self._recount()
 
     def generation_color_matrix(self) -> np.ndarray:
         return self._tally.reshape(self._rows, self.k).copy()
