@@ -147,7 +147,13 @@ def test_metrics_run_overhead_under_ceiling():
     plain ints either way and the registry only sees the totals once,
     after the run).  If someone wires a ``Counter.inc`` or
     ``Histogram.observe`` into the dispatch loop, this ratio blows past
-    the ceiling.  Best-of-3 on both sides to shrug off CI noise.
+    the ceiling.
+
+    The host may change speed mid-measurement, so the two sides are
+    timed in adjacent pairs (order alternating) and the ratio is the
+    median over the pairs.  Each run stops at t=10 (~10 ms of
+    dispatch), so a pair usually sits in one speed phase; a per-event
+    cost shows in every pair, a slow moment in only a few.
     """
     from repro.core.params import SingleLeaderParams
     from repro.core.single_leader import run_single_leader
@@ -157,22 +163,27 @@ def test_metrics_run_overhead_under_ceiling():
     counts = np.array([150, 100, 50])
 
     def timed(with_metrics: bool) -> float:
-        best = float("inf")
-        for _ in range(3):
-            rng = np.random.Generator(np.random.PCG64(42))
-            metrics = MetricsRegistry() if with_metrics else None
-            start = time.perf_counter()
-            run_single_leader(
-                params, counts.copy(), rng, max_time=1200.0, metrics=metrics
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
+        rng = np.random.Generator(np.random.PCG64(42))
+        metrics = MetricsRegistry() if with_metrics else None
+        start = time.perf_counter()
+        run_single_leader(
+            params, counts.copy(), rng, max_time=10.0, metrics=metrics
+        )
+        return time.perf_counter() - start
 
-    disabled = timed(False)
-    enabled = timed(True)
-    ratio = enabled / disabled
+    ratios = []
+    for pair in range(24):
+        if pair % 2:
+            enabled = timed(True)
+            disabled = timed(False)
+        else:
+            disabled = timed(False)
+            enabled = timed(True)
+        ratios.append(enabled / disabled)
+    ratio = float(np.median(ratios))
     assert ratio < METRICS_OVERHEAD_CEILING, (
         f"metrics-enabled run took {ratio:.2f}x the disabled run "
-        f"(ceiling {METRICS_OVERHEAD_CEILING:.2f}x; "
-        f"disabled {disabled * 1e3:.1f}ms, enabled {enabled * 1e3:.1f}ms)"
+        f"(median of {len(ratios)} pairs; ceiling "
+        f"{METRICS_OVERHEAD_CEILING:.2f}x; pair ratios "
+        f"{min(ratios):.2f}-{max(ratios):.2f})"
     )
