@@ -151,9 +151,9 @@ def test_metrics_run_overhead_under_ceiling():
 
     The host may change speed mid-measurement, so the two sides are
     timed in adjacent pairs (order alternating) and the ratio is the
-    median over the pairs.  Each run stops at t=10 (~10 ms of
-    dispatch), so a pair usually sits in one speed phase; a per-event
-    cost shows in every pair, a slow moment in only a few.
+    median over the pairs.  Each run goes to consensus, so every
+    handler of the protocol is timed; a per-event cost shows in every
+    pair, a slow moment on the host in only a few.
     """
     from repro.core.params import SingleLeaderParams
     from repro.core.single_leader import run_single_leader
@@ -167,12 +167,12 @@ def test_metrics_run_overhead_under_ceiling():
         metrics = MetricsRegistry() if with_metrics else None
         start = time.perf_counter()
         run_single_leader(
-            params, counts.copy(), rng, max_time=10.0, metrics=metrics
+            params, counts.copy(), rng, max_time=1200.0, metrics=metrics
         )
         return time.perf_counter() - start
 
     ratios = []
-    for pair in range(24):
+    for pair in range(15):
         if pair % 2:
             enabled = timed(True)
             disabled = timed(False)
