@@ -434,6 +434,10 @@ class _SynchronousBase:
 class PerNodeSynchronousSim(_SynchronousBase):
     """Exact per-node simulator of Algorithm 1.
 
+    ``colors`` and ``generations`` are read-only snapshots in :func:`state_dtype`'s
+    narrow dtype; callers must not write them: the ``(gen, col)`` tally behind ``stats``,
+    the schedule and :meth:`generation_color_matrix` is rebuilt only by :meth:`step`.
+
     Parameters
     ----------
     counts:

@@ -198,7 +198,7 @@ class TestRoundSeamDefaults:
         ] == GOLDEN_ROUND["population_four_state"]
 
     def test_aggregate_synchronous(self):
-        from repro.core.schedule import AlwaysTwoChoices, FixedSchedule
+        from repro.core.schedule import FixedSchedule
         from repro.core.synchronous import AggregateSynchronousSim
 
         rngs = RngRegistry(42)
