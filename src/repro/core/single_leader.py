@@ -45,7 +45,12 @@ Engine notes (the hot path):
   access), so handler bodies are pure scalar Python with no numpy
   round-trips;
 * the convergence predicate runs after every event, so it is a Python
-  ``max`` over the ``k``-entry color-count list, not a numpy reduction.
+  ``max`` over the ``k``-entry color-count list, not a numpy reduction;
+* an eligible run (the paper's default path: K_n, exponential
+  latencies, no tracer, faults or sampler) runs its event loop in the
+  compiled core (:mod:`repro.core.fastcore`), which repeats these
+  handlers draw for draw and writes the state back; this module stays
+  its oracle and fallback.
 
 The seed scalar-draw implementation is preserved in
 :mod:`repro.core.reference` as the distributional oracle for
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import fastcore
 from repro.core.leader import Leader, LeaderPhaseChange
 from repro.core.params import SingleLeaderParams
 from repro.core.results import GenerationBirth, RunResult, StepStats
@@ -149,6 +155,11 @@ class SingleLeaderSim:
         # repro.scenarios.faults.prepare_faulty_simulator) governs even
         # the construction-time initial tick scheduling below.
         self.sim = Simulator(tracer=tracer) if simulator is None else simulator
+        # The compiled core runs only a simulator built here without a
+        # tracer: no fault transforms, no trace records.
+        self._plain_sim = simulator is None and tracer is None
+        #: The core that ran the last run() ("c" or "python").
+        self.core = "python"
         self.leader = Leader(params)
         self._phase_changes_seen = 0
         # The leader's 0-signal counters follow the tally stream:
@@ -195,6 +206,7 @@ class SingleLeaderSim:
         # the scaled variant: the cycle's channel-establishment delay is
         # multiplied by the slowest contact edge's weight.
         pool = graph.neighbor_pool(rng)
+        self._neighbors = pool
         self._sample_neighbor = pool.sample
         self._weighted = bool(getattr(graph, "is_weighted", False))
         self._sample_scaled = getattr(pool, "sample_scaled", None)
@@ -373,19 +385,36 @@ class SingleLeaderSim:
                     good_ticks=self.good_ticks,
                 )
             if change.kind == "propagation":
-                # Lemma 22's snapshot: the newest generation at the end of
-                # its two-choices window.
-                row = np.asarray(self._matrix[change.generation], dtype=np.int64)
-                total = int(row.sum())
-                self.births.append(
-                    GenerationBirth(
-                        generation=change.generation,
-                        time=change.time,
-                        fraction=total / self.n,
-                        bias=multiplicative_bias(row) if total else 1.0,
-                        collision_probability=collision_probability(row) if total else 0.0,
-                    )
-                )
+                self._record_birth(change, self._matrix[change.generation])
+
+    def _record_birth(self, change: LeaderPhaseChange, row: list[int]) -> None:
+        """Lemma 22's snapshot: the newest generation at the end of its two-choices window."""
+        row = np.asarray(row, dtype=np.int64)
+        total = int(row.sum())
+        self.births.append(
+            GenerationBirth(
+                generation=change.generation,
+                time=change.time,
+                fraction=total / self.n,
+                bias=multiplicative_bias(row) if total else 1.0,
+                collision_probability=collision_probability(row) if total else 0.0,
+            )
+        )
+
+    def _core_phase_change(self, kind: str, time: float, generation: int, row) -> None:
+        """A leader transition made inside the compiled core.
+
+        The core owns the leader's counters for its run and writes them
+        back at the end; this records the transition (and, when the
+        two-choices window closed, the generation's ``row`` of the
+        count matrix as its birth) exactly as :meth:`_note_phase_changes`
+        would.  Core runs are untraced, so there is no phase record.
+        """
+        change = LeaderPhaseChange(kind=kind, time=time, generation=generation)
+        self.leader.phase_changes.append(change)
+        self._phase_changes_seen += 1
+        if row is not None:
+            self._record_birth(change, row)
 
     def _extend_chain(self, node: int) -> None:
         """Pre-draw the node's next tick window and its 0-signal fan-out.
@@ -446,14 +475,18 @@ class SingleLeaderSim:
         ptr = self._cptr[node]
         now = self.sim.now
         skipped = 0
-        while chain[ptr] <= now:
-            ptr += 1
-            skipped += 1
+        while True:
+            # Extend before reading: a run that ended while the node was
+            # locked counted its chain to the end (see run()).
             if ptr >= len(chain):
                 self._cptr[node] = ptr
                 self._extend_chain(node)
                 chain = self._chain[node]
                 ptr = self._cptr[node]
+            if chain[ptr] > now:
+                break
+            ptr += 1
+            skipped += 1
         self._cptr[node] = ptr
         self.total_ticks += skipped
         self.skipped_ticks += skipped
@@ -560,6 +593,36 @@ class SingleLeaderSim:
         gens[node] = gen
         cols[node] = col
 
+    def _core_eligible(self) -> bool:
+        """Whether the compiled core models this run exactly.
+
+        The paper's default path only: skip-tick chains (window > 1),
+        ``K_n``, exponential latencies, a simulator of our own with no
+        tracer and no fault seams (:func:`repro.scenarios.faults.inject_faults`
+        wraps a built simulator's methods), and none of the handlers
+        the core replaces overridden (a subclass that only wraps
+        ``__init__`` or ``run`` stays eligible).
+        """
+        cls = type(self)
+        return (
+            self._skip
+            and self._plain_sim
+            and vars(self.sim).keys().isdisjoint(_SIMULATOR_METHODS)
+            and self._latency_model is None
+            and type(self.graph) is CompleteGraph
+            and all(getattr(cls, name) is getattr(SingleLeaderSim, name) for name in _CORE_HANDLERS)
+        )
+
+    def _run_core(self, until: float) -> bool:
+        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
+        if not self._core_eligible():
+            return False
+        core = fastcore.load()
+        if core is None or not core.run(self, until, _CORE_FUNCS):
+            return False
+        self.core = "c"
+        return True
+
     def _trace_end_fields(self) -> dict:
         """Extra fields for the trace ``end`` record (subclass hook)."""
         return {}
@@ -586,6 +649,7 @@ class SingleLeaderSim:
             }
         )
         metrics.gauge("protocol.leader_generation").set(self.leader.gen)
+        metrics.counter(f"engine.core.{self.core}").inc()
         self.sim.publish_metrics(metrics)
 
     # ------------------------------------------------------------------
@@ -637,6 +701,7 @@ class SingleLeaderSim:
         record_every:
             If set, append a :class:`StepStats` snapshot this often.
         """
+        self.core = "python"
         if record_every is not None:
             self._schedule_sampler(record_every)
         epsilon_target = None
@@ -669,7 +734,7 @@ class SingleLeaderSim:
                 return max(counts) == n
 
             self.sim.run(until=max_time, stop_when=done)
-        else:
+        elif record_every is not None or not self._run_core(max_time):
             self.sim.run(until=max_time)
         if self._skip:
             # Ticks that elapsed while a node sat locked at the end of
@@ -727,6 +792,24 @@ class SingleLeaderSim:
                 "time_unit": self.params.time_unit,
             },
         )
+
+
+#: Handlers whose work the compiled core does itself.
+_CORE_HANDLERS = (
+    "_tick", "_exchange", "_unlock", "_extend_chain", "_set_state", "_leader_signal",
+    "_propagation_trigger", "_begin_cycle", "_send_signal", "_schedule_next_tick",
+    "_arm_propagation", "_note_phase_changes", "_sync_leader",
+)
+#: Simulator methods a fault seam may shadow on the instance.
+_SIMULATOR_METHODS = frozenset(name for name, value in vars(Simulator).items() if callable(value))
+#: The handlers the core recognises in (and writes back to) the event
+#: queue and the tally trigger.
+_CORE_FUNCS = (
+    SingleLeaderSim._tick,
+    SingleLeaderSim._exchange,
+    SingleLeaderSim._leader_signal,
+    SingleLeaderSim._propagation_trigger,
+)
 
 
 def run_single_leader(

@@ -1,0 +1,193 @@
+"""Python core vs compiled core: the same run, byte for byte.
+
+:class:`~repro.core.single_leader.SingleLeaderSim` runs an eligible
+run's event loop in the compiled core (:mod:`repro.core.fastcore`) and
+keeps the Python engine as its oracle.  Every case below runs one
+config on both cores, at the production pool block size, and compares
+everything a caller can observe: the :class:`RunResult` (``info``,
+``births`` and the trajectory included), the leader's phase log, every
+snapshot property, the protocol counters, the simulator's clock and
+counters, the pending event queue and tally stream, each draw pool's
+position, and the generator's state.  A split run and a run continued
+on the other core check that the write-back leaves a state the Python
+engine continues exactly.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from repro.core import fastcore
+from repro.core.delayed_exchange import DelayedExchangeSim
+from repro.core.params import SingleLeaderParams
+from repro.core.single_leader import SingleLeaderSim
+from repro.engine.latency import ConstantLatency
+from repro.engine.simulator import Simulator
+from repro.engine.tracing import TraceRecorder
+from repro.scenarios.faults import IidDrop, inject_faults
+from repro.scenarios.topology import build_graph
+from repro.workloads.opinions import biased_counts
+
+pytestmark = pytest.mark.skipif(
+    fastcore.load() is None,
+    reason="compiled core unavailable (no working C compiler); CI requires it",
+)
+
+SNAPSHOTS = ("cols", "gens", "locked", "seen_gen", "seen_prop", "matrix", "color_counts")
+
+
+def observe(sim: SingleLeaderSim, result) -> dict:
+    """Everything a caller can read after a run, as plain values."""
+    queue = sorted(
+        (time, seq, action.__name__, payload) for time, seq, action, payload in sim.sim.queue._heap
+    )
+    pools = (sim._tick_wait, sim._latency, sim._channel_delay, sim._neighbors._pool)
+    return {
+        "result": (
+            result.converged,
+            result.winner,
+            result.plurality_color,
+            result.elapsed,
+            result.epsilon_convergence_time,
+            result.final_color_counts.tolist(),
+            result.trajectory,
+            result.births,
+            result.info,
+        ),
+        "phase_changes": list(sim.leader.phase_changes),
+        "leader": (sim.leader.gen, sim.leader.prop, sim.leader.gen_size, sim.leader.tick_count),
+        "snapshots": {name: getattr(sim, name).tolist() for name in SNAPSHOTS},
+        "ticks": (sim.total_ticks, sim.good_ticks, sim.skipped_ticks, sim.refills),
+        "sim": (sim.sim.now, sim.sim.events_executed, sim.sim.tallied, sim.sim._trigger_at),
+        "pending": (len(sim.sim.queue), len(sim.sim._tally)),
+        "queue": queue,
+        "tally": sorted(sim.sim._tally),
+        "next_seq": sim.sim.queue._next_seq,
+        "remaining": [pool.remaining for pool in pools],
+        "rng": sim._rng.bit_generator.state,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def protocol_params(n, k, alpha, gamma) -> SingleLeaderParams:
+    # Deriving the time unit costs a matrix exponential; share it.
+    return SingleLeaderParams(n=n, k=k, alpha0=alpha, gen_size_fraction=gamma)
+
+
+def build(n, k, alpha, seed, *, gamma=0.5, assignment=None) -> SingleLeaderSim:
+    params = protocol_params(n, k, alpha, gamma)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return SingleLeaderSim(params, biased_counts(n, k, alpha), rng, assignment=assignment)
+
+
+def run_on(core: str, sim: SingleLeaderSim, monkeypatch, **run_kwargs) -> dict:
+    with monkeypatch.context() as patch:
+        if core == "python":
+            patch.setattr(fastcore, "_core", None)
+        result = sim.run(**run_kwargs)
+    assert sim.core == core
+    return observe(sim, result)
+
+
+CASES = {
+    "n50-k2-to-consensus": (dict(n=50, k=2, alpha=3.0, seed=3), {}),
+    "n300-k3-gamma-epsilon": (
+        dict(n=300, k=3, alpha=2.0, seed=5, gamma=0.6),
+        dict(epsilon=0.1),
+    ),
+    "n300-k8-stop-at-epsilon": (
+        dict(n=300, k=8, alpha=3.0, seed=7),
+        dict(epsilon=0.05, stop_at_epsilon=True),
+    ),
+    "n3000-k8-truncated": (dict(n=3000, k=8, alpha=2.0, seed=11), dict(max_time=8.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cores_agree(case, monkeypatch):
+    config, run_kwargs = CASES[case]
+    python = run_on("python", build(**config), monkeypatch, **run_kwargs)
+    compiled = run_on("c", build(**config), monkeypatch, **run_kwargs)
+    assert compiled == python
+
+
+def test_cores_agree_on_explicit_assignment(monkeypatch):
+    n, k, alpha = 300, 3, 2.0
+    # Colors laid out in contiguous blocks, not shuffled.
+    assignment = np.repeat(np.arange(k), biased_counts(n, k, alpha))
+    config = dict(n=n, k=k, alpha=alpha, seed=13, assignment=assignment)
+    python = run_on("python", build(**config), monkeypatch)
+    compiled = run_on("c", build(**config), monkeypatch)
+    assert compiled == python
+
+
+@pytest.mark.parametrize("second", ["python", "c"])
+def test_split_run_continues_exactly(second, monkeypatch):
+    """Two run() calls; the second on either core continues the first exactly."""
+    config = dict(n=300, k=2, alpha=1.5, seed=17)
+    reference = build(**config)
+    python = [run_on("python", reference, monkeypatch, max_time=25.0)]
+    python.append(run_on("python", reference, monkeypatch))
+    split = build(**config)
+    compiled = [run_on("c", split, monkeypatch, max_time=25.0)]
+    compiled.append(run_on(second, split, monkeypatch))
+    assert compiled == python
+
+
+class TimedSim(SingleLeaderSim):
+    """Wraps only ``__init__`` and ``run``, like perfbench's timed subclass."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+
+    def run(self, **kwargs):
+        return super().run(**kwargs)
+
+
+def eligibility_case(name: str):
+    n, k, alpha = 60, 2, 2.0
+    params = protocol_params(n, k, alpha, 0.5)
+    rng = np.random.Generator(np.random.PCG64(23))
+    counts = biased_counts(n, k, alpha)
+    run_kwargs = {"max_time": 5.0}
+    if name == "subclass-wrapping-run":
+        return TimedSim(params, counts, rng), run_kwargs
+    if name == "delayed-exchange":
+        return DelayedExchangeSim(params, counts, rng), run_kwargs
+    if name == "tracer":
+        return SingleLeaderSim(params, counts, rng, tracer=TraceRecorder()), run_kwargs
+    if name == "pre-built-simulator":
+        return SingleLeaderSim(params, counts, rng, simulator=Simulator()), run_kwargs
+    if name == "injected-faults":
+        sim = SingleLeaderSim(params, counts, rng)
+        inject_faults(sim, [IidDrop(0.1)], rng)
+        return sim, run_kwargs
+    if name == "latency-model":
+        return SingleLeaderSim(params, counts, rng, latency_model=ConstantLatency(1.0)), run_kwargs
+    if name == "sparse-graph":
+        graph = build_graph("regular", n, rng, degree=4)
+        return SingleLeaderSim(params, counts, rng, graph=graph), run_kwargs
+    assert name == "record-every"
+    return SingleLeaderSim(params, counts, rng), {**run_kwargs, "record_every": 1.0}
+
+
+@pytest.mark.parametrize(
+    "name, core",
+    [
+        ("subclass-wrapping-run", "c"),
+        ("delayed-exchange", "python"),
+        ("tracer", "python"),
+        ("pre-built-simulator", "python"),
+        ("injected-faults", "python"),
+        ("latency-model", "python"),
+        ("sparse-graph", "python"),
+        ("record-every", "python"),
+    ],
+)
+def test_only_the_default_path_enters_the_core(name, core):
+    sim, run_kwargs = eligibility_case(name)
+    sim.run(**run_kwargs)
+    assert sim.core == core
