@@ -1,10 +1,10 @@
-"""Sweep execution: serial or process-pool fan-out with run caching.
+"""Sweep execution: serial or supervised process-pool fan-out with run caching.
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec`,
 satisfies every config it can from the :class:`~repro.sweep.cache.RunCache`,
-and executes only the misses — serially, or fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`. Three invariants make
-the fan-out safe:
+and executes only the misses — serially in-process, or in chunks on a
+process pool through :func:`~repro.sweep.supervisor.run_supervised`,
+the one pool path. Three invariants make the fan-out safe:
 
 * **Picklable work units** — a worker receives only the config *dict*
   and rebuilds everything (target function, RNG) by name inside
@@ -41,7 +41,6 @@ True
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -123,21 +122,16 @@ def execute_run(
     return record
 
 
-def _execute_traced(item: "tuple[dict, str | None, str | None]") -> dict:
-    """Pool-map helper: one ``(config, trace_path, metrics_path)`` unit."""
-    config, trace_path, metrics_path = item
-    return execute_run(config, trace_path, metrics_path)
-
-
 @dataclass
 class SweepReport:
     """Everything one :func:`run_sweep` invocation produced.
 
     ``records`` is aligned with ``configs`` (spec expansion order), so
-    downstream aggregation is independent of execution order. Under
-    supervision (see :mod:`repro.sweep.supervisor`) a permanently failed
-    config leaves ``None`` at its slot and a structured entry in
-    ``failures``; an unsupervised sweep never produces ``None`` records.
+    downstream aggregation is independent of execution order. A config
+    that fails on the pool (see :mod:`repro.sweep.supervisor`) leaves
+    ``None`` at its slot and a structured entry in ``failures``; the
+    serial in-process path raises instead, so it never produces
+    ``None`` records.
     """
 
     spec: SweepSpec
@@ -208,9 +202,10 @@ def run_sweep(
         Optional run cache; hits skip execution entirely and fresh
         records are stored back. ``None`` disables caching.
     workers:
-        ``1`` runs in-process (no pool, no pickling); ``> 1`` fans the
-        cache misses out over that many worker processes; ``0`` means
-        one worker per CPU.
+        ``1`` runs in-process (no pool, no pickling) unless a
+        ``supervisor`` is given; ``> 1`` fans the cache misses out over
+        that many supervised worker processes; ``0`` means one worker
+        per CPU.
     echo:
         Optional progress sink (the CLI passes a stderr printer).
     trace_dir:
@@ -230,16 +225,17 @@ def run_sweep(
         engine metrics (they never executed).
     supervisor:
         Optional :class:`~repro.sweep.supervisor.SupervisorPolicy`.
-        When set, cache misses execute under supervision — per-run
-        wall-clock timeout, bounded retries with deterministic backoff,
-        and failure isolation: a config that exhausts its budget leaves
-        ``None`` in ``records`` and a
-        :class:`~repro.sweep.supervisor.RunFailure` in
-        ``report.failures`` instead of aborting the sweep. When
-        ``None`` (the default) the original fail-fast path runs
-        unchanged. Supervised misses always execute on a process pool
-        (even at ``workers=1``) — crash and hang isolation require a
-        process boundary.
+        Every pool run is supervised — per-run wall-clock timeout,
+        bounded retries with deterministic backoff, and failure
+        isolation: a config that exhausts its budget leaves ``None`` in
+        ``records`` and a :class:`~repro.sweep.supervisor.RunFailure`
+        in ``report.failures`` instead of aborting the sweep. With
+        ``None`` (the default), ``workers > 1`` runs
+        ``SupervisorPolicy(max_retries=0)`` and ``workers=1`` runs the
+        misses in-process, where the first raising run aborts the
+        sweep. A policy always executes on a process pool (even at
+        ``workers=1``) — crash and hang isolation require a process
+        boundary.
     state_dir:
         Directory for the sweep's ``manifest.json`` checkpoint (see
         :class:`~repro.sweep.supervisor.SweepManifest`). Implies a
@@ -251,6 +247,9 @@ def run_sweep(
         remainder executes. Previously failed configs get a fresh
         retry budget.
     """
+    # Deferred so that importing this module without sweeping stays cheap.
+    from repro.sweep.supervisor import SupervisorPolicy, SweepManifest, run_supervised
+
     workers = _resolve_workers(workers)
     started = time.perf_counter()
     configs = spec.expand()
@@ -291,8 +290,6 @@ def run_sweep(
 
     manifest = None
     if state_dir is not None or resume:
-        from repro.sweep.supervisor import SupervisorPolicy, SweepManifest
-
         if state_dir is None:
             raise ConfigurationError("resume requires a state directory")
         manifest = SweepManifest.open(state_dir, spec, resume=resume)
@@ -328,13 +325,11 @@ def run_sweep(
         echo(f"[sweep] {cached} cached, {len(misses)} to run")
 
     outcome = None
-    if misses and supervisor is not None:
-        from repro.sweep.supervisor import run_supervised
-
+    if misses and (supervisor is not None or workers > 1):
         outcome = run_supervised(
             configs,
             misses,
-            supervisor,
+            supervisor or SupervisorPolicy(max_retries=0),
             workers=workers,
             trace_paths=trace_paths,
             metrics_paths=metrics_paths,
@@ -343,24 +338,11 @@ def run_sweep(
         )
         for index, record in outcome.records.items():
             records[index] = record
-    elif misses and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = pool.map(
-                _execute_traced,
-                [(configs[i].as_dict(), trace_paths[i], metrics_paths[i]) for i in misses],
-            )
-            for index, record in zip(misses, fresh):
-                records[index] = record
     else:
         for index in misses:
             records[index] = execute_run(
                 configs[index], trace_paths[index], metrics_paths[index]
             )
-        if manifest is not None:
-            # Unsupervised path never runs with a manifest today, but
-            # keep the bookkeeping correct if that changes.
-            for index in misses:
-                manifest.mark_done(index, records[index])
 
     if cache is not None and trace_dir is None:
         for index in misses:
@@ -372,7 +354,7 @@ def run_sweep(
             metrics,
             records=records,
             misses=misses,
-            total=len(configs),
+            cached=cached,
             workers=workers,
             cache=cache,
             cache_active=cache is not None and trace_dir is None,
@@ -402,7 +384,7 @@ def _harvest_sweep_metrics(
     *,
     records: Sequence[dict | None],
     misses: Sequence[int],
-    total: int,
+    cached: int,
     workers: int,
     cache: RunCache | None,
     cache_active: bool,
@@ -413,12 +395,13 @@ def _harvest_sweep_metrics(
 ) -> None:
     """Publish sweep-level accounting and fold worker sidecars back in."""
     import os
+    import shutil
 
     from repro.engine.metrics import TIME_BUCKETS, load_snapshot
 
     metrics.gauge("sweep.workers").set(workers)
     metrics.counter("sweep.runs_executed").inc(len(misses))
-    metrics.counter("sweep.runs_cached").inc(total - len(misses) - (resumed or 0))
+    metrics.counter("sweep.runs_cached").inc(cached)
     if resumed is not None:
         metrics.counter("sweep.runs_resumed").inc(resumed)
     if supervision is not None:
@@ -428,7 +411,7 @@ def _harvest_sweep_metrics(
         if supervision.pool_rebuilds:
             metrics.counter("sweep.pool_rebuilds").inc(supervision.pool_rebuilds)
     if cache_active and cache is not None:
-        metrics.counter("sweep.cache.hits").inc(total - len(misses))
+        metrics.counter("sweep.cache.hits").inc(cached)
         metrics.counter("sweep.cache.misses").inc(len(misses))
         metrics.counter("sweep.cache.corrupt").inc(cache.corrupt_hits - corrupt_before)
     histogram = metrics.histogram("sweep.run_seconds", TIME_BUCKETS)
@@ -445,15 +428,7 @@ def _harvest_sweep_metrics(
             except Exception:  # pragma: no cover - partial sidecar
                 pass
     finally:
-        for name in os.listdir(metrics_dir):
-            try:
-                os.unlink(os.path.join(metrics_dir, name))
-            except OSError:  # pragma: no cover - already gone
-                pass
-        try:
-            os.rmdir(metrics_dir)
-        except OSError:  # pragma: no cover - already gone
-            pass
+        shutil.rmtree(metrics_dir, ignore_errors=True)
 
 
 def map_substreams(
@@ -552,6 +527,8 @@ def run_experiments(
         for index in misses:
             echo(f"[repro] running {names[index]} ...")
     if items and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads: Iterable[dict] = pool.map(_execute_experiment, items)
     else:

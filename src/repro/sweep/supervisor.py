@@ -1,29 +1,22 @@
 """Fault-tolerant sweep execution: supervision, retries, checkpoints.
 
-The plain sweep runner (:mod:`repro.sweep.runner`) is fast but brittle:
-one run raising — or one worker process taken out by the OOM killer —
-aborts the entire :class:`~concurrent.futures.ProcessPoolExecutor` fan
-out with :class:`~concurrent.futures.process.BrokenProcessPool`, and an
-interrupted sweep forgets which configs had already failed and how
-often. This module adds the supervised execution core:
+Every run a sweep (:mod:`repro.sweep.runner`) sends to a process pool
+goes through this module. The pieces:
 
 * :class:`SupervisorPolicy` — per-run wall-clock timeout plus bounded
   retries with exponential backoff and *deterministic* jitter (a pure
-  function of the config digest and attempt number, so two identical
-  sweeps back off identically).
-* :func:`run_supervised` — submits cache misses to a process pool,
-  watches deadlines, survives ``BrokenProcessPool`` by rebuilding the
-  pool and resubmitting only the un-finished configs, and converts
-  every exhausted config into a structured :class:`RunFailure` instead
-  of an exception — the rest of the sweep completes and aggregates
-  render with failure annotations.
+  function of the config digest and attempt number).
+* :func:`run_supervised` — submits cache misses to a process pool in
+  chunks, each with a start log naming the run its worker is on and a
+  results file keeping every run it finished; survives a dead or hung
+  worker by charging only the run it was on, rebuilding the pool and
+  resubmitting the unfinished rest; and turns every exhausted config
+  into a structured :class:`RunFailure` instead of an exception.
 * :class:`SweepManifest` — a ``manifest.json`` checkpoint (atomic
-  tmp+rename, like the run cache) tracking per-config state
-  (``pending`` / ``running`` / ``done`` / ``failed`` /
-  ``permanently-failed``), attempt counts, and — for ``done`` configs —
-  the record itself, so ``repro sweep --resume DIR`` continues an
-  interrupted sweep executing only the remainder even without a run
-  cache.
+  tmp+rename, like the run cache) of per-config state (``pending`` /
+  ``running`` / ``done`` / ``failed`` / ``permanently-failed``),
+  attempt counts and ``done`` records, so ``repro sweep --resume DIR``
+  executes only the remainder of an interrupted sweep.
 
 Determinism under retry: a run's randomness is
 ``RngRegistry(seed).stream(config.stream)`` — a pure function of the
@@ -39,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
+import signal
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -80,11 +75,11 @@ class SupervisorPolicy:
     ``max_retries`` counts *re*-attempts: a run gets ``max_retries + 1``
     attempts total before it is recorded as permanently failed.
     ``run_timeout`` is wall-clock seconds measured from the moment the
-    run starts executing on a worker (queue time excluded); ``None``
-    disables timeout supervision. Backoff before attempt ``a >= 2`` is
-    ``backoff_base * backoff_factor ** (a - 2)`` capped at
-    ``backoff_max``, spread by ``±jitter`` (a deterministic fraction —
-    see :func:`backoff_delay`).
+    supervisor first sees the run start on a worker (queue time
+    excluded); ``None`` disables timeout supervision. Backoff before
+    attempt ``a >= 2`` is ``backoff_base * backoff_factor ** (a - 2)``
+    capped at ``backoff_max``, spread by ``±jitter`` (a deterministic
+    fraction — see :func:`backoff_delay`).
     """
 
     max_retries: int = 2
@@ -376,19 +371,51 @@ class SweepManifest:
 # Supervised pool execution.
 
 
-def _execute_supervised(item: tuple) -> dict:
-    """Pool entry for supervised attempts: touch the start marker, run.
+def _run_chunk(log: str, items: Sequence[tuple]) -> None:
+    """Pool entry: run one chunk of ``(config, trace_path, metrics_path)`` units.
 
-    The marker is the ground truth for "this attempt actually began
-    executing on a worker" — the supervisor uses it for crash
-    attribution and timeout deadlines (see :func:`run_supervised`).
+    Before each run the worker appends ``"<pid> <position>"`` to the
+    chunk's start log in one unbuffered write, naming the run a dead or
+    hung worker was on (``future.running()`` cannot: a future turns
+    RUNNING in the call queue). After each run it appends the pickled
+    ``(position, ok, record or error)`` to ``<log>.out``, so finished
+    runs outlive their chunk. Each run's exception is caught alone.
     """
-    marker, inner = item
-    from repro.sweep.runner import _execute_traced
+    from repro.sweep.runner import execute_run
 
-    with open(marker, "w"):
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+    out = os.open(log + ".out", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+    try:
+        for position, (config, trace_path, metrics_path) in enumerate(items):
+            os.write(fd, b"%d %d\n" % (os.getpid(), position))
+            try:
+                outcome = (True, execute_run(config, trace_path, metrics_path))
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                outcome = (False, f"{type(exc).__name__}: {exc}")
+            os.write(out, pickle.dumps((position, *outcome)))
+    finally:
+        os.close(fd)
+        os.close(out)
+
+
+def _log_tail(log: str) -> tuple[int, int] | None:
+    """``(pid, position)`` of a start log's last entry; ``None`` while empty."""
+    with open(log, "rb") as handle:
+        words = handle.read().split()
+    return (int(words[-2]), int(words[-1])) if words else None
+
+
+def _finished(log: str) -> dict[int, tuple[bool, Any]]:
+    """``position -> (ok, record or error)`` per run a chunk finished."""
+    finished = {}
+    try:
+        with open(log + ".out", "rb") as handle:
+            while True:
+                position, ok, value = pickle.load(handle)
+                finished[position] = (ok, value)
+    except (OSError, EOFError, pickle.UnpicklingError):
         pass
-    return _execute_traced(inner)
+    return finished
 
 
 @dataclass
@@ -399,7 +426,6 @@ class SupervisionOutcome:
     failures: list[RunFailure] = field(default_factory=list)
     retries: int = 0
     timeouts: int = 0
-    crashes: int = 0
     pool_rebuilds: int = 0
 
 
@@ -411,8 +437,17 @@ class _Attempt:
     config: RunConfig
     attempt: int = 0
     eligible_at: float = 0.0
-    last_kind: str = "error"
-    last_error: str = ""
+
+
+@dataclass(eq=False)
+class _Chunk:
+    """One submitted chunk: its attempts in order, and its start log."""
+
+    attempts: list[_Attempt]
+    log: str
+    #: The last start-log entry seen, and when it was first seen.
+    tail: tuple[int, int] | None = None
+    seen_at: float = 0.0
 
 
 def run_supervised(
@@ -426,21 +461,26 @@ def run_supervised(
     echo: Callable[[str], None] | None = None,
     manifest: SweepManifest | None = None,
 ) -> SupervisionOutcome:
-    """Execute ``indices`` of ``configs`` under supervision.
+    """Execute ``indices`` of ``configs`` on a process pool, under supervision.
 
-    Every config gets ``policy.attempts`` attempts; between attempts the
-    config waits out its deterministic backoff (the supervisor keeps
-    other work flowing meanwhile — backoff never blocks the pool). A
-    worker crash breaks the whole :class:`ProcessPoolExecutor`; the
-    supervisor charges the attempt to the config(s) that were actually
-    executing, rebuilds the pool, and resubmits everything un-finished
-    (queued-but-not-started attempts are *not* charged). Timeouts kill
-    the pool outright — a hung worker cannot be cancelled any other way
-    — and take the same rebuild path.
+    Ready configs are dealt round-robin into ``min(ready, 4·workers)``
+    chunks, all submitted at once, so heavy and light grid points mix
+    in every chunk; each chunk is one pool task (:func:`_run_chunk`).
+    Every config gets ``policy.attempts`` attempts, with deterministic
+    backoff between them. A run that raises is charged an ``error``
+    alone. Every run a chunk finished is kept (and checkpointed in
+    ``manifest``) whatever becomes of the chunk, also on interrupt.
 
-    Returns records for the configs that eventually succeeded and a
-    :class:`RunFailure` per config that exhausted its budget; never
-    raises for run-level faults.
+    A dying worker breaks the pool and every unfinished chunk. The
+    crash is charged to the run named by the last entry of a broken
+    chunk's start log, counting only logs of a worker that died on its
+    own when there are any (the executor SIGTERMs the survivors); with
+    no entry anywhere, to the first run of each of the earliest
+    ``workers`` chunks. A run whose start-log position has not moved
+    for ``policy.run_timeout`` seconds is charged a ``timeout`` and the
+    pool killed. Either way every other unfinished run is refunded its
+    attempt and resubmitted on a rebuilt pool. Never raises for
+    run-level faults.
     """
     import shutil
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -452,51 +492,22 @@ def run_supervised(
     }
     if not pending:
         return outcome
+    waiting = set(pending)  # unresolved and not in flight
 
     def _say(line: str) -> None:
         if echo is not None:
             echo(line)
 
-    # Worker-side start markers. ``future.running()`` lies about actual
-    # execution — the executor flips futures to RUNNING as they enter
-    # the call queue (capacity ``workers + 1``), before any worker picks
-    # them up — so crash/timeout attribution keys off a sentinel file
-    # the worker touches at attempt entry instead.
-    marker_dir = tempfile.mkdtemp(prefix="repro-supervise-")
-    marker_of: dict[Any, str] = {}
-
-    def _submit(pool, attempt: _Attempt):
-        attempt.attempt += 1
-        if manifest is not None:
-            manifest.mark_running([attempt.index])
-        marker = os.path.join(
-            marker_dir, f"{attempt.index}-{attempt.attempt}.start"
-        )
-        item = (
-            attempt.config.as_dict(),
-            trace_paths[attempt.index],
-            metrics_paths[attempt.index],
-        )
-        future = pool.submit(_execute_supervised, (marker, item))
-        marker_of[future] = marker
-        return future
-
-    def _started(future) -> bool:
-        return os.path.exists(marker_of[future])
-
     def _record_failure(attempt: _Attempt, *, kind: str, error: str) -> None:
         """Charge a failed attempt; retry or fail permanently."""
-        attempt.last_kind = kind
-        attempt.last_error = error
         if kind == "timeout":
             outcome.timeouts += 1
-        elif kind == "crash":
-            outcome.crashes += 1
         if attempt.attempt < policy.attempts:
             outcome.retries += 1
             attempt.eligible_at = time.monotonic() + backoff_delay(
                 policy, attempt.config.digest, attempt.attempt + 1
             )
+            waiting.add(attempt.index)
             if manifest is not None:
                 manifest.mark_failed(
                     attempt.index, kind=kind, error=error, permanent=False
@@ -526,173 +537,179 @@ def run_supervised(
             f"{attempt.attempt} attempt(s): {kind}"
         )
 
-    def _record_success(attempt: _Attempt, record: dict) -> None:
-        outcome.records[attempt.index] = record
-        if manifest is not None:
-            manifest.mark_done(attempt.index, record)
-        del pending[attempt.index]
-
     def _refund(attempt: _Attempt) -> None:
-        """Undo a submission that never actually executed.
-
-        Queued bystanders of a pool break must not lose retry budget —
-        only the config(s) that were on a worker when it died pay.
-        """
+        """Undo the attempt of a run a pool break or kill took down uncharged."""
         attempt.attempt -= 1
         attempt.eligible_at = 0.0
+        waiting.add(attempt.index)
 
+    def _settle(chunk: _Chunk) -> list[int]:
+        """Settle the runs ``chunk`` finished; the positions it did not."""
+        finished = _finished(chunk.log)
+        unfinished = []
+        for position, attempt in enumerate(chunk.attempts):
+            if position not in finished:
+                unfinished.append(position)
+                continue
+            ok, value = finished[position]
+            if not ok:
+                _record_failure(attempt, kind="error", error=value)
+                continue
+            outcome.records[attempt.index] = value
+            if manifest is not None:
+                manifest.mark_done(attempt.index, value)
+            del pending[attempt.index]
+        return unfinished
+
+    def _submit(pool, ready: list[int]) -> None:
+        count = min(len(ready), 4 * workers)
+        for offset in range(count):
+            attempts = [pending[index] for index in ready[offset::count]]
+            fd, log = tempfile.mkstemp(dir=log_dir, suffix=".log")
+            os.close(fd)
+            items = [
+                (a.config.as_dict(), trace_paths[a.index], metrics_paths[a.index])
+                for a in attempts
+            ]
+            try:
+                future = pool.submit(_run_chunk, log, items)
+            except BrokenProcessPool:
+                if not inflight:  # no chunk of ours broke it
+                    raise
+                # A worker died mid-loop: the rest wait for the rebuild
+                # its broken chunk triggers.
+                waiting.update(i for o in range(offset, count) for i in ready[o::count])
+                return
+            inflight[future] = _Chunk(attempts, log)
+            for attempt in attempts:
+                attempt.attempt += 1
+            if manifest is not None:
+                manifest.mark_running([attempt.index for attempt in attempts])
+
+    log_dir = tempfile.mkdtemp(prefix="repro-supervise-")
     pool = ProcessPoolExecutor(max_workers=workers)
-    futures: dict[Any, _Attempt] = {}
-    started_at: dict[Any, float] = {}
-    submit_order: dict[Any, int] = {}
-    submit_counter = 0
+    inflight: dict[Any, _Chunk] = {}  # in submission order
     try:
-        while pending or futures:
+        while pending:
             now = time.monotonic()
-            # Launch every attempt whose backoff has elapsed and that is
-            # not already in flight.
-            in_flight = {attempt.index for attempt in futures.values()}
-            for index in sorted(pending):
-                attempt = pending[index]
-                if index in in_flight or attempt.eligible_at > now:
-                    continue
-                future = _submit(pool, attempt)
-                futures[future] = attempt
-                submit_order[future] = submit_counter
-                submit_counter += 1
-                in_flight.add(index)
-
-            if not futures:
+            ready = sorted(i for i in waiting if pending[i].eligible_at <= now)
+            if ready:
+                waiting.difference_update(ready)
+                _submit(pool, ready)
+            if not inflight:
                 # Everything left is backing off; sleep to the earliest.
-                wake = min(a.eligible_at for a in pending.values())
+                wake = min(pending[i].eligible_at for i in waiting)
                 time.sleep(max(0.0, min(wake - time.monotonic(), _POLL_SECONDS * 4)))
                 continue
 
-            done, not_done = wait(
-                list(futures), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+            polling = policy.run_timeout is not None or bool(waiting)
+            done, _ = wait(
+                list(inflight),
+                timeout=_POLL_SECONDS if polling else None,
+                return_when=FIRST_COMPLETED,
             )
-            # Observe which futures are actually executing — crash
-            # attribution and timeout deadlines both key off the
-            # worker-touched start marker, sampled at poll cadence.
-            now = time.monotonic()
-            for future in not_done:
-                if future not in started_at and _started(future):
-                    started_at[future] = now
-
-            broken_futures: list[tuple[int, Any, _Attempt]] = []
+            crashed = False
             for future in done:
-                attempt = futures.pop(future)
-                try:
-                    record = future.result()
-                except BrokenProcessPool:
-                    # A pool break poisons *every* in-flight future, so
-                    # defer attribution until all are collected.
-                    broken_futures.append((submit_order[future], future, attempt))
-                except Exception as exc:  # noqa: BLE001 - isolation boundary
-                    started_at.pop(future, None)
+                exc = future.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    crashed = True
+                    continue
+                chunk = inflight.pop(future)
+                for position in _settle(chunk):  # the chunk task itself raised
                     _record_failure(
-                        attempt, kind="error", error=f"{type(exc).__name__}: {exc}"
+                        chunk.attempts[position],
+                        kind="error",
+                        error=f"{type(exc).__name__}: {exc}",
                     )
-                else:
-                    started_at.pop(future, None)
-                    _record_success(attempt, record)
-
-            broken = bool(broken_futures)
-            if broken:
-                # Charge the crash to the future(s) whose attempt had
-                # actually started on a worker (start marker on disk);
-                # queued bystanders — poisoned by the same pool break —
-                # get refunded. If no marker landed (the worker died in
-                # the handful of instructions before touching it), fall
-                # back to the earliest-submitted broken futures: the
-                # pool executes submissions FIFO, so at most ``workers``
-                # of them had started.
-                broken_futures.sort(key=lambda item: item[0])
-                observed = [item for item in broken_futures if _started(item[1])]
-                victims = {id(item[1]) for item in (observed or broken_futures[:workers])}
-                for _, future, attempt in broken_futures:
-                    started_at.pop(future, None)
-                    if id(future) in victims:
-                        _record_failure(
-                            attempt,
-                            kind="crash",
-                            error="worker process died (BrokenProcessPool)",
-                        )
-                    else:
-                        _refund(attempt)
-
-            if not broken and policy.run_timeout is not None:
-                # Deadline scan: charge a timeout to every attempt that
-                # has been *executing* (not queued) past the budget.
-                now = time.monotonic()
-                overdue = [
-                    (future, attempt)
-                    for future, attempt in futures.items()
-                    if future in started_at
-                    and now - started_at[future] > policy.run_timeout
-                ]
-                if overdue:
-                    for future, attempt in overdue:
-                        futures.pop(future)
-                        started_at.pop(future, None)
-                        _record_failure(
-                            attempt,
-                            kind="timeout",
-                            error=(
-                                f"run exceeded --run-timeout "
-                                f"{policy.run_timeout:g}s wall clock"
-                            ),
-                        )
-                    # A hung worker cannot be cancelled; killing the pool
-                    # is the only off switch, and costs a rebuild.
-                    broken = True
-                    _kill_pool_processes(pool)
-
-            if broken:
-                # Rebuild the pool; un-finished futures die with it. The
-                # overdue/victim attempts were already charged above —
-                # whatever is still in ``futures`` is collateral.
-                outcome.pool_rebuilds += 1
-                for future, attempt in list(futures.items()):
-                    futures.pop(future)
-                    started_at.pop(future, None)
-                    if future.done():
-                        # Completed in the race window; harvest it.
-                        try:
-                            record = future.result()
-                        except BrokenProcessPool:
-                            _refund(attempt)
-                        except Exception as exc:  # noqa: BLE001
-                            _record_failure(
-                                attempt,
-                                kind="error",
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        else:
-                            _record_success(attempt, record)
-                    else:
-                        _refund(attempt)
-                pool.shutdown(wait=False, cancel_futures=True)
+            if crashed:
+                died = _crashed_workers(pool)
+                kind, error = "crash", "worker process died (BrokenProcessPool)"
+            elif policy.run_timeout is not None:
+                charged = _overdue(inflight.values(), policy.run_timeout)
+                if not charged:
+                    continue
+                kind = "timeout"
+                error = f"run exceeded --run-timeout {policy.run_timeout:g}s wall clock"
                 _kill_pool_processes(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                started_at.clear()
-                submit_order.clear()
+            else:
+                continue
+
+            outcome.pool_rebuilds += 1
+            lost = list(inflight.values())
+            inflight.clear()
+            if crashed:
+                charged = _crash_charges(lost, died, workers)
+            for chunk in lost:
+                for position in _settle(chunk):
+                    attempt = chunk.attempts[position]
+                    if position == charged.get(chunk):
+                        _record_failure(attempt, kind=kind, error=error)
+                    else:
+                        _refund(attempt)
+            pool.shutdown(wait=False, cancel_futures=True)
+            _kill_pool_processes(pool)
+            pool = ProcessPoolExecutor(max_workers=workers)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
         _kill_pool_processes(pool)
-        shutil.rmtree(marker_dir, ignore_errors=True)
+        # Interrupted: checkpoint what the in-flight chunks finished.
+        for chunk in inflight.values():
+            _settle(chunk)
+        shutil.rmtree(log_dir, ignore_errors=True)
     return outcome
+
+
+def _overdue(chunks, timeout: float) -> dict[_Chunk, int]:
+    """Chunks whose start log has sat at one position past ``timeout``."""
+    now = time.monotonic()
+    overdue = {}
+    for chunk in chunks:
+        tail = _log_tail(chunk.log)
+        if tail != chunk.tail:
+            chunk.tail, chunk.seen_at = tail, now
+        elif tail is not None and now - chunk.seen_at > timeout:
+            overdue[chunk] = tail[1]
+    return overdue
+
+
+def _crashed_workers(pool) -> set[int]:
+    """PIDs of a broken pool's workers that died on their own.
+
+    The executor fails every pending future, then SIGTERMs and reaps
+    the survivors; once its manager thread is done, any exit code but
+    ``-SIGTERM`` marks a worker that died first.
+    """
+    processes = dict(getattr(pool, "_processes", None) or {})
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if manager is not None:
+        manager.join(_POLL_SECONDS * 100)
+    return {
+        pid
+        for pid, process in processes.items()
+        if process.exitcode not in (None, -signal.SIGTERM)
+    }
+
+
+def _crash_charges(
+    lost: Sequence[_Chunk], died: set[int], workers: int
+) -> dict[_Chunk, int]:
+    """The position in each broken chunk a pool break is charged to."""
+    tails = {chunk: _log_tail(chunk.log) for chunk in lost}
+    started = {chunk: tail for chunk, tail in tails.items() if tail is not None}
+    named = {chunk: tail for chunk, tail in started.items() if tail[0] in died}
+    if started:
+        return {chunk: tail[1] for chunk, tail in (named or started).items()}
+    # The worker died before its first log write; the pool runs chunks
+    # FIFO, so at most the first ``workers`` of them had been taken.
+    return dict.fromkeys(lost[:workers], 0)
 
 
 def _kill_pool_processes(pool) -> None:
     """Force-kill a pool's worker processes (hung workers ignore shutdown).
 
-    ``ProcessPoolExecutor`` exposes no supported kill switch — a worker
-    stuck in ``time.sleep`` or a native call would otherwise pin the
-    process tree forever — so this reaches for the executor's internal
-    process table. Guarded: if the attribute moves in a future CPython,
-    supervision degrades to waiting out the child at interpreter exit
-    rather than crashing.
+    ``ProcessPoolExecutor`` has no kill switch, so this reaches for its
+    internal process table; if that moves in a future CPython, a hung
+    child is waited out at interpreter exit instead.
     """
     processes = getattr(pool, "_processes", None)
     if not processes:

@@ -137,6 +137,151 @@ class TestKillHangMatrix:
         assert recovered == baseline
 
 
+def chunk_spec(tmp_path, mode, victim, **base):
+    """24 runs: ``ok`` then ``mode`` at ``work`` 0..11, with ``mode``
+    armed only at ``work=victim``.
+
+    On 2 workers the supervisor deals the 24 runs round-robin into 8
+    chunks of 3, so with ``victim=1`` the faulting run (index 13) sits
+    in the middle of the chunk [5, 13, 21], after a run its worker has
+    already finished.
+    """
+    markers = tmp_path / "markers"
+    markers.mkdir(exist_ok=True)
+    for work in range(12):
+        if work != victim:
+            (markers / f"{mode}-{work}.marker").touch()
+    return SweepSpec(
+        target="chaos",
+        base={"marker_dir": str(markers), **base},
+        grid={"mode": ["ok", mode], "work": list(range(12))},
+        repetitions=1,
+        seed=0,
+        name=f"chunk-{mode}",
+    )
+
+
+def charged_runs(lines):
+    """Run indices the supervisor charged, from its echo lines."""
+    return [int(line.split()[2]) for line in lines if "retrying" in line]
+
+
+def assert_clean_records(spec, report):
+    clean = run_sweep(spec, workers=1)
+    assert [strip_wall_time(r) for r in report.records] == [
+        strip_wall_time(r) for r in clean.records
+    ]
+
+
+class TestChunkAttribution:
+    """A fault inside a chunk is charged to its own run only; runs the
+    chunk finished are kept, the rest are refunded and rerun."""
+
+    def test_kill_mid_chunk_charges_only_the_killed_run(self, tmp_path):
+        spec = chunk_spec(tmp_path, "flaky_kill", victim=1)
+        lines: list[str] = []
+        metrics = MetricsRegistry()
+        report = run_sweep(
+            spec, workers=2, supervisor=FAST_POLICY, metrics=metrics,
+            echo=lines.append,
+        )
+        counters = metrics.snapshot()["counters"]
+        assert report.retries == 1 and counters["sweep.retries"] == 1
+        assert counters["sweep.failures"] == 0 and report.succeeded
+        assert counters["sweep.pool_rebuilds"] == 1
+        assert charged_runs(lines) == [13]
+        assert_clean_records(spec, report)
+
+    def test_kill_mid_chunk_keeps_the_finished_chunk_mate(self, tmp_path):
+        """Run 5 finished before its worker died on run 13: it is
+        checkpointed ``done`` and never submitted again."""
+        spec = chunk_spec(tmp_path, "flaky_kill", victim=1)
+        state = tmp_path / "state"
+        report = run_sweep(
+            spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state)
+        )
+        assert report.succeeded and report.retries == 1
+        entries = SweepManifest.load(state).entries
+        assert (entries[5]["state"], entries[5]["attempts"]) == ("done", 1)
+        assert (entries[13]["state"], entries[13]["attempts"]) == ("done", 2)
+        assert_clean_records(spec, report)
+
+    def test_interrupt_checkpoints_finished_chunk_mates(self, tmp_path):
+        """Ctrl-C while run 13 hangs: run 5, which its chunk finished, is
+        in the manifest, and a resume executes only what is not."""
+        import signal
+
+        spec = chunk_spec(tmp_path, "flaky_hang", victim=1, hang_seconds=5.0)
+        hung = tmp_path / "markers" / "flaky_hang-1.marker"
+        state = tmp_path / "state"
+
+        def interrupt(signum, frame):
+            if hung.exists():  # the hang has begun: run 5 is finished
+                raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(
+                    spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state)
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        done = SweepManifest.load(state).done_indices()
+        assert 5 in done and 13 not in done
+        report = run_sweep(
+            spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state),
+            resume=True,
+        )
+        assert report.resumed == len(done)
+        assert report.executed == len(spec.expand()) - len(done)
+        assert report.succeeded and report.retries == 0
+        assert_clean_records(spec, report)
+
+    @pytest.mark.slow
+    def test_hang_mid_chunk_charges_only_the_hung_run(self, tmp_path):
+        spec = chunk_spec(tmp_path, "flaky_hang", victim=1)
+        policy = SupervisorPolicy(
+            max_retries=2, run_timeout=1.0, backoff_base=0.02, backoff_max=0.1
+        )
+        lines: list[str] = []
+        metrics = MetricsRegistry()
+        report = run_sweep(
+            spec, workers=2, supervisor=policy, metrics=metrics,
+            echo=lines.append,
+        )
+        counters = metrics.snapshot()["counters"]
+        assert report.timeouts == 1 and counters["sweep.timeouts"] == 1
+        assert report.retries == 1 and report.succeeded
+        assert charged_runs(lines) == [13]
+        assert_clean_records(spec, report)
+
+    def test_kill_charges_only_the_dead_workers_run(self, tmp_path):
+        """The executor SIGTERMs the surviving worker mid-run when the
+        pool breaks; that run is refunded, not charged a crash."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        for mode in ("flaky_hang", "flaky_kill"):
+            (markers / f"{mode}-1.marker").touch()
+        # Four one-run chunks: run 0 sleeps 1.5 s on one worker while
+        # the other runs 1, then 2, which SIGKILLs it.
+        spec = SweepSpec(
+            target="chaos",
+            base={"marker_dir": str(markers), "hang_seconds": 1.5},
+            grid={"mode": ["flaky_hang", "flaky_kill"], "work": [0, 1]},
+            repetitions=1,
+            seed=0,
+        )
+        lines: list[str] = []
+        report = run_sweep(
+            spec, workers=2, supervisor=FAST_POLICY, echo=lines.append
+        )
+        assert report.succeeded and report.retries == 1
+        assert charged_runs(lines) == [2]
+
+
 class TestCheckpointResume:
     SPEC = SweepSpec(
         target="synchronous",
@@ -174,6 +319,30 @@ class TestCheckpointResume:
         assert [strip_wall_time(r) for r in resumed.records] == [
             strip_wall_time(r) for r in report.records
         ]
+
+    def test_resumed_runs_are_not_cache_hits(self, tmp_path):
+        from repro.sweep.cache import RunCache
+
+        state = tmp_path / "state"
+        cache = RunCache(tmp_path / "cache")
+        run_sweep(self.SPEC, cache=cache, workers=1, state_dir=str(state))
+        manifest = SweepManifest.load(state)
+        for index in (1, 3):
+            manifest.entries[index].update(state="pending", record=None, attempts=0)
+        manifest.write()
+
+        metrics = MetricsRegistry()
+        run_sweep(
+            self.SPEC, cache=cache, workers=1, state_dir=str(state), resume=True,
+            metrics=metrics,
+        )
+        counters = metrics.snapshot()["counters"]
+        # Two entries come back from the manifest, two from the cache:
+        # only the latter were cache lookups.
+        assert counters["sweep.runs_resumed"] == 2
+        assert counters["sweep.runs_cached"] == 2
+        assert counters["sweep.cache.hits"] == 2
+        assert counters["sweep.cache.misses"] == 0
 
     def test_full_resume_executes_nothing(self, tmp_path):
         state = tmp_path / "state"

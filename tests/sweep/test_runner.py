@@ -142,6 +142,28 @@ class TestRunSweep:
         assert "4 executed" in report.summary()
 
 
+class TestFailureContract:
+    """A parallel sweep with no policy runs a zero-retry supervisor; a
+    serial one runs in-process and still fails fast."""
+
+    SPEC = SweepSpec(
+        target="chaos", base={}, grid={"mode": ["ok", "raise"]},
+        repetitions=1, seed=0,
+    )
+
+    def test_parallel_raise_becomes_one_failure(self):
+        report = run_sweep(self.SPEC, workers=2)
+        [failure] = report.failures
+        assert (failure.index, failure.kind, failure.attempts) == (1, "error", 1)
+        assert "configured to fail" in failure.error
+        assert report.records[0] is not None and report.records[1] is None
+        assert report.retries == 0 and not report.succeeded
+
+    def test_serial_raise_propagates(self):
+        with pytest.raises(RuntimeError, match="configured to fail"):
+            run_sweep(self.SPEC, workers=1)
+
+
 class TestMapSubstreams:
     def test_matches_manual_loop(self):
         rngs = RngRegistry(11)
