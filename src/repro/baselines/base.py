@@ -9,7 +9,8 @@ evolves as an exact multinomial process, which
 opinion (group) the distribution over next opinions. The shared
 :func:`run_dynamics` runner draws those multinomials and reports the
 same :class:`~repro.core.results.RunResult` the paper's protocol
-runners use, so head-to-head experiments are one loop.
+runners use, so head-to-head experiments are one loop. That loop is
+also the sharded runner's (:mod:`repro.shard.dynamics`).
 
 The multinomial shortcut is exact only on the complete graph. On a
 sparse substrate (``graph=`` parameter) :func:`run_dynamics` switches
@@ -291,6 +292,10 @@ def run_dynamics(
     path supports the default scenario only. ``shards=1`` (the
     default) never touches the shard machinery.
     """
+    loop = dict(
+        max_rounds=max_rounds, epsilon=epsilon, record_trajectory=record_trajectory,
+        tracer=tracer, metrics=metrics,
+    )
     if int(shards) != 1:
         if graph is not None or round_faults is not None or assignment is not None:
             raise ConfigurationError(
@@ -300,20 +305,8 @@ def run_dynamics(
             )
         from repro.shard.dynamics import run_sharded_dynamics
 
-        return run_sharded_dynamics(
-            dynamics,
-            counts,
-            rng,
-            shards=shards,
-            max_rounds=max_rounds,
-            epsilon=epsilon,
-            record_trajectory=record_trajectory,
-            tracer=tracer,
-            metrics=metrics,
-        )
+        return run_sharded_dynamics(dynamics, counts, rng, shards=shards, **loop)
     counts = validate_counts(counts)
-    n = int(counts.sum())
-    plurality = plurality_color(counts)
     if graph is not None and isinstance(graph, CompleteGraph):
         graph = None  # identical semantics, keep the exact multinomial path
     if assignment is not None and graph is None:
@@ -323,6 +316,23 @@ def run_dynamics(
         if graph is None
         else _GraphDynamicsEngine(dynamics, counts, graph, rng, assignment=assignment)
     )
+    return _run_rounds(dynamics, counts, rng, engine, round_faults=round_faults, **loop)
+
+
+def _run_rounds(
+    dynamics: OpinionDynamics, counts: np.ndarray, rng: np.random.Generator, engine,
+    *, max_rounds, epsilon, record_trajectory, round_faults=None, tracer=None,
+    metrics=None,
+) -> RunResult:
+    """The round loop of every opinion-dynamics run, sharded or not.
+
+    ``engine=None`` runs the multinomial round in-process; otherwise a
+    round is ``engine.step(rng, round_faults=..., now=...)``, returning
+    the new state-count vector (the graph engine above, or the shard
+    stepper of :mod:`repro.shard.dynamics`).
+    """
+    n = int(counts.sum())
+    plurality = plurality_color(counts)
     state = dynamics.initial_state(counts)
     if tracer is None:
         tracer = NULL_TRACER

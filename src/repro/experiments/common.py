@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 from repro.analysis.series import Series, ascii_plot
 from repro.analysis.tables import render_markdown_table, render_table
 from repro.engine.rng import RngRegistry
+from repro.errors import ConfigurationError
 
 __all__ = ["ExperimentTable", "ExperimentResult", "repeat", "Experiment"]
 
@@ -144,19 +145,20 @@ def repeat(
 
     Each repetition draws from the substream ``"{prefix}/{index}"``, so
     results depend only on the root seed and the index — never on
-    execution order. The actual mapping is delegated to
-    :func:`repro.sweep.runner.map_substreams`, the same seam the sweep
-    orchestrator builds on; see there for why repetition-level execution
-    stays in-process while parallelism happens at the run-config level.
+    execution order. Repetitions stay serial and in-process: experiment
+    closures capture simulators and parameter objects that must not
+    cross a process boundary, so parallelism happens one level up,
+    where ``repro sweep`` and ``repro reproduce --workers`` fan out
+    *named* work units.
 
     >>> rngs = RngRegistry(5)
     >>> draws = repeat(lambda rng: float(rng.random()), rngs, "demo", 3)
     >>> draws == repeat(lambda rng: float(rng.random()), RngRegistry(5), "demo", 3)
     True
     """
-    from repro.sweep.runner import map_substreams
-
-    return map_substreams(fn, rngs, prefix, repetitions)
+    if repetitions < 1:
+        raise ConfigurationError("repetitions must be >= 1")
+    return [fn(rngs.stream(f"{prefix}/{index}")) for index in range(repetitions)]
 
 
 @dataclass(frozen=True)

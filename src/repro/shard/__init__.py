@@ -7,22 +7,25 @@ package shards them behind the simplest correct design — one controller,
 ``shards`` workers, state in :mod:`multiprocessing.shared_memory`, and a
 barrier per round (the tick-barrier controller pattern):
 
-* :mod:`repro.shard.partition` — the pure node/count partitioner and the
+* :mod:`repro.shard.partition` — the pure node/count partitioner, the
   per-shard RNG substream derivation (``SeedSequence.spawn`` children of
   the run's registry stream, so a given ``(seed, shards)`` pair is
-  bit-reproducible).
+  bit-reproducible) and the one "two nodes per shard" rule.
 * :mod:`repro.shard.runtime` — :class:`~repro.shard.runtime.SharedArray`
   (named shared-memory numpy blocks) and
   :class:`~repro.shard.runtime.ShardHarness` (worker lifecycle, the
   per-round barrier protocol, worker-crash propagation).
-* :mod:`repro.shard.count_engine` — the generic count-matrix worker and
+* :mod:`repro.shard.count_engine` — the generic count-matrix worker,
   the kernels that shard the aggregate synchronous engine and the
   anonymous opinion dynamics exactly (same law: summing independent
-  multinomials with shared probabilities is the global multinomial).
+  multinomials with shared probabilities is the global multinomial),
+  and the one builder of its plain or checkpointing harness.
 * :mod:`repro.shard.synchronous` — sharded front-ends for both
-  synchronous engines (:func:`run_sharded_synchronous`).
+  synchronous engines (:func:`run_sharded_synchronous`); they run the
+  unsharded engines' round loop with a cross-process ``step``.
 * :mod:`repro.shard.dynamics` — :func:`run_sharded_dynamics` for the
-  baseline opinion dynamics.
+  baseline opinion dynamics: a count-engine stepper driven by
+  :func:`~repro.baselines.base.run_dynamics`' own round loop.
 * :mod:`repro.shard.recovery` — the ``resumable=`` checkpoint–restart
   seam for the count engines: packed per-shard generator states, a
   checkpoint every K rounds, and a controller that survives worker

@@ -21,6 +21,8 @@ Kernels are small picklable strategy objects (they ride the worker
 payload through ``fork``/``spawn``): :class:`AggregateSyncKernel` wraps
 :func:`repro.core.synchronous.aggregate_round`,
 :class:`DynamicsKernel` wraps the baselines' multinomial round.
+:func:`count_harness` builds the harness both count engines step —
+plain, or wrapped in the ``resumable=`` checkpoint controller.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ import numpy as np
 
 from repro.baselines.base import OpinionDynamics, _multinomial_round
 from repro.core.synchronous import aggregate_round
-from repro.shard.runtime import ROUND, ShardWorkerContext, SharedArray
+import repro.shard.recovery as recovery
+from repro.shard.runtime import ROUND, ShardHarness, ShardWorkerContext, SharedArray
 
-__all__ = ["AggregateSyncKernel", "DynamicsKernel", "count_worker"]
+__all__ = ["AggregateSyncKernel", "DynamicsKernel", "count_worker", "count_harness"]
 
 
 class AggregateSyncKernel:
@@ -105,9 +108,7 @@ def count_worker(ctx: ShardWorkerContext, payload: dict) -> None:
     if payload.get("rng_state_spec") is not None:
         rng_states = SharedArray.attach(payload["rng_state_spec"])
     if payload.get("resume"):
-        from repro.shard.recovery import restored_generator
-
-        rng = restored_generator(rng_states.array[ctx.index])
+        rng = recovery.restored_generator(rng_states.array[ctx.index])
     else:
         rng = np.random.Generator(np.random.PCG64(payload["seed_seq"]))
     kernel = payload["kernel"]
@@ -129,11 +130,51 @@ def count_worker(ctx: ShardWorkerContext, payload: dict) -> None:
                 and checkpoint_every
                 and int(ctx.control[ROUND]) % checkpoint_every == 0
             ):
-                from repro.shard.recovery import pack_pcg64_state
-
-                rng_states.array[ctx.index] = pack_pcg64_state(rng.bit_generator.state)
+                rng_states.array[ctx.index] = recovery.pack_pcg64_state(
+                    rng.bit_generator.state
+                )
             ctx.wait()  # everyone has written; controller may inspect
     finally:
         slots.close()
         if rng_states is not None:
             rng_states.close()
+
+
+def count_harness(
+    slots: SharedArray, kernel, seeds, *, start_method: str | None = None,
+    metrics=None, resumable: bool = False, checkpoint_every: int = 100,
+    max_restarts: int = 2,
+):
+    """One :func:`count_worker` per seed over ``slots`` (still the caller's).
+
+    A bare :class:`~repro.shard.runtime.ShardHarness`, or with
+    ``resumable=True`` a :class:`~repro.shard.recovery.CheckpointingController`
+    that owns the shared generator-state rows.
+    """
+
+    def build(**seam) -> ShardHarness:
+        payloads = [
+            {"slots_spec": slots.spec, "kernel": kernel, "seed_seq": seed, **seam}
+            for seed in seeds
+        ]
+        return ShardHarness(
+            count_worker, payloads, phases=2, start_method=start_method,
+            metrics=metrics,
+        )
+
+    if not resumable:
+        return build()
+    every = int(checkpoint_every)
+    rng_states = SharedArray.create((len(seeds), recovery.PCG64_STATE_WORDS), np.uint64)
+    try:
+        rng_states.array[:] = recovery.initial_rng_states(seeds)
+        return recovery.CheckpointingController(
+            lambda resume: build(
+                rng_state_spec=rng_states.spec, checkpoint_every=every, resume=resume
+            ),
+            slots=slots, rng_states=rng_states, checkpoint_every=every,
+            max_restarts=int(max_restarts), metrics=metrics,
+        )
+    except BaseException:
+        rng_states.close()
+        raise

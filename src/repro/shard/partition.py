@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["partition_nodes", "partition_counts", "shard_seed_sequences"]
+__all__ = [
+    "partition_nodes", "partition_counts", "shard_seed_sequences", "check_shard_size"
+]
 
 
 def _validate_shards(n: int, shards: int) -> tuple[int, int]:
@@ -28,6 +30,20 @@ def _validate_shards(n: int, shards: int) -> tuple[int, int]:
             f"cannot partition {n} nodes into {shards} non-empty shards"
         )
     return n, shards
+
+
+def check_shard_size(n: int, shards: int) -> int:
+    """``shards`` as an int, once ``n`` leaves every shard two nodes.
+
+    The shard-size rule every sharded engine applies (the population
+    scheduler draws pairs of distinct nodes inside each shard's slice).
+    """
+    shards = int(shards)
+    if n < 2 * shards:
+        raise ConfigurationError(
+            f"n={n} is too small for {shards} shards (need >= 2 nodes per shard)"
+        )
+    return shards
 
 
 def partition_nodes(n: int, shards: int) -> list[tuple[int, int]]:

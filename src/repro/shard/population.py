@@ -17,7 +17,7 @@ Every interaction — intra-shard and exchange — advances the interaction
 clock, so a round costs ``shards * block + exchange`` interactions and
 *parallel time* keeps its standard meaning. The pair law differs from
 uniform-over-all-pairs by the missing intra-round cross-shard pairs
-(an O(1/shards) rate perturbation with the default ``exchange``), which
+(an O(1/shards) rate perturbation with this ``exchange``), which
 is why the equivalence harness gates this engine on confidence-interval
 overlap of convergence-time distributions rather than exact identity —
 unlike the count engines, whose sharding is distribution-exact.
@@ -37,8 +37,7 @@ from repro.baselines.population import (
     PopulationResult,
 )
 from repro.engine.tracing import NULL_TRACER
-from repro.errors import ConfigurationError
-from repro.shard.partition import partition_nodes, shard_seed_sequences
+from repro.shard.partition import check_shard_size, partition_nodes, shard_seed_sequences
 from repro.shard.runtime import ShardHarness, ShardWorkerContext, SharedArray
 from repro.workloads.bias import validate_counts
 
@@ -105,18 +104,15 @@ def run_sharded_population(
     *,
     shards: int,
     max_interactions: int | None = None,
-    block: int | None = None,
-    exchange: int | None = None,
     tracer=None,
     start_method: str | None = None,
     metrics=None,
 ) -> PopulationResult:
     """Run ``protocol`` across ``shards`` workers; see the module docstring.
 
-    ``block`` (default ``max(256, n // (4 * shards))``) is the
-    interactions each shard runs per round; ``exchange`` (default
-    ``max(128, shards * block // 4)``) the controller-run cross-shard
-    interactions between rounds.
+    Each round every shard runs ``block = max(256, n // (4 * shards))``
+    interactions, then the controller runs ``exchange = max(128,
+    shards * block // 4)`` cross-shard interactions.
     """
     shards = int(shards)
     if shards == 1:
@@ -126,22 +122,16 @@ def run_sharded_population(
         )
     state = protocol.initial_state(validate_counts(counts))
     n = int(state.sum())
-    if n < 2 * shards:
-        raise ConfigurationError(
-            f"population of {n} is too small for {shards} shards "
-            "(need >= 2 nodes per shard)"
-        )
+    check_shard_size(n, shards)
     if max_interactions is None:
         max_interactions = 500 * n * max(8, int(np.log2(n)) ** 2)
-    if block is None:
-        block = max(256, n // (4 * shards))
-    if exchange is None:
-        # Calibrated against the unsharded scheduler: below ~an eighth of
-        # a round's intra-shard budget, convergence-time distributions
-        # drift outside the 95% CI-overlap gate at n=2000 (the true pair
-        # law makes 1 - 1/shards of pairs cross-shard; the exchange pass
-        # only needs to keep global counts mixing, not match that rate).
-        exchange = max(128, shards * block // 4)
+    block = max(256, n // (4 * shards))
+    # Calibrated against the unsharded scheduler: below ~an eighth of a
+    # round's intra-shard budget, convergence-time distributions drift
+    # outside the 95% CI-overlap gate at n=2000 (the true pair law makes
+    # 1 - 1/shards of pairs cross-shard; the exchange pass only needs to
+    # keep global counts mixing, not match that rate).
+    exchange = max(128, shards * block // 4)
     num_states = int(state.size)
     trans = [
         [protocol.delta(a, b) for b in range(num_states)] for a in range(num_states)

@@ -115,7 +115,8 @@ class CheckpointingController:
     reconstruct generators from the shared state rows).
 
     ``max_restarts`` bounds recovery attempts per run; exhausting it
-    re-raises the last :class:`~repro.shard.runtime.ShardError`.
+    re-raises the last :class:`~repro.shard.runtime.ShardError`. The
+    controller owns ``rng_states`` and releases it in :meth:`close`.
     """
 
     def __init__(
@@ -199,6 +200,10 @@ class CheckpointingController:
             self._snapshot()
 
     def close(self) -> None:
+        """Stop the workers and release the generator-state block."""
         if self._harness is not None:
             self._harness.close()
             self._harness = None
+        if self._rng_states is not None:
+            self._rng_states.close()
+            self._rng_states = None

@@ -51,8 +51,10 @@ from repro.core.synchronous import (
 )
 from repro.engine.tracing import Tracer
 from repro.errors import ConfigurationError
-from repro.shard.count_engine import AggregateSyncKernel, count_worker
-from repro.shard.partition import partition_counts, partition_nodes, shard_seed_sequences
+from repro.shard.count_engine import AggregateSyncKernel, count_harness
+from repro.shard.partition import (
+    check_shard_size, partition_counts, partition_nodes, shard_seed_sequences
+)
 from repro.shard.runtime import ShardHarness, ShardWorkerContext, SharedArray
 from repro.workloads.opinions import counts_to_assignment
 
@@ -70,11 +72,7 @@ def _validate_shard_run(n: int, shards: int) -> int:
             "sharded simulators need shards >= 2; shards=1 is the unsharded "
             "engine (run_sharded_synchronous routes it automatically)"
         )
-    if n < 2 * shards:
-        raise ConfigurationError(
-            f"n={n} is too small for {shards} shards (need >= 2 nodes per shard)"
-        )
-    return shards
+    return check_shard_size(n, shards)
 
 
 class _ShardedSynchronousBase(_SynchronousBase):
@@ -93,9 +91,7 @@ class _ShardedSynchronousBase(_SynchronousBase):
         if self._harness is not None:
             self._harness.close()
             self._harness = None
-        for name in (
-            "_slots", "_rng_states", "_shared_colors", "_shared_generations", "_tally"
-        ):
+        for name in ("_slots", "_shared_colors", "_shared_generations", "_tally"):
             block = getattr(self, name, None)
             if block is not None:
                 block.close()
@@ -135,57 +131,12 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
             slot_counts = partition_counts(counts, self.shards)
             self._slots = SharedArray.create((self.shards, self._rows, self.k), np.int64)
             self._slots.array[:, 0, :] = slot_counts
-            seeds = shard_seed_sequences(rng, self.shards)
-            kernel = AggregateSyncKernel(self.n, promotion)
-            if resumable:
-                # Recovery seam: shared generator-state rows + a checkpoint
-                # controller that restarts the round loop on ShardError (see
-                # repro.shard.recovery for the determinism contract).
-                from repro.shard.recovery import (
-                    PCG64_STATE_WORDS,
-                    CheckpointingController,
-                    initial_rng_states,
-                )
-
-                self._rng_states = SharedArray.create(
-                    (self.shards, PCG64_STATE_WORDS), np.uint64
-                )
-                self._rng_states.array[:] = initial_rng_states(seeds)
-
-                def build(resume: bool) -> ShardHarness:
-                    payloads = [
-                        {
-                            "slots_spec": self._slots.spec,
-                            "kernel": kernel,
-                            "seed_seq": seed,
-                            "rng_state_spec": self._rng_states.spec,
-                            "checkpoint_every": int(checkpoint_every),
-                            "resume": resume,
-                        }
-                        for seed in seeds
-                    ]
-                    return ShardHarness(
-                        count_worker, payloads, phases=2, start_method=start_method,
-                        metrics=metrics,
-                    )
-
-                self._harness = CheckpointingController(
-                    build,
-                    slots=self._slots,
-                    rng_states=self._rng_states,
-                    checkpoint_every=int(checkpoint_every),
-                    max_restarts=int(max_restarts),
-                    metrics=metrics,
-                )
-            else:
-                payloads = [
-                    {"slots_spec": self._slots.spec, "kernel": kernel, "seed_seq": seed}
-                    for seed in seeds
-                ]
-                self._harness = ShardHarness(
-                    count_worker, payloads, phases=2, start_method=start_method,
-                    metrics=metrics,
-                )
+            self._harness = count_harness(
+                self._slots, AggregateSyncKernel(self.n, promotion),
+                shard_seed_sequences(rng, self.shards), start_method=start_method,
+                metrics=metrics, resumable=resumable,
+                checkpoint_every=checkpoint_every, max_restarts=max_restarts,
+            )
         except BaseException:
             self.close()
             raise

@@ -24,7 +24,6 @@ from repro.sweep.cache import CacheStats, RunCache
 from repro.sweep.runner import (
     SweepReport,
     execute_run,
-    map_substreams,
     run_experiments,
     run_sweep,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CacheStats",
     "run_sweep",
     "execute_run",
-    "map_substreams",
     "run_experiments",
     "SweepReport",
     "aggregate_table",

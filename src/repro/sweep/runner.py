@@ -22,9 +22,7 @@ The same module hosts the experiment-level plumbing used by
 ``repro reproduce``: :func:`run_experiments` fans whole registry
 experiments out across workers and caches their rendered
 :class:`~repro.experiments.common.ExperimentResult` by
-``(experiment, quick, seed, library version)``, and
-:func:`map_substreams` is the in-process repetition seam that
-:func:`repro.experiments.common.repeat` delegates to.
+``(experiment, quick, seed, library version)``.
 
 Examples
 --------
@@ -61,7 +59,6 @@ __all__ = [
     "execute_run",
     "run_sweep",
     "SweepReport",
-    "map_substreams",
     "run_experiments",
     "experiment_config",
 ]
@@ -429,27 +426,6 @@ def _harvest_sweep_metrics(
                 pass
     finally:
         shutil.rmtree(metrics_dir, ignore_errors=True)
-
-
-def map_substreams(
-    fn: Callable[[np.random.Generator], Any],
-    rngs: RngRegistry,
-    prefix: str,
-    repetitions: int,
-) -> list[Any]:
-    """Apply ``fn`` to ``repetitions`` independent substreams, in order.
-
-    This is the in-process repetition seam behind
-    :func:`repro.experiments.common.repeat`. It stays serial by design:
-    experiment closures capture simulators and parameter objects that
-    must not cross a process boundary, and the substream-per-repetition
-    contract already makes the results order-independent — process-level
-    parallelism happens one level up, where ``repro sweep`` and
-    ``repro reproduce --workers`` fan out *named* work units instead.
-    """
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be >= 1")
-    return [fn(rngs.stream(f"{prefix}/{index}")) for index in range(repetitions)]
 
 
 # --------------------------------------------------------------------------

@@ -351,6 +351,14 @@ def _scenario_placement(
     )
 
 
+def _positive_int(p: Mapping[str, Any], key: str) -> int:
+    """``p[key]`` if it is an int >= 1; ``int()`` would truncate ``2.5``."""
+    value = p[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _validate_shardable(p: Mapping[str, Any]) -> None:
     """Fail fast on ``shards > 1`` with axes the sharded engines lack.
 
@@ -361,9 +369,7 @@ def _validate_shardable(p: Mapping[str, Any]) -> None:
     axis: silently running different physics under a sharded label is
     worse than an upfront error.
     """
-    shards = int(p["shards"])
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {p['shards']!r}")
+    shards = _positive_int(p, "shards")
     if shards == 1:
         return
     problems = []
@@ -684,7 +690,12 @@ _POPULATION_DEFAULTS: dict[str, Any] = {
 }
 
 
-@register_target("population", _POPULATION_DEFAULTS, validate=_validate_shardable)
+def _validate_population(p: Mapping[str, Any]) -> None:
+    _validate_shardable(p)
+    _positive_int(p, "check_every")
+
+
+@register_target("population", _POPULATION_DEFAULTS, validate=_validate_population)
 def population_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:
@@ -704,7 +715,7 @@ def population_target(
     )
 
     p = _take(params, _POPULATION_DEFAULTS)
-    _validate_shardable(p)
+    _validate_population(p)
     if p["protocol"] == "three_state":
         protocol = ThreeStateMajority()
     elif p["protocol"] == "four_state":

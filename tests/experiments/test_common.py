@@ -57,6 +57,19 @@ class TestRepeat:
         with pytest.raises(ConfigurationError):
             repeat(lambda rng: None, RngRegistry(0), "r", 0)
 
+    def test_matches_manual_loop(self):
+        values = repeat(lambda rng: float(rng.random()), RngRegistry(11), "p", 3)
+        manual = [float(RngRegistry(11).stream(f"p/{i}").random()) for i in range(3)]
+        assert values == manual
+
+    def test_order_independent_of_prior_draws(self):
+        # Drawing from unrelated streams first must not perturb results.
+        rngs = RngRegistry(11)
+        rngs.stream("noise").random(100)
+        values = repeat(lambda rng: float(rng.random()), rngs, "p", 3)
+        fresh = repeat(lambda rng: float(rng.random()), RngRegistry(11), "p", 3)
+        assert values == fresh
+
 
 class TestExperimentEntry:
     def test_runner_invoked_with_flags(self):

@@ -15,15 +15,12 @@ from __future__ import annotations
 import pytest
 
 import repro.sweep.runner as runner_module
-from repro.engine.rng import RngRegistry
 from repro.errors import ConfigurationError
-from repro.experiments.common import repeat
 from repro.sweep.aggregate import aggregate_table
 from repro.sweep.cache import RunCache
 from repro.sweep.runner import (
     execute_run,
     experiment_config,
-    map_substreams,
     run_experiments,
     run_sweep,
 )
@@ -162,34 +159,6 @@ class TestFailureContract:
     def test_serial_raise_propagates(self):
         with pytest.raises(RuntimeError, match="configured to fail"):
             run_sweep(self.SPEC, workers=1)
-
-
-class TestMapSubstreams:
-    def test_matches_manual_loop(self):
-        rngs = RngRegistry(11)
-        values = map_substreams(lambda rng: float(rng.random()), rngs, "p", 3)
-        manual = [float(RngRegistry(11).stream(f"p/{i}").random()) for i in range(3)]
-        assert values == manual
-
-    def test_order_independent_of_prior_draws(self):
-        # Drawing from unrelated streams first must not perturb results.
-        rngs = RngRegistry(11)
-        rngs.stream("noise").random(100)
-        values = map_substreams(lambda rng: float(rng.random()), rngs, "p", 3)
-        fresh = map_substreams(
-            lambda rng: float(rng.random()), RngRegistry(11), "p", 3
-        )
-        assert values == fresh
-
-    def test_bad_repetitions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            map_substreams(lambda rng: None, RngRegistry(0), "p", 0)
-
-    def test_experiments_repeat_delegates_here(self):
-        values = repeat(lambda rng: float(rng.random()), RngRegistry(5), "x", 2)
-        assert values == map_substreams(
-            lambda rng: float(rng.random()), RngRegistry(5), "x", 2
-        )
 
 
 class TestRunExperiments:

@@ -316,8 +316,18 @@ class TestErrorBoundary:
             ["demo", "--asynchronous", "--shards", "2"],
             ["sweep", "--no-cache"],
             ["sweep", "single_leader", "--set", "drop=1.5", "--no-cache"],
+            ["sweep", "voter", "--set", "n=200", "--set", "shards=abc", "--no-cache"],
+            ["sweep", "voter", "--set", "n=200", "--set", "shards=2.5", "--no-cache"],
+            [
+                "sweep", "population", "--set", "n=200", "--set", "check_every=0",
+                "--no-cache",
+            ],
         ],
-        ids=["demo-sync", "demo-async", "demo-shards", "sweep-no-target", "sweep-bad-knob"],
+        ids=[
+            "demo-sync", "demo-async", "demo-shards", "sweep-no-target",
+            "sweep-bad-knob", "sweep-shards-not-int", "sweep-shards-fraction",
+            "sweep-check-every-zero",
+        ],
     )
     def test_configuration_error_is_one_line_exit_2(self, argv, capsys):
         assert main(argv) == 2
