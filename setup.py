@@ -14,7 +14,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # The compiled single-leader core builds from its C source at run time.
-    package_data={"repro.core": ["_slcore.c"]},
+    package_data={"repro.core": ["_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},

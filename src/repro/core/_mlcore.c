@@ -1,0 +1,866 @@
+/* Compiled multi-leader core: MultiLeaderConsensusSim.run on K_n, in C.
+ *
+ * One call, run_multileader(proto, horizon, funcs, wiring, kinds),
+ * replaces proto.sim.run(until=horizon) for an eligible
+ * MultiLeaderConsensusSim (see MultiLeaderConsensusSim._core_seam).  It
+ * loads the protocol's state (Algorithm 4's per-node state and every
+ * cluster leader's Algorithm 5 state) out of the Python objects, runs
+ * the unpolled event loop with the handlers inlined, and writes every
+ * piece of state back, so the Python engine can inspect the result or
+ * continue the run exactly.
+ *
+ * The byte-identity rules are the single-leader core's (_slcore.c):
+ * events pop in (time, seq) order; the core never draws, but calls a
+ * pool's _refill_array() when its block runs out; the handlers repeat
+ * the Python arithmetic op for op; and leader transitions and
+ * generation births call back into Python (ClusterLeaderState._record,
+ * proto._record_birth), which record what the Python engine would.
+ *
+ * wiring is None on a simulator of the protocol's own, or the
+ * repro.scenarios.faults.FaultInjection that wraps it, whose fault
+ * models kinds names in order (FAULT_* below; no churn).  The core then
+ * does what the wrapped scheduling methods do: classify by handler,
+ * run the transforms in model order, file a signal block entry by
+ * entry at now + (time - now), take a sequence number for each drop,
+ * and unlock the sender of a dropped exchange.
+ *
+ * A state the core does not model makes run_multileader() return
+ * False before anything is consumed; the caller then runs Python.
+ */
+#include "_fastcore.h"
+
+/* The events, numbered like their handlers in funcs: tick(a),
+ * exchange((a, b, c, d)) and deliver_signal((leaders[a], b, c, d)). */
+enum { EV_TICK, EV_EXCHANGE, EV_SIGNAL };
+
+/* ClusterLeaderState.state */
+enum { STATE_TWO_CHOICES = 1, STATE_SLEEPING = 2, STATE_PROPAGATION = 3 };
+
+/* The fault models the core runs (the kinds argument). */
+enum { FAULT_IID, FAULT_BURSTY, FAULT_STRAGGLERS };
+
+typedef struct {
+    PyObject *obj;
+    int kind;
+    /* IidDrop: rate; GilbertElliottDrop: the rest */
+    double rate, drop_good, drop_bad, to_bad, to_good;
+    int bad;
+    long long dropped, bursts;
+    /* Stragglers */
+    signed char *slow;
+    double slowdown;
+    Pool pool;
+} Fault;
+
+/* One ClusterLeaderState. */
+typedef struct {
+    PyObject *obj;
+    long long gen, state, tick_count, gen_size;
+    long long sleep_thr, prop_thr, gen_thr, max_gen;
+} Leader;
+
+typedef struct {
+    PyObject *proto, *sim, *queue, *funcs, *wiring, *kinds;
+    int n, k, window, plurality, nleaders, nfaults;
+    Py_ssize_t rows;
+    long long max_generation;
+    /* per-node state */
+    int *cols, *gens, *tmp_gen, *tmp_state, *credit;
+    int *lidx;  /* index of the node's active leader in leaders, or -1 */
+    int *leader_index; /* leader node -> index in leaders, or -1 */
+    signed char *finished, *locked;
+    signed char *birth_seen; /* per generation */
+    long long *matrix, *counts;
+    double *waits, *lats, *ticks;
+    Leader *leaders;
+    Fault *faults;
+    long long good, total;
+    EpsTarget eps;
+    /* fault seam */
+    long long dropped_messages, dropped_exchanges;
+    /* simulator */
+    double now;
+    long long next_seq, executed, flushes, flushed_events;
+    int stop;
+    EventHeap heap;
+    Pool tick_wait, latency, channel, neighbor;
+} ML;
+
+static PyObject *str_relay, *str_ticks, *str_gen_size;
+
+/* ------------------------------------------------------------------ */
+/* scheduling and the fault seam                                      */
+/* ------------------------------------------------------------------ */
+
+static inline int schedule(ML *c, double time, int kind, int a, int b, int x, int d)
+{
+    Event e = {time, c->next_seq++ << KIND_BITS | kind, a, b, x, d};
+    return ev_push(&c->heap, &e);
+}
+
+/* FaultInjection._schedule_in's transform chain over one message
+ * (node < 0) or one exchange of node: 1 = file after *delay, 0 =
+ * dropped, -1 = error. */
+static int transform(ML *c, int node, double *delay)
+{
+    for (int i = 0; i < c->nfaults; i++) {
+        Fault *f = &c->faults[i];
+        double u;
+        switch (f->kind) {
+        case FAULT_IID:
+            if (f->rate != 0.0) {
+                if (pool_next(&f->pool, &u) < 0)
+                    return -1;
+                if (u < f->rate) {
+                    f->dropped++;
+                    return 0;
+                }
+            }
+            break;
+        case FAULT_BURSTY:
+            if (pool_next(&f->pool, &u) < 0)
+                return -1;
+            if (f->bad) {
+                if (u < f->to_good)
+                    f->bad = 0;
+            }
+            else if (u < f->to_bad) {
+                f->bad = 1;
+                f->bursts++;
+            }
+            if (pool_next(&f->pool, &u) < 0)
+                return -1;
+            if (u < (f->bad ? f->drop_bad : f->drop_good)) {
+                f->dropped++;
+                return 0;
+            }
+            break;
+        default:
+            if (node >= 0 && f->slow[node])
+                *delay = *delay * f->slowdown;
+            break;
+        }
+    }
+    return 1;
+}
+
+/* A _deliver_signal scheduled delay from now, through the seam. */
+static int send_message(ML *c, double delay, int leader, int i, int s, int changed)
+{
+    if (c->wiring) {
+        int rc = transform(c, -1, &delay);
+        if (rc <= 0) {
+            if (rc < 0)
+                return -1;
+            /* _note_drop, then reserve_handle */
+            c->dropped_messages++;
+            c->next_seq++;
+            return 0;
+        }
+    }
+    return schedule(c, c->now + delay, EV_SIGNAL, leader, i, s, changed);
+}
+
+/* _signal: leader is the sending node's leader index (-1: no signal). */
+static int signal_leader(ML *c, int leader, int i, int s, int changed)
+{
+    if (leader < 0)
+        return 0;
+    double delay;
+    if (pool_next(&c->latency, &delay) < 0)
+        return -1;
+    return send_message(c, delay, leader, i, s, changed);
+}
+
+/* _refill_window (window >= 2): the next tick window and its
+ * (0, 3, ·)-signal fan-out. */
+static int refill_window(ML *c, int node)
+{
+    int w = c->window, leader = c->lidx[node];
+    double now = c->now;
+    if (pool_take(&c->tick_wait, w, c->waits) < 0 || pool_take(&c->latency, w, c->lats) < 0)
+        return -1;
+    double total = 0.0;
+    for (int j = 0; j < w; j++) {
+        total += c->waits[j];
+        c->ticks[j] = total + now;
+    }
+    /* line 1's signal for the firing tick */
+    CHECK(send_message(c, c->lats[0], leader, 0, STATE_PROPAGATION, 0));
+    CHECK(schedule(c, now + c->waits[0], EV_TICK, node, 0, 0, 0));
+    /* schedule_many_at: the tick block goes to the simulator whole */
+    for (int j = 1; j < w; j++) {
+        double t = c->wiring ? now + (c->ticks[j] - now) : c->ticks[j];
+        CHECK(schedule(c, t, EV_TICK, node, 0, 0, 0));
+    }
+    c->flushes++;
+    c->flushed_events += w - 1;
+    /* The signal block: whole without faults, else entry by entry
+     * through the scalar seam. */
+    for (int j = 1; j < w; j++) {
+        double sig = c->ticks[j - 1] + c->lats[j];
+        if (c->wiring)
+            CHECK(send_message(c, sig - now, leader, 0, STATE_PROPAGATION, 0));
+        else
+            CHECK(schedule(c, sig, EV_SIGNAL, leader, 0, STATE_PROPAGATION, 0));
+    }
+    if (!c->wiring) {
+        c->flushes++;
+        c->flushed_events += w - 1;
+    }
+    c->credit[node] = w;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* handlers (MultiLeaderConsensusSim, ClusterLeaderState)             */
+/* ------------------------------------------------------------------ */
+
+static int record_birth(ML *c, int gen)
+{
+    PyObject *row = ll_list(c->matrix + (Py_ssize_t)gen * c->k, c->k);
+    if (!row)
+        return -1;
+    PyObject *res = PyObject_CallMethod(c->proto, "_record_birth", "idO", gen, c->now, row);
+    Py_DECREF(row);
+    if (!res)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* _set_state */
+static int set_state(ML *c, int node, int gen, int col)
+{
+    int old_gen = c->gens[node], old_col = c->cols[node];
+    if (old_gen == gen && old_col == col)
+        return 0;
+    c->matrix[(Py_ssize_t)old_gen * c->k + old_col] -= 1;
+    c->matrix[(Py_ssize_t)gen * c->k + col] += 1;
+    if (col != old_col) {
+        c->counts[old_col] -= 1;
+        long long count = ++c->counts[col];
+        if (c->eps.has && !c->eps.hit && col == c->plurality && count >= c->eps.target) {
+            c->eps.hit = 1;
+            c->eps.time = c->now;
+            if (c->eps.stop)
+                c->stop = 1;
+        }
+        if (count == c->n)
+            c->stop = 1;
+    }
+    c->gens[node] = gen;
+    c->cols[node] = col;
+    if (!c->birth_seen[gen]) {
+        c->birth_seen[gen] = 1;
+        return record_birth(c, gen);
+    }
+    return 0;
+}
+
+/* _tick */
+static int tick(ML *c, int node)
+{
+    c->total++;
+    int credit = c->credit[node] - 1;
+    if (credit)
+        c->credit[node] = credit;
+    else if (refill_window(c, node) < 0)
+        return -1;
+    if (c->locked[node])
+        return 0;
+    c->locked[node] = 1;
+    c->good++;
+    long long v[3];
+    for (int j = 0; j < 3; j++) {
+        if (pool_next_int(&c->neighbor, &v[j]) < 0)
+            return -1;
+        if (v[j] >= node)
+            v[j]++;
+    }
+    double delay;
+    if (pool_next(&c->channel, &delay) < 0)
+        return -1;
+    if (c->wiring) {
+        int rc = transform(c, node, &delay);
+        if (rc <= 0) {
+            if (rc < 0)
+                return -1;
+            /* _note_drop: the failed channel unlocks its sender */
+            c->dropped_exchanges++;
+            c->locked[node] = 0;
+            c->next_seq++;
+            return 0;
+        }
+    }
+    return schedule(c, c->now + delay, EV_EXCHANGE, node, (int)v[0], (int)v[1], (int)v[2]);
+}
+
+/* _exchange */
+static int exchange(ML *c, int node, int v1, int v2, int v3)
+{
+    int *gens = c->gens, *cols = c->cols;
+    signed char *finished = c->finished;
+    int samples[3] = {v1, v2, v3};
+    int own = c->lidx[node];
+    /* Lines 5-7: finished-flag push / pull. */
+    if (finished[node]) {
+        int col = cols[node];
+        for (int j = 0; j < 3; j++) {
+            CHECK(set_state(c, samples[j], gens[samples[j]], col));
+            finished[samples[j]] = 1;
+        }
+        c->locked[node] = 0;
+        return 0;
+    }
+    for (int j = 0; j < 3; j++) {
+        if (finished[samples[j]]) {
+            CHECK(set_state(c, node, gens[node], cols[samples[j]]));
+            finished[node] = 1;
+            c->locked[node] = 0;
+            return 0;
+        }
+    }
+    int sampled = c->lidx[v3];
+    if (sampled < 0) {
+        /* Line 8: non-active cluster sampled. */
+        c->locked[node] = 0;
+        return 0;
+    }
+    long long l_gen = c->leaders[sampled].gen, l_state = c->leaders[sampled].state;
+    int own_gen = gens[node];
+    int gen_a = gens[v1], col_a = cols[v1];
+    int gen_b = gens[v2], col_b = cols[v2];
+    int in_sync_a = c->tmp_gen[v1] == l_gen && c->tmp_state[v1] == l_state;
+    int in_sync_b = c->tmp_gen[v2] == l_gen && c->tmp_state[v2] == l_state;
+    int promoted = 0;
+    if (l_state == STATE_TWO_CHOICES && gen_a == gen_b && gen_b == l_gen - 1 && col_a == col_b
+        && own_gen <= gen_a && in_sync_a && in_sync_b) {
+        CHECK(set_state(c, node, (int)l_gen, col_a));
+        CHECK(signal_leader(c, own, (int)l_gen, STATE_TWO_CHOICES, 1));
+        promoted = 1;
+    }
+    else if (l_state == STATE_PROPAGATION) {
+        int candidate = -1;
+        if (gen_a == l_gen && own_gen < gen_a && in_sync_a)
+            candidate = v1;
+        else if (gen_b == l_gen && own_gen < gen_b && in_sync_b)
+            candidate = v2;
+        if (candidate >= 0) {
+            CHECK(set_state(c, node, gens[candidate], cols[candidate]));
+            CHECK(signal_leader(c, own, gens[node], STATE_PROPAGATION, 1));
+            promoted = 1;
+        }
+    }
+    /* Line 18: relay the sampled leader's state to the own leader. */
+    if (!promoted)
+        CHECK(signal_leader(c, own, (int)l_gen, (int)l_state, 0));
+    /* Line 19: refresh the stored view of the own leader. */
+    if (own >= 0) {
+        c->tmp_gen[node] = (int)c->leaders[own].gen;
+        c->tmp_state[node] = (int)c->leaders[own].state;
+    }
+    /* Line 20: the generation budget is the finish line. */
+    if (gens[node] >= c->max_generation)
+        finished[node] = 1;
+    c->locked[node] = 0;
+    return 0;
+}
+
+/* ClusterLeaderState._record, after publishing (gen, state). */
+static int record_transition(ML *c, Leader *l, PyObject *cause)
+{
+    CHECK(set_ll(l->obj, "gen", l->gen));
+    CHECK(set_ll(l->obj, "state", l->state));
+    PyObject *res = PyObject_CallMethod(l->obj, "_record", "dO", c->now, cause);
+    if (!res)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* _deliver_signal -> ClusterLeaderState.on_signal */
+static int deliver_signal(ML *c, int leader, int i, int s, int changed)
+{
+    Leader *l = &c->leaders[leader];
+    if (i > 0 && (i > l->gen || (i == l->gen && s > l->state))) {
+        if (i > l->gen)
+            l->gen_size = 0;
+        l->gen = i;
+        l->state = s;
+        if (s == STATE_TWO_CHOICES)
+            l->tick_count = 0;
+        else if (s == STATE_SLEEPING)
+            l->tick_count = l->sleep_thr;
+        else
+            l->tick_count = l->prop_thr;
+        CHECK(record_transition(c, l, str_relay));
+    }
+    if (i == 0) {
+        l->tick_count++;
+        if (l->tick_count >= l->sleep_thr && l->state == STATE_TWO_CHOICES) {
+            l->state = STATE_SLEEPING;
+            return record_transition(c, l, str_ticks);
+        }
+        if (l->tick_count >= l->prop_thr && l->state == STATE_SLEEPING) {
+            l->state = STATE_PROPAGATION;
+            return record_transition(c, l, str_ticks);
+        }
+        return 0;
+    }
+    if (i == l->gen && changed) {
+        l->gen_size++;
+        if (l->gen_size >= l->gen_thr && l->gen < l->max_gen) {
+            l->gen++;
+            l->state = STATE_TWO_CHOICES;
+            l->tick_count = 0;
+            l->gen_size = 0;
+            return record_transition(c, l, str_gen_size);
+        }
+    }
+    return 0;
+}
+
+/* Simulator._run_free over an empty tally stream */
+static int run_loop(ML *c, double horizon)
+{
+    long long budget = SIGNAL_CHECK_EVERY;
+    while (c->heap.len) {
+        double due = c->heap.v[0].time;
+        if (due > horizon) {
+            c->now = horizon;
+            return 0;
+        }
+        Event e = c->heap.v[0];
+        ev_pop(&c->heap);
+        c->now = due;
+        int rc;
+        switch (ev_kind(&e)) {
+        case EV_TICK:
+            rc = tick(c, e.a);
+            break;
+        case EV_EXCHANGE:
+            rc = exchange(c, e.a, e.b, e.c, e.d);
+            break;
+        default:
+            rc = deliver_signal(c, e.a, e.b, e.c, e.d);
+            break;
+        }
+        if (rc < 0)
+            return -1;
+        c->executed++;
+        if (c->stop)
+            return 0;
+        if (--budget <= 0) {
+            budget = SIGNAL_CHECK_EVERY;
+            if (PyErr_CheckSignals() < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* loading and storing the Python state                               */
+/* ------------------------------------------------------------------ */
+
+static int load_payload(void *core, int kind, PyObject *payload, Event *e)
+{
+    ML *c = core;
+    if (kind == EV_TICK) {
+        /* Only active members tick (a tick files the member's signals). */
+        int rc = int_arg(payload, c->n, &e->a);
+        return rc == 1 ? c->lidx[e->a] >= 0 : rc;
+    }
+    if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 4)
+        return 0;
+    if (kind == EV_EXCHANGE) {
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
+        if (rc == 1)
+            rc = int_arg(PyTuple_GET_ITEM(payload, 1), c->n, &e->b);
+        if (rc == 1)
+            rc = int_arg(PyTuple_GET_ITEM(payload, 2), c->n, &e->c);
+        if (rc == 1)
+            rc = int_arg(PyTuple_GET_ITEM(payload, 3), c->n, &e->d);
+        return rc;
+    }
+    if (kind != EV_SIGNAL)
+        return 0;
+    /* (leader state, i, s, has_changed) */
+    PyObject *state = PyTuple_GET_ITEM(payload, 0);
+    PyObject *node = PyObject_GetAttrString(state, "node");
+    if (!node) {
+        PyErr_Clear();
+        return 0;
+    }
+    int leader, rc = int_arg(node, c->n, &leader);
+    Py_DECREF(node);
+    if (rc != 1)
+        return rc;
+    e->a = c->leader_index[leader];
+    if (e->a < 0 || c->leaders[e->a].obj != state)
+        return 0;
+    rc = int_arg(PyTuple_GET_ITEM(payload, 1), (int)c->rows, &e->b);
+    if (rc == 1)
+        rc = int_arg(PyTuple_GET_ITEM(payload, 2), INT_MAX, &e->c);
+    if (rc != 1)
+        return rc;
+    e->d = PyObject_IsTrue(PyTuple_GET_ITEM(payload, 3));
+    return e->d < 0 ? -1 : 1;
+}
+
+static PyObject *build_payload(void *core, const Event *e)
+{
+    ML *c = core;
+    switch (ev_kind(e)) {
+    case EV_TICK:
+        return PyLong_FromLong(e->a);
+    case EV_EXCHANGE:
+        return Py_BuildValue("(iiii)", e->a, e->b, e->c, e->d);
+    default:
+        return Py_BuildValue("(OiiO)", c->leaders[e->a].obj, e->b, e->c,
+                             e->d ? Py_True : Py_False);
+    }
+}
+
+/* proto.leaders and the per-node leader index; 1 ok, 0 unsupported. */
+static int load_leaders(ML *c)
+{
+    PyObject *leaders = PyObject_GetAttrString(c->proto, "leaders");
+    if (!leaders)
+        return -1;
+    Py_DECREF(leaders); /* the protocol keeps it alive for the call */
+    if (!PyDict_Check(leaders) || PyDict_GET_SIZE(leaders) < 1
+        || PyDict_GET_SIZE(leaders) > c->n)
+        return 0;
+    c->nleaders = (int)PyDict_GET_SIZE(leaders);
+    c->leaders = calloc((size_t)c->nleaders, sizeof(Leader));
+    int *index = c->leader_index = malloc((size_t)c->n * sizeof(int));
+    if (!c->leaders || !index) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int v = 0; v < c->n; v++)
+        index[v] = -1;
+    PyObject *key, *value;
+    Py_ssize_t pos = 0;
+    int rc = 1;
+    for (int j = 0; rc == 1 && PyDict_Next(leaders, &pos, &key, &value); j++) {
+        Leader *l = &c->leaders[j];
+        int node;
+        rc = int_arg(key, c->n, &node);
+        if (rc != 1)
+            break;
+        index[node] = j;
+        l->obj = value;
+        if (get_ll(value, "gen", &l->gen) < 0 || get_ll(value, "state", &l->state) < 0
+            || get_ll(value, "tick_count", &l->tick_count) < 0
+            || get_ll(value, "gen_size", &l->gen_size) < 0
+            || get_ll(value, "_sleep_threshold", &l->sleep_thr) < 0
+            || get_ll(value, "_prop_threshold", &l->prop_thr) < 0
+            || get_ll(value, "_gen_threshold", &l->gen_thr) < 0
+            || get_ll(value, "_max_generation", &l->max_gen) < 0)
+            rc = -1;
+        else if (l->gen < 0 || l->gen >= c->rows || l->max_gen >= c->rows - 1
+                 || l->state < INT_MIN || l->state > INT_MAX)
+            rc = 0;
+    }
+    int *leader_of = malloc((size_t)c->n * sizeof(int));
+    if (rc == 1 && !leader_of) {
+        PyErr_NoMemory();
+        rc = -1;
+    }
+    if (rc == 1)
+        rc = load_ints(c->proto, "_leader_of", c->n, leader_of);
+    for (int v = 0; rc == 1 && v < c->n; v++) {
+        int own = leader_of[v];
+        if (own < -1 || own >= c->n)
+            rc = 0;
+        else
+            c->lidx[v] = own < 0 ? -1 : index[own];
+    }
+    free(leader_of);
+    return rc;
+}
+
+/* The FaultInjection's counters and its fault models; 1 ok, 0 unsupported. */
+static int load_faults(ML *c)
+{
+    CHECK(get_ll(c->wiring, "dropped_messages", &c->dropped_messages));
+    CHECK(get_ll(c->wiring, "dropped_exchanges", &c->dropped_exchanges));
+    int ok = 1;
+    PyObject *faults = get_list(c->wiring, "faults", -1, &ok);
+    if (!faults)
+        return ok ? -1 : 0;
+    Py_DECREF(faults); /* the wiring keeps it alive for the call */
+    Py_ssize_t nfaults = PyList_GET_SIZE(faults);
+    if (!PyTuple_Check(c->kinds) || PyTuple_GET_SIZE(c->kinds) != nfaults)
+        return 0;
+    c->nfaults = (int)nfaults;
+    c->faults = calloc((size_t)nfaults + 1, sizeof(Fault));
+    if (!c->faults) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int i = 0; i < c->nfaults; i++) {
+        Fault *f = &c->faults[i];
+        PyObject *obj = f->obj = PyList_GET_ITEM(faults, i);
+        long kind = PyLong_AsLong(PyTuple_GET_ITEM(c->kinds, i));
+        if (kind == -1 && PyErr_Occurred())
+            return -1;
+        f->kind = (int)kind;
+        if (kind == FAULT_IID) {
+            CHECK(get_double(obj, "rate", &f->rate));
+            CHECK(get_ll(obj, "dropped", &f->dropped));
+            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
+        }
+        else if (kind == FAULT_BURSTY) {
+            CHECK(get_double(obj, "drop_good", &f->drop_good));
+            CHECK(get_double(obj, "drop_bad", &f->drop_bad));
+            CHECK(get_double(obj, "to_bad", &f->to_bad));
+            CHECK(get_double(obj, "to_good", &f->to_good));
+            CHECK(get_flag(obj, "bad", &f->bad));
+            CHECK(get_ll(obj, "dropped", &f->dropped));
+            CHECK(get_ll(obj, "bursts", &f->bursts));
+            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
+        }
+        else if (kind == FAULT_STRAGGLERS) {
+            CHECK(get_double(obj, "slowdown", &f->slowdown));
+            f->slow = malloc((size_t)c->n);
+            if (!f->slow) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            LOAD(load_flags(obj, "_slow", c->n, f->slow));
+        }
+        else {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* Load everything; 1 = ready, 0 = unsupported state, -1 = error. */
+static int core_load(ML *c)
+{
+    long long n, k;
+    CHECK(get_ll(c->proto, "n", &n));
+    CHECK(get_ll(c->proto, "k", &k));
+    CHECK(get_int(c->proto, "_window", &c->window));
+    CHECK(get_int(c->proto, "plurality", &c->plurality));
+    if (n < 2 || n > INT_MAX / 2 || k < 1 || k > INT_MAX || c->window < 2 || c->window > 1 << 20)
+        return 0;
+    c->n = (int)n;
+    c->k = (int)k;
+    PyObject *params = PyObject_GetAttrString(c->proto, "params");
+    if (!params)
+        return -1;
+    int rc = get_ll(params, "max_generation", &c->max_generation);
+    Py_DECREF(params);
+    CHECK(rc);
+
+    size_t nn = (size_t)c->n;
+    c->cols = malloc(nn * sizeof(int));
+    c->gens = malloc(nn * sizeof(int));
+    c->tmp_gen = malloc(nn * sizeof(int));
+    c->tmp_state = malloc(nn * sizeof(int));
+    c->credit = malloc(nn * sizeof(int));
+    c->lidx = malloc(nn * sizeof(int));
+    c->finished = malloc(nn);
+    c->locked = malloc(nn);
+    c->counts = malloc((size_t)c->k * sizeof(long long));
+    c->waits = malloc((size_t)c->window * sizeof(double));
+    c->lats = malloc((size_t)c->window * sizeof(double));
+    c->ticks = malloc((size_t)c->window * sizeof(double));
+    if (!c->cols || !c->gens || !c->tmp_gen || !c->tmp_state || !c->credit || !c->lidx
+        || !c->finished || !c->locked || !c->counts || !c->waits || !c->lats || !c->ticks) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    LOAD(load_ints(c->proto, "_cols", c->n, c->cols));
+    LOAD(load_ints(c->proto, "_gens", c->n, c->gens));
+    LOAD(load_ints(c->proto, "_tmp_gen", c->n, c->tmp_gen));
+    LOAD(load_ints(c->proto, "_tmp_state", c->n, c->tmp_state));
+    LOAD(load_ints(c->proto, "_credit", c->n, c->credit));
+    LOAD(load_flags(c->proto, "_finished", c->n, c->finished));
+    LOAD(load_flags(c->proto, "_locked", c->n, c->locked));
+    LOAD(load_matrix(c->proto, "_matrix", c->k, c->max_generation, &c->matrix, &c->rows));
+    LOAD(load_lls(c->proto, "_color_counts", c->k, c->counts));
+    c->birth_seen = malloc((size_t)c->rows);
+    if (!c->birth_seen) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    LOAD(load_flags(c->proto, "_birth_seen", (int)c->rows, c->birth_seen));
+    for (int i = 0; i < c->n; i++) {
+        if (c->cols[i] < 0 || c->cols[i] >= c->k || c->gens[i] < 0 || c->gens[i] >= c->rows)
+            return 0;
+    }
+    LOAD(load_leaders(c));
+    LOAD(load_eps(c->proto, &c->eps));
+    CHECK(get_ll(c->proto, "good_ticks", &c->good));
+    CHECK(get_ll(c->proto, "total_ticks", &c->total));
+
+    c->sim = PyObject_GetAttrString(c->proto, "sim");
+    if (!c->sim)
+        return -1;
+    c->queue = PyObject_GetAttrString(c->sim, "queue");
+    if (!c->queue)
+        return -1;
+    CHECK(get_double(c->sim, "now", &c->now));
+    int ok = 1;
+    PyObject *tally = get_list(c->sim, "_tally", -1, &ok);
+    if (!tally)
+        return ok ? -1 : 0;
+    Py_ssize_t tallied = PyList_GET_SIZE(tally);
+    Py_DECREF(tally);
+    if (tallied)
+        return 0; /* this protocol files no tally arrivals */
+    CHECK(get_ll(c->queue, "flushes", &c->flushes));
+    CHECK(get_ll(c->queue, "flushed_events", &c->flushed_events));
+    LOAD(load_queue(c->queue, c->proto, c->funcs, &c->heap, &c->next_seq, load_payload, c));
+    LOAD(pool_open_attr(&c->tick_wait, c->proto, "_tick_wait", 0));
+    LOAD(pool_open_attr(&c->latency, c->proto, "_latency", 0));
+    LOAD(pool_open_attr(&c->channel, c->proto, "_channel_delay", 0));
+    PyObject *neighbors = PyObject_GetAttrString(c->proto, "_neighbors");
+    if (!neighbors)
+        return -1;
+    Py_DECREF(neighbors); /* the protocol keeps it alive for the call */
+    LOAD(pool_open_attr(&c->neighbor, neighbors, "_pool", 1));
+    return c->wiring ? load_faults(c) : 1;
+}
+
+static int store_faults(ML *c)
+{
+    CHECK(set_ll(c->wiring, "dropped_messages", c->dropped_messages));
+    CHECK(set_ll(c->wiring, "dropped_exchanges", c->dropped_exchanges));
+    for (int i = 0; i < c->nfaults; i++) {
+        Fault *f = &c->faults[i];
+        if (f->kind == FAULT_STRAGGLERS)
+            continue;
+        CHECK(set_ll(f->obj, "dropped", f->dropped));
+        if (f->kind == FAULT_BURSTY) {
+            CHECK(set_flag(f->obj, "bad", f->bad));
+            CHECK(set_ll(f->obj, "bursts", f->bursts));
+        }
+        CHECK(pool_store(&f->pool));
+    }
+    return 0;
+}
+
+static int core_store(void *core)
+{
+    ML *c = core;
+    CHECK(store_ints(c->proto, "_cols", c->n, c->cols));
+    CHECK(store_ints(c->proto, "_gens", c->n, c->gens));
+    CHECK(store_ints(c->proto, "_tmp_gen", c->n, c->tmp_gen));
+    CHECK(store_ints(c->proto, "_tmp_state", c->n, c->tmp_state));
+    CHECK(store_ints(c->proto, "_credit", c->n, c->credit));
+    CHECK(store_flags(c->proto, "_finished", c->n, c->finished));
+    CHECK(store_flags(c->proto, "_locked", c->n, c->locked));
+    CHECK(store_matrix(c->proto, "_matrix", c->k, c->rows, c->matrix));
+    CHECK(store_lls(c->proto, "_color_counts", c->k, c->counts));
+    CHECK(store_flags(c->proto, "_birth_seen", (int)c->rows, c->birth_seen));
+    CHECK(set_ll(c->proto, "good_ticks", c->good));
+    CHECK(set_ll(c->proto, "total_ticks", c->total));
+    CHECK(store_eps(c->proto, &c->eps));
+    for (int j = 0; j < c->nleaders; j++) {
+        Leader *l = &c->leaders[j];
+        CHECK(set_ll(l->obj, "gen", l->gen));
+        CHECK(set_ll(l->obj, "state", l->state));
+        CHECK(set_ll(l->obj, "tick_count", l->tick_count));
+        CHECK(set_ll(l->obj, "gen_size", l->gen_size));
+    }
+    CHECK(store_clock(c->sim, c->now, c->executed, c->stop));
+    CHECK(store_queue(c->queue, c->proto, c->funcs, &c->heap, c->next_seq, build_payload, c));
+    CHECK(set_ll(c->queue, "flushes", c->flushes));
+    CHECK(set_ll(c->queue, "flushed_events", c->flushed_events));
+    CHECK(pool_store(&c->tick_wait));
+    CHECK(pool_store(&c->latency));
+    CHECK(pool_store(&c->channel));
+    CHECK(pool_store(&c->neighbor));
+    return c->wiring ? store_faults(c) : 0;
+}
+
+static void core_free(ML *c)
+{
+    free(c->cols);
+    free(c->gens);
+    free(c->tmp_gen);
+    free(c->tmp_state);
+    free(c->credit);
+    free(c->lidx);
+    free(c->leader_index);
+    free(c->finished);
+    free(c->locked);
+    free(c->birth_seen);
+    free(c->matrix);
+    free(c->counts);
+    free(c->waits);
+    free(c->lats);
+    free(c->ticks);
+    free(c->leaders);
+    for (int i = 0; c->faults && i < c->nfaults; i++) {
+        free(c->faults[i].slow);
+        pool_free(&c->faults[i].pool);
+    }
+    free(c->faults);
+    free(c->heap.v);
+    pool_free(&c->tick_wait);
+    pool_free(&c->latency);
+    pool_free(&c->channel);
+    pool_free(&c->neighbor);
+    Py_XDECREF(c->queue);
+    Py_XDECREF(c->sim);
+}
+
+const char ml_run_doc[] =
+"run_multileader(proto, horizon, funcs, wiring, kinds) -> bool\n\n"
+"Run an eligible MultiLeaderConsensusSim's event loop up to ``horizon``,\n"
+"as ``proto.sim.run(until=horizon)`` would, and write the state back.\n"
+"``funcs`` is ``(_tick, _exchange, _deliver_signal)`` of\n"
+"MultiLeaderConsensusSim; ``wiring`` is None or the FaultInjection\n"
+"wrapping the simulator, and ``kinds`` numbers its fault models\n"
+"(0 IidDrop, 1 GilbertElliottDrop, 2 Stragglers).  Returns False,\n"
+"having changed nothing, when the state is not one the core models.";
+
+PyObject *ml_run(PyObject *module, PyObject *args)
+{
+    (void)module;
+    PyObject *proto, *funcs, *wiring, *kinds;
+    double horizon;
+    if (!PyArg_ParseTuple(args, "OdO!OO", &proto, &horizon, &PyTuple_Type, &funcs, &wiring,
+                          &kinds))
+        return NULL;
+    if (PyTuple_GET_SIZE(funcs) != 3) {
+        PyErr_SetString(PyExc_TypeError, "funcs must hold three handler functions");
+        return NULL;
+    }
+    if (!str_relay) {
+        str_relay = PyUnicode_InternFromString("relay");
+        str_ticks = PyUnicode_InternFromString("ticks");
+        str_gen_size = PyUnicode_InternFromString("gen-size");
+        if (!str_relay || !str_ticks || !str_gen_size)
+            return NULL;
+    }
+    ML c;
+    memset(&c, 0, sizeof c);
+    c.proto = proto;
+    c.funcs = funcs;
+    c.wiring = wiring == Py_None ? NULL : wiring;
+    c.kinds = kinds;
+    int ready = core_load(&c);
+    if (ready != 1) {
+        core_free(&c);
+        if (ready < 0)
+            return NULL;
+        Py_RETURN_FALSE;
+    }
+    int rc = run_loop(&c, horizon);
+    /* Simulator.run: an exhausted schedule advances the clock to until. */
+    if (rc == 0 && !c.heap.len && c.now < horizon)
+        c.now = horizon;
+    PyObject *result = finish_run(rc, core_store, &c);
+    core_free(&c);
+    return result;
+}

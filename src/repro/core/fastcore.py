@@ -1,30 +1,34 @@
-"""Build and load the compiled single-leader core (``_slcore.c``).
+"""Build and load the compiled cores (``_fastcore.c`` and friends).
 
-:meth:`repro.core.single_leader.SingleLeaderSim.run` hands an eligible
-run's event loop to the extension built from ``_slcore.c`` and keeps
-the Python engine as the oracle and the fallback.  This module only
-builds and loads it:
+Two protocol simulators hand an eligible run's event loop to one C
+extension and keep their Python engines as the oracle and the fallback:
+:meth:`repro.core.single_leader.SingleLeaderSim.run` (``_slcore.c``)
+and :meth:`repro.multileader.consensus.MultiLeaderConsensusSim.run`
+(``_mlcore.c``).  Both share ``_fastcore.h``/``_fastcore.c``: the event
+heap, the draw-pool views and the attribute load/store helpers, and the
+module definition.  This module only builds and loads the extension:
 
 * **Lazily.**  Nothing is built at import; the first :func:`load`
   builds or finds the extension, and the result (the module, or
   ``None``) is kept for the life of the process in ``_core``.
 * **With the interpreter's own compiler.**  The build runs the
   ``sysconfig`` compiler (``CC`` with ``CCSHARED`` and ``INCLUDEPY``,
-  then ``LDSHARED``) in child processes, so the parent imports neither
-  setuptools nor numpy headers.
+  one object per C file, then ``LDSHARED``) in child processes, so the
+  parent imports neither setuptools nor numpy headers.
 * **Into a content-keyed cache.**  Artifacts go to ``.bench_build/``
-  at the repository root under a key of sha256(C source +
-  ``EXT_SUFFIX``).  Each artifact is named by its own digest and moved
-  into place with :func:`os.replace`; a small manifest, also replaced
-  atomically, names the artifact and its digest.  An artifact whose
-  bytes do not hash to the manifest's digest (truncated, or foreign)
-  is never imported.  Concurrent builders each write whole files, so
-  every interleaving leaves a consistent manifest behind.
+  at the repository root under one key: sha256 of every source (name
+  and bytes) and ``EXT_SUFFIX``.  Each artifact is named by its own
+  digest and moved into place with :func:`os.replace`; a small
+  manifest, also replaced atomically, names the artifact and its
+  digest.  An artifact whose bytes do not hash to the manifest's digest
+  (truncated, or foreign) is never imported.  Concurrent builders each
+  write whole files, so every interleaving leaves a consistent manifest
+  behind.
 * **Never fatally.**  No compiler, a failed build or a failed import
   all make :func:`load` return ``None``, and every run takes the
   Python path with identical records.
 
-Tests force the Python core by setting ``_core`` to ``None``.
+Tests force the Python cores by setting ``_core`` to ``None``.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ from pathlib import Path
 
 __all__ = ["load"]
 
-_SOURCE = Path(__file__).with_name("_slcore.c")
+_HERE = Path(__file__).parent
+#: The extension's sources; the .c files compile to one object each.
+_SOURCES = ("_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c")
 #: The gitignored build cache at the repository root (``src/..``).
 _BUILD_DIR = Path(__file__).resolve().parents[3] / ".bench_build"
-_MODULE_NAME = "repro.core._slcore"
+_MODULE_NAME = "repro.core._fastcore"
 #: Compiler flags beyond ``CCSHARED``: IEEE double arithmetic exactly
 #: as written (no fused multiply-add), like the Python engine's.
 _CFLAGS = ("-O2", "-fwrapv", "-ffp-contract=off", "-Wall", "-Wextra", "-DNDEBUG")
@@ -68,14 +74,24 @@ def load():
 
 def _load_or_build():
     try:
-        source = _SOURCE.read_bytes()
+        sources = {name: (_HERE / name).read_bytes() for name in _SOURCES}
     except OSError:
         return None
-    manifest = _manifest(source)
+    manifest = _manifest(_source(sources))
     module = _import(manifest)
-    if module is None and _build(source, manifest):
+    if module is None and _build(sources, manifest):
         module = _import(manifest)
     return module
+
+
+def _source(sources: dict[str, bytes] | None = None) -> bytes:
+    """Every source, name and bytes, as one string (the cache key's input)."""
+    if sources is None:
+        sources = {name: (_HERE / name).read_bytes() for name in _SOURCES}
+    return b"".join(
+        name.encode() + b"\0" + len(data).to_bytes(8, "little") + data
+        for name, data in sorted(sources.items())
+    )
 
 
 def _suffix() -> str:
@@ -85,7 +101,7 @@ def _suffix() -> str:
 def _manifest(source: bytes) -> Path:
     """The manifest of the artifact built from ``source`` for this interpreter."""
     key = hashlib.sha256(source + _suffix().encode()).hexdigest()[:32]
-    return _BUILD_DIR / f"_slcore-{key}.json"
+    return _BUILD_DIR / f"_fastcore-{key}.json"
 
 
 def _import(manifest: Path):
@@ -107,8 +123,8 @@ def _import(manifest: Path):
         return None
 
 
-def _build(source: bytes, manifest: Path) -> bool:
-    """Compile ``source`` and publish it under ``manifest``; ``False`` on any failure."""
+def _build(sources: dict[str, bytes], manifest: Path) -> bool:
+    """Compile ``sources`` and publish them under ``manifest``; ``False`` on any failure."""
     config = sysconfig.get_config_var
     directory, key, suffix = manifest.parent, manifest.stem, _suffix()
     cc, ldshared, include = config("CC"), config("LDSHARED"), config("INCLUDEPY")
@@ -120,16 +136,17 @@ def _build(source: bytes, manifest: Path) -> bool:
     except OSError:
         return False
     try:
-        src = scratch / "_slcore.c"
-        obj = scratch / "_slcore.o"
-        out = scratch / f"_slcore{suffix}"
-        src.write_bytes(source)
-        compile_cmd = [
-            *shlex.split(cc), *shlex.split(config("CCSHARED") or ""), *_CFLAGS,
-            f"-I{include}", "-c", str(src), "-o", str(obj),
+        for name, data in sources.items():
+            (scratch / name).write_bytes(data)
+        out = scratch / f"_fastcore{suffix}"
+        objects = [scratch / f"{name[:-2]}.o" for name in sources if name.endswith(".c")]
+        compile_cmd = [*shlex.split(cc), *shlex.split(config("CCSHARED") or ""), *_CFLAGS]
+        commands = [
+            [*compile_cmd, f"-I{include}", "-c", str(obj.with_suffix(".c")), "-o", str(obj)]
+            for obj in objects
         ]
-        link_cmd = [*shlex.split(ldshared), str(obj), "-o", str(out)]
-        for command in (compile_cmd, link_cmd):
+        commands.append([*shlex.split(ldshared), *map(str, objects), "-o", str(out)])
+        for command in commands:
             subprocess.run(
                 command,
                 stdin=subprocess.DEVNULL,

@@ -31,17 +31,26 @@ receive pushes, exactly as in Theorem 27's accounting.
 Engine notes: randomness comes from block-prefetched pools, events are
 ``(time, seq, bound_method, payload)`` tuples, and per-node state lives
 in plain Python lists with numpy snapshot properties — see
-:mod:`repro.core.single_leader` for the rationale.
+:mod:`repro.core.single_leader` for the rationale.  An eligible run
+(``K_n``, no tracer, no ``record_every``, no churn, none of the core's
+handlers overridden) runs its event loop in the compiled core
+(:mod:`repro.core.fastcore`), which repeats these handlers — and the
+drop and straggler transforms of a
+:class:`~repro.scenarios.faults.FaultInjection` wrapping the simulator —
+draw for draw and writes the state back; this module stays its oracle
+and fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import fastcore
 from repro.core.results import GenerationBirth, RunResult, StepStats
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
 from repro.engine.simulator import Simulator, tick_times
+from repro.engine.tracing import NULL_TRACER
 from repro.errors import ConfigurationError
 from repro.multileader.cluster_leader import (
     STATE_PROPAGATION,
@@ -50,6 +59,13 @@ from repro.multileader.cluster_leader import (
 )
 from repro.multileader.clustering import Clustering
 from repro.multileader.params import MultiLeaderParams
+from repro.scenarios.faults import (
+    FaultInjection,
+    GilbertElliottDrop,
+    IidDrop,
+    ProtocolAdapter,
+    Stragglers,
+)
 from repro.workloads.bias import (
     collision_probability,
     multiplicative_bias,
@@ -100,11 +116,14 @@ class MultiLeaderConsensusSim:
         self.graph = graph
         self._rng = rng
         self.sim = Simulator(tracer=tracer) if simulator is None else simulator
+        #: The core that ran the last run() ("c" or "python").
+        self.core = "python"
         self._leader_of: list[int] = clustering.leader_of.tolist()
 
         self._tick_wait = ExponentialPool(rng, params.clock_rate)
         self._latency = ExponentialPool(rng, params.latency_rate)
-        self._sample_other = graph.neighbor_pool(rng).sample
+        self._neighbors = graph.neighbor_pool(rng)
+        self._sample_other = self._neighbors.sample
         # Three sample channels concurrently, then the two leader
         # channels concurrently — one composite pooled draw per cycle.
         self._channel_delay = ChannelDelayPool(rng, params.latency_rate, stages=(3, 2))
@@ -376,21 +395,96 @@ class MultiLeaderConsensusSim:
         cols[node] = col
         if not self._birth_seen[gen]:
             self._birth_seen[gen] = True
-            row = np.asarray(matrix[gen], dtype=np.int64)
-            self.births.append(
-                GenerationBirth(
-                    generation=gen,
-                    time=self.sim.now,
-                    fraction=float(row.sum()) / self.n,
-                    bias=multiplicative_bias(row),
-                    collision_probability=collision_probability(row),
-                )
-            )
+            self._record_birth(gen, self.sim.now, matrix[gen])
             if self._tracer.enabled_for("phase"):
                 self._tracer.record(
                     "phase", self.sim.now, event="generation", gen=gen,
                     good_ticks=self.good_ticks,
                 )
+
+    def _record_birth(self, gen: int, time: float, row: list[int]) -> None:
+        """Record generation ``gen``'s birth from its count-matrix ``row``.
+
+        Shared with the compiled core, which calls it at each birth.
+        """
+        row = np.asarray(row, dtype=np.int64)
+        self.births.append(
+            GenerationBirth(
+                generation=gen,
+                time=time,
+                fraction=float(row.sum()) / self.n,
+                bias=multiplicative_bias(row),
+                collision_probability=collision_probability(row),
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # compiled core
+    # ------------------------------------------------------------------
+    def _core_seam(self):
+        """How the compiled core can run this run, or ``False`` if it cannot.
+
+        ``(None, ())`` for a simulator of our own, ``(wiring, kinds)``
+        for one wrapped by a :class:`FaultInjection` whose models are
+        all :class:`IidDrop`, :class:`GilbertElliottDrop` or
+        :class:`Stragglers` (``kinds`` numbers them in model order).
+        Beyond that: ``K_n``, window > 1, no tracer (the simulator's or
+        a leader's), and none of the handlers the core replaces
+        overridden, the leaders' included.
+        """
+        cls = type(self)
+        if not (
+            self._window > 1
+            and type(self.graph) is CompleteGraph
+            and type(self.sim) is Simulator
+            and self.sim.tracer is NULL_TRACER
+            and all(getattr(cls, name) is getattr(MultiLeaderConsensusSim, name) for name in _CORE_HANDLERS)
+            and not hasattr(cls, "_unlock")
+            and all(
+                type(state) is ClusterLeaderState and state.tracer is None
+                for state in self.leaders.values()
+            )
+        ):
+            return False
+        shadowed = vars(self.sim).keys() & _SIMULATOR_METHODS
+        if not shadowed:
+            return None, ()
+        wiring = getattr(self.sim.schedule_in, "__self__", None)
+        if (
+            type(wiring) is not FaultInjection
+            or wiring.sim is not self.sim
+            or shadowed != _SEAM_METHODS.keys()
+            or any(
+                getattr(vars(self.sim)[name], "__self__", None) is not wiring
+                or getattr(vars(self.sim)[name], "__func__", None) is not method
+                for name, method in _SEAM_METHODS.items()
+            )
+            or any(
+                getattr(original, "__self__", None) is not self.sim
+                or getattr(original, "__func__", None) is not getattr(Simulator, name)
+                for name, original in (
+                    ("schedule_in", wiring._original_schedule_in),
+                    ("schedule_many_at", wiring._original_schedule_many_at),
+                )
+            )
+            or wiring._has_churn
+            or type(wiring.adapter) is not ProtocolAdapter
+            or wiring.adapter._sim_obj is not self
+            or not all(type(fault) in _FAULT_KINDS for fault in wiring.faults)
+        ):
+            return False
+        return wiring, tuple(_FAULT_KINDS[type(fault)] for fault in wiring.faults)
+
+    def _run_core(self, until: float) -> bool:
+        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
+        seam = self._core_seam()
+        if seam is False:
+            return False
+        core = fastcore.load()
+        if core is None or not core.run_multileader(self, until, _CORE_FUNCS, *seam):
+            return False
+        self.core = "c"
+        return True
 
     # ------------------------------------------------------------------
     # observation
@@ -432,6 +526,7 @@ class MultiLeaderConsensusSim:
         record_every: float | None = None,
     ) -> RunResult:
         """Run until full consensus, the ε-target, or ``max_time``."""
+        self.core = "python"
         if record_every is not None:
 
             def sample() -> None:
@@ -467,7 +562,7 @@ class MultiLeaderConsensusSim:
                 return max(counts) == n
 
             self.sim.run(until=max_time, stop_when=done)
-        else:
+        elif record_every is not None or not self._run_core(max_time):
             self.sim.run(until=max_time)
         epsilon_time = self._eps_time
         converged = max(counts) == n
@@ -497,6 +592,32 @@ class MultiLeaderConsensusSim:
                 "time_unit": self.params.time_unit,
             },
         )
+
+
+#: Handlers whose work the compiled core does itself.
+_CORE_HANDLERS = (
+    "_tick", "_exchange", "_deliver_signal", "_signal", "_set_state", "_refill_window",
+    "_record_birth",
+)
+#: The handlers the core recognises in (and writes back to) the event
+#: queue, in the core's event-kind order.
+_CORE_FUNCS = (
+    MultiLeaderConsensusSim._tick,
+    MultiLeaderConsensusSim._exchange,
+    MultiLeaderConsensusSim._deliver_signal,
+)
+#: Simulator methods a fault seam may shadow on the instance.
+_SIMULATOR_METHODS = frozenset(name for name, value in vars(Simulator).items() if callable(value))
+#: The shadowing a FaultInjection installs, by simulator method.
+_SEAM_METHODS = {
+    "schedule": FaultInjection._schedule,
+    "schedule_in": FaultInjection._schedule_in,
+    "schedule_many_at": FaultInjection._schedule_many_at,
+    "tally_at": FaultInjection._tally_at,
+    "tally_in": FaultInjection._tally_in,
+}
+#: The fault models the core runs, numbered as it expects them.
+_FAULT_KINDS = {IidDrop: 0, GilbertElliottDrop: 1, Stragglers: 2}
 
 
 def run_multileader_consensus(

@@ -71,7 +71,7 @@ def test_failed_build_runs_python_core_with_identical_record(tmp_path, monkeypat
 @needs_core
 @pytest.mark.parametrize("damage", ["truncated", "foreign"])
 def test_damaged_artifact_is_never_loaded(damage, tmp_path, monkeypatch):
-    manifest = fastcore._manifest(fastcore._SOURCE.read_bytes())
+    manifest = fastcore._manifest(fastcore._source())
     name = json.loads(manifest.read_text())["artifact"]
     data = (manifest.parent / name).read_bytes()
     copy = tmp_path / manifest.name
