@@ -20,6 +20,7 @@ This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -203,6 +204,7 @@ def cycle_distribution(
     return Hypoexponential(establishment + [clock_rate] + establishment)
 
 
+@functools.cache
 def time_unit_steps(
     latency_rate: float,
     *,
@@ -218,6 +220,11 @@ def time_unit_steps(
     any interval of that length a node completes a full protocol cycle
     with probability ``quantile`` (0.9 in the paper). This is the
     quantity plotted in Figure 1.
+
+    Memoized per argument set: the quantile bisection costs dozens of
+    matrix exponentials, and every protocol parameter object derives
+    its time unit here.  ``time_unit_steps.__wrapped__`` is the
+    unmemoized computation.
     """
     distribution = cycle_distribution(
         latency_rate,
