@@ -228,6 +228,8 @@ class ClusteringSim:
         self._broadcast_started = False
         self.first_ready_time: float | None = None
         self.clustered_trajectory: list[tuple[float, float]] = []
+        self.total_ticks = 0
+        self.good_ticks = 0
         # One initial tick per node (identical to the scalar engine);
         # each node's first tick then grows its chain to a full window.
         self._window = self.sim.tick_window
@@ -267,6 +269,7 @@ class ClusteringSim:
 
     def _tick(self, node: int) -> None:
         sim = self.sim
+        self.total_ticks += 1
         credit = self._credit
         c = credit[node] - 1
         if c:
@@ -280,6 +283,7 @@ class ClusteringSim:
         if self._locked[node]:
             return
         self._locked[node] = True
+        self.good_ticks += 1
         samples = (
             self._sample_other(node),
             self._sample_other(node),
@@ -361,6 +365,20 @@ class ClusteringSim:
         # changes) instead of polling every event.
         if self._broadcast_started and self._informed_count == self._total_leaders:
             self.sim.stop()
+
+    def publish_metrics(self, metrics) -> None:
+        """Harvest tick + engine counters into a registry (epilogue)."""
+        if metrics is None or not metrics.enabled:
+            return
+        metrics.add_counters(
+            {
+                "protocol.ticks_total": self.total_ticks,
+                "protocol.ticks_good": self.good_ticks,
+                "protocol.ticks_suppressed": self.total_ticks - self.good_ticks,
+            }
+        )
+        metrics.counter("engine.core.python").inc()
+        self.sim.publish_metrics(metrics)
 
     # ------------------------------------------------------------------
     def run(self, *, max_time: float = 500.0, sample_every: float = 1.0) -> Clustering:

@@ -486,6 +486,20 @@ class MultiLeaderConsensusSim:
         self.core = "c"
         return True
 
+    def publish_metrics(self, metrics) -> None:
+        """Harvest protocol + engine counters into a registry (epilogue)."""
+        if metrics is None or not metrics.enabled:
+            return
+        metrics.add_counters(
+            {
+                "protocol.ticks_total": self.total_ticks,
+                "protocol.ticks_good": self.good_ticks,
+                "protocol.ticks_suppressed": self.total_ticks - self.good_ticks,
+            }
+        )
+        metrics.counter(f"engine.core.{self.core}").inc()
+        self.sim.publish_metrics(metrics)
+
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------

@@ -568,6 +568,7 @@ def multileader_target(
     )
     wirings = []
     pending = []
+    phases = []
 
     def prepare():
         # Fresh fault-model instances per phase simulator (they are
@@ -581,6 +582,7 @@ def multileader_target(
         return simulator
 
     def instrument(sim_obj) -> None:
+        phases.append(sim_obj)
         wiring = pending.pop()
         if wiring is not None:
             wiring.bind(sim_obj)
@@ -603,9 +605,11 @@ def multileader_target(
         for key, value in wiring.info().items():
             record[key] = record.get(key, 0.0) + value
     if metrics is not None and metrics.enabled:
-        # The pipeline's phase simulators are internal to run_multileader;
-        # the run-level counter and the fault seams are the stable surface.
+        # Both phase simulators (clustering, consensus) harvest their
+        # tick and engine counters; the fault seams add theirs.
         metrics.counter("protocol.runs.multileader").inc()
+        for phase in phases:
+            phase.publish_metrics(metrics)
         for wiring in wirings:
             wiring.publish_metrics(metrics)
     return record
