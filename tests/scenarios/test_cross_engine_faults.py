@@ -83,7 +83,11 @@ def _round_realized_rate(model, rounds: int, rng, n: int = 256) -> float:
 
 
 class TestMatchedMarginals:
-    @settings(max_examples=20, deadline=None)
+    # Derandomized: these are statistical bands, each a few sigma wide,
+    # so a random search finds a tail draw sooner or later (and
+    # Hypothesis then replays it from its database on every run).  A
+    # fixed example set keeps the bands and makes the suite repeatable.
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(rates, seeds)
     def test_iid_models_realize_the_knob(self, rate, seed):
         rngs = RngRegistry(seed)
@@ -96,7 +100,7 @@ class TestMatchedMarginals:
         assert abs(round_level - rate) < 0.02
         assert abs(event - round_level) < 0.03
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     @given(rates, seeds)
     def test_bursty_models_share_the_stationary_rate(self, rate, seed):
         rngs = RngRegistry(seed)
@@ -114,7 +118,7 @@ class TestMatchedMarginals:
         assert abs(round_level - rate) < 0.05
         assert abs(event - round_level) < 0.08
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(rates)
     def test_builders_map_the_knob_identically(self, rate):
         event = build_faults(drop=rate, drop_model="bursty")[0]
