@@ -158,6 +158,9 @@ class ClusteringSim:
         the pre-scenario engine; see :mod:`repro.scenarios.topology`).
     """
 
+    #: Clustering always runs on the Python engine.
+    core = "python"
+
     def __init__(
         self,
         params: MultiLeaderParams,
@@ -368,17 +371,7 @@ class ClusteringSim:
 
     def publish_metrics(self, metrics) -> None:
         """Harvest tick + engine counters into a registry (epilogue)."""
-        if metrics is None or not metrics.enabled:
-            return
-        metrics.add_counters(
-            {
-                "protocol.ticks_total": self.total_ticks,
-                "protocol.ticks_good": self.good_ticks,
-                "protocol.ticks_suppressed": self.total_ticks - self.good_ticks,
-            }
-        )
-        metrics.counter("engine.core.python").inc()
-        self.sim.publish_metrics(metrics)
+        publish_phase_metrics(self, metrics)
 
     # ------------------------------------------------------------------
     def run(self, *, max_time: float = 500.0, sample_every: float = 1.0) -> Clustering:
@@ -408,6 +401,27 @@ class ClusteringSim:
             switch_times=dict(self.switch_times),
             elapsed=self.sim.now,
         )
+
+
+def publish_phase_metrics(phase, metrics) -> None:
+    """Harvest one phase simulator's counters into a registry (epilogue).
+
+    ``phase`` is a :class:`ClusteringSim` or a
+    :class:`~repro.multileader.consensus.MultiLeaderConsensusSim`: its
+    tick counters (a suppressed tick found its node locked), the core
+    that ran it and its simulator's engine counters.
+    """
+    if metrics is None or not metrics.enabled:
+        return
+    metrics.add_counters(
+        {
+            "protocol.ticks_total": phase.total_ticks,
+            "protocol.ticks_good": phase.good_ticks,
+            "protocol.ticks_suppressed": phase.total_ticks - phase.good_ticks,
+        }
+    )
+    metrics.counter(f"engine.core.{phase.core}").inc()
+    phase.sim.publish_metrics(metrics)
 
 
 def run_clustering(

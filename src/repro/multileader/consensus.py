@@ -57,7 +57,7 @@ from repro.multileader.cluster_leader import (
     STATE_TWO_CHOICES,
     ClusterLeaderState,
 )
-from repro.multileader.clustering import Clustering
+from repro.multileader.clustering import Clustering, publish_phase_metrics
 from repro.multileader.params import MultiLeaderParams
 from repro.scenarios.faults import (
     FaultInjection,
@@ -487,18 +487,8 @@ class MultiLeaderConsensusSim:
         return True
 
     def publish_metrics(self, metrics) -> None:
-        """Harvest protocol + engine counters into a registry (epilogue)."""
-        if metrics is None or not metrics.enabled:
-            return
-        metrics.add_counters(
-            {
-                "protocol.ticks_total": self.total_ticks,
-                "protocol.ticks_good": self.good_ticks,
-                "protocol.ticks_suppressed": self.total_ticks - self.good_ticks,
-            }
-        )
-        metrics.counter(f"engine.core.{self.core}").inc()
-        self.sim.publish_metrics(metrics)
+        """Harvest tick + engine counters into a registry (epilogue)."""
+        publish_phase_metrics(self, metrics)
 
     # ------------------------------------------------------------------
     # observation
