@@ -35,7 +35,8 @@ static int pool_view(Pool *p)
     return ok;
 }
 
-int pool_open(Pool *p, PyObject *obj, int integer)
+/* Take the pool's block and position; 1 = ok, 0 = unsupported. */
+static int pool_open(Pool *p, PyObject *obj, int integer)
 {
     p->obj = obj;
     p->integer = integer;
@@ -73,7 +74,7 @@ int pool_open_attr(Pool *p, PyObject *obj, const char *name, int integer)
     PyObject *pool = PyObject_GetAttrString(obj, name);
     if (!pool)
         return -1;
-    Py_DECREF(pool); /* obj keeps it alive for the call */
+    Py_DECREF(pool);
     return pool_open(p, pool, integer);
 }
 

@@ -109,9 +109,8 @@ typedef struct {
     Py_ssize_t len, pos;
 } Pool;
 
-/* Take the pool's block and position; 1 = ok, 0 = unsupported. */
-int pool_open(Pool *p, PyObject *obj, int integer);
-/* Take a pool attribute of obj (kept alive by obj for the call). */
+/* Take the block and position of obj's pool attribute name (obj keeps
+ * the pool alive for the call); 1 = ok, 0 = unsupported. */
 int pool_open_attr(Pool *p, PyObject *obj, const char *name, int integer);
 /* DrawPool._refill_array() and a view of the new block. */
 int pool_refill(Pool *p);
