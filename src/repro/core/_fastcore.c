@@ -1,9 +1,10 @@
-/* The compiled-core extension module and the helpers both cores share.
+/* The compiled-core extension module and the helpers the cores share.
  *
  * run() is the single-leader core (_slcore.c), run_multileader() the
- * multi-leader one (_mlcore.c).  Everything here is off the event
- * loop's hot path: opening, refilling and storing draw pools, and
- * loading attributes into C and storing them back.
+ * multi-leader one (_mlcore.c).  Everything here but the fault seam's
+ * transform chain is off the event loop's hot path: opening, refilling
+ * and storing draw pools, and loading attributes into C and storing
+ * them back.
  */
 #include "_fastcore.h"
 
@@ -560,6 +561,141 @@ PyObject *finish_run(int rc, int (*store)(void *), void *core)
     if (stored < 0)
         return NULL;
     Py_RETURN_TRUE;
+}
+
+/* ------------------------------------------------------------------ */
+/* the fault seam                                                     */
+/* ------------------------------------------------------------------ */
+
+int seam_transform(Seam *s, int node, double *delay)
+{
+    for (int i = 0; i < s->nfaults; i++) {
+        Fault *f = &s->faults[i];
+        double u;
+        switch (f->kind) {
+        case FAULT_IID:
+            if (f->rate != 0.0) {
+                if (pool_next(&f->pool, &u) < 0)
+                    return -1;
+                if (u < f->rate) {
+                    f->dropped++;
+                    return 0;
+                }
+            }
+            break;
+        case FAULT_BURSTY:
+            if (pool_next(&f->pool, &u) < 0)
+                return -1;
+            if (f->bad) {
+                if (u < f->to_good)
+                    f->bad = 0;
+            }
+            else if (u < f->to_bad) {
+                f->bad = 1;
+                f->bursts++;
+            }
+            if (pool_next(&f->pool, &u) < 0)
+                return -1;
+            if (u < (f->bad ? f->drop_bad : f->drop_good)) {
+                f->dropped++;
+                return 0;
+            }
+            break;
+        default:
+            if (node >= 0 && f->slow[node])
+                *delay = *delay * f->slowdown;
+            break;
+        }
+    }
+    return 1;
+}
+
+int seam_load(Seam *s, PyObject *wiring, PyObject *kinds, int n)
+{
+    if (wiring == Py_None)
+        return 1;
+    s->wiring = wiring;
+    CHECK(get_ll(wiring, "dropped_messages", &s->dropped_messages));
+    CHECK(get_ll(wiring, "dropped_exchanges", &s->dropped_exchanges));
+    int ok = 1;
+    PyObject *faults = get_list(wiring, "faults", -1, &ok);
+    if (!faults)
+        return ok ? -1 : 0;
+    Py_DECREF(faults); /* the wiring keeps it alive for the call */
+    Py_ssize_t nfaults = PyList_GET_SIZE(faults);
+    if (!PyTuple_Check(kinds) || PyTuple_GET_SIZE(kinds) != nfaults)
+        return 0;
+    s->nfaults = (int)nfaults;
+    s->faults = calloc((size_t)nfaults + 1, sizeof(Fault));
+    if (!s->faults) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int i = 0; i < s->nfaults; i++) {
+        Fault *f = &s->faults[i];
+        PyObject *obj = f->obj = PyList_GET_ITEM(faults, i);
+        long kind = PyLong_AsLong(PyTuple_GET_ITEM(kinds, i));
+        if (kind == -1 && PyErr_Occurred())
+            return -1;
+        f->kind = (int)kind;
+        if (kind == FAULT_IID) {
+            CHECK(get_double(obj, "rate", &f->rate));
+            CHECK(get_ll(obj, "dropped", &f->dropped));
+            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
+        }
+        else if (kind == FAULT_BURSTY) {
+            CHECK(get_double(obj, "drop_good", &f->drop_good));
+            CHECK(get_double(obj, "drop_bad", &f->drop_bad));
+            CHECK(get_double(obj, "to_bad", &f->to_bad));
+            CHECK(get_double(obj, "to_good", &f->to_good));
+            CHECK(get_flag(obj, "bad", &f->bad));
+            CHECK(get_ll(obj, "dropped", &f->dropped));
+            CHECK(get_ll(obj, "bursts", &f->bursts));
+            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
+        }
+        else if (kind == FAULT_STRAGGLERS) {
+            CHECK(get_double(obj, "slowdown", &f->slowdown));
+            f->slow = malloc((size_t)n);
+            if (!f->slow) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            LOAD(load_flags(obj, "_slow", n, f->slow));
+        }
+        else {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+int seam_store(Seam *s)
+{
+    if (!s->wiring)
+        return 0;
+    CHECK(set_ll(s->wiring, "dropped_messages", s->dropped_messages));
+    CHECK(set_ll(s->wiring, "dropped_exchanges", s->dropped_exchanges));
+    for (int i = 0; i < s->nfaults; i++) {
+        Fault *f = &s->faults[i];
+        if (f->kind == FAULT_STRAGGLERS)
+            continue;
+        CHECK(set_ll(f->obj, "dropped", f->dropped));
+        if (f->kind == FAULT_BURSTY) {
+            CHECK(set_flag(f->obj, "bad", f->bad));
+            CHECK(set_ll(f->obj, "bursts", f->bursts));
+        }
+        CHECK(pool_store(&f->pool));
+    }
+    return 0;
+}
+
+void seam_free(Seam *s)
+{
+    for (int i = 0; s->faults && i < s->nfaults; i++) {
+        free(s->faults[i].slow);
+        pool_free(&s->faults[i].pool);
+    }
+    free(s->faults);
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,7 +1,8 @@
 /* Shared parts of the compiled cores (_slcore.c, _mlcore.c).
  *
- * The event heap, the draw-pool view of a DrawPool's numpy block, and
- * the helpers that load Python attributes into C and store them back.
+ * The event heap, the draw-pool view of a DrawPool's numpy block, the
+ * fault seam, and the helpers that load Python attributes into C and
+ * store them back.
  * The hot-path pieces (heap push/pop, pool draws) are static inline so
  * each core's loop compiles them in; the rest lives in _fastcore.c,
  * which also defines the extension module.  See repro.core.fastcore.
@@ -151,6 +152,45 @@ static inline int pool_take(Pool *p, int count, double *out)
     }
     return 0;
 }
+
+/* The fault models a FaultInjection may hold, numbered as the cores
+ * expect them (the kinds argument). */
+enum { FAULT_IID, FAULT_BURSTY, FAULT_STRAGGLERS };
+
+typedef struct {
+    PyObject *obj;
+    int kind;
+    /* IidDrop: rate; GilbertElliottDrop: the rest */
+    double rate, drop_good, drop_bad, to_bad, to_good;
+    int bad;
+    long long dropped, bursts;
+    /* Stragglers */
+    signed char *slow;
+    double slowdown;
+    Pool pool;
+} Fault;
+
+/* The scheduling seam of a run: wiring is NULL on a simulator of the
+ * protocol's own, or the repro.scenarios.faults.FaultInjection that
+ * wraps it (no churn), whose drop and straggler models the core runs. */
+typedef struct {
+    PyObject *wiring;
+    int nfaults;
+    Fault *faults;
+    long long dropped_messages, dropped_exchanges;
+} Seam;
+
+/* Load wiring (None or a FaultInjection) and its fault models, numbered
+ * by the tuple kinds, over n nodes; 1 ok, 0 unsupported, -1 error. */
+int seam_load(Seam *s, PyObject *wiring, PyObject *kinds, int n);
+/* Write the counters, channel states and fault pools back. */
+int seam_store(Seam *s);
+void seam_free(Seam *s);
+/* FaultInjection._schedule_in's transform chain over one message
+ * (node < 0) or one exchange of node: 1 = file after *delay, 0 =
+ * dropped (counted in the model; the caller counts the seam's drop),
+ * -1 = error. */
+int seam_transform(Seam *s, int node, double *delay);
 
 /* The ε-target of a run (the protocol's _eps_target/_eps_stop/_eps_time). */
 typedef struct {

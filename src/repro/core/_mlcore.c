@@ -18,11 +18,12 @@
  *
  * wiring is None on a simulator of the protocol's own, or the
  * repro.scenarios.faults.FaultInjection that wraps it, whose fault
- * models kinds names in order (FAULT_* below; no churn).  The core then
- * does what the wrapped scheduling methods do: classify by handler,
- * run the transforms in model order, file a signal block entry by
- * entry at now + (time - now), take a sequence number for each drop,
- * and unlock the sender of a dropped exchange.
+ * models kinds names in order (FAULT_* in _fastcore.h; no churn).  The
+ * core then does what the wrapped scheduling methods do: classify by
+ * handler, run the shared transforms (seam_transform) in model order,
+ * file a signal block entry by entry at now + (time - now), take a
+ * sequence number for each drop, and unlock the sender of a dropped
+ * exchange.
  *
  * A state the core does not model makes run_multileader() return
  * False before anything is consumed; the caller then runs Python.
@@ -36,22 +37,6 @@ enum { EV_TICK, EV_EXCHANGE, EV_SIGNAL };
 /* ClusterLeaderState.state */
 enum { STATE_TWO_CHOICES = 1, STATE_SLEEPING = 2, STATE_PROPAGATION = 3 };
 
-/* The fault models the core runs (the kinds argument). */
-enum { FAULT_IID, FAULT_BURSTY, FAULT_STRAGGLERS };
-
-typedef struct {
-    PyObject *obj;
-    int kind;
-    /* IidDrop: rate; GilbertElliottDrop: the rest */
-    double rate, drop_good, drop_bad, to_bad, to_good;
-    int bad;
-    long long dropped, bursts;
-    /* Stragglers */
-    signed char *slow;
-    double slowdown;
-    Pool pool;
-} Fault;
-
 /* One ClusterLeaderState. */
 typedef struct {
     PyObject *obj;
@@ -60,8 +45,8 @@ typedef struct {
 } Leader;
 
 typedef struct {
-    PyObject *proto, *sim, *queue, *funcs, *wiring, *kinds;
-    int n, k, window, plurality, nleaders, nfaults;
+    PyObject *proto, *sim, *queue, *funcs;
+    int n, k, window, plurality, nleaders;
     Py_ssize_t rows;
     long long max_generation;
     /* per-node state */
@@ -73,11 +58,9 @@ typedef struct {
     long long *matrix, *counts;
     double *waits, *lats, *ticks;
     Leader *leaders;
-    Fault *faults;
     long long good, total;
     EpsTarget eps;
-    /* fault seam */
-    long long dropped_messages, dropped_exchanges;
+    Seam seam;
     /* simulator */
     double now;
     long long next_seq, executed, flushes, flushed_events;
@@ -98,62 +81,16 @@ static inline int schedule(ML *c, double time, int kind, int a, int b, int x, in
     return ev_push(&c->heap, &e);
 }
 
-/* FaultInjection._schedule_in's transform chain over one message
- * (node < 0) or one exchange of node: 1 = file after *delay, 0 =
- * dropped, -1 = error. */
-static int transform(ML *c, int node, double *delay)
-{
-    for (int i = 0; i < c->nfaults; i++) {
-        Fault *f = &c->faults[i];
-        double u;
-        switch (f->kind) {
-        case FAULT_IID:
-            if (f->rate != 0.0) {
-                if (pool_next(&f->pool, &u) < 0)
-                    return -1;
-                if (u < f->rate) {
-                    f->dropped++;
-                    return 0;
-                }
-            }
-            break;
-        case FAULT_BURSTY:
-            if (pool_next(&f->pool, &u) < 0)
-                return -1;
-            if (f->bad) {
-                if (u < f->to_good)
-                    f->bad = 0;
-            }
-            else if (u < f->to_bad) {
-                f->bad = 1;
-                f->bursts++;
-            }
-            if (pool_next(&f->pool, &u) < 0)
-                return -1;
-            if (u < (f->bad ? f->drop_bad : f->drop_good)) {
-                f->dropped++;
-                return 0;
-            }
-            break;
-        default:
-            if (node >= 0 && f->slow[node])
-                *delay = *delay * f->slowdown;
-            break;
-        }
-    }
-    return 1;
-}
-
 /* A _deliver_signal scheduled delay from now, through the seam. */
 static int send_message(ML *c, double delay, int leader, int i, int s, int changed)
 {
-    if (c->wiring) {
-        int rc = transform(c, -1, &delay);
+    if (c->seam.wiring) {
+        int rc = seam_transform(&c->seam, -1, &delay);
         if (rc <= 0) {
             if (rc < 0)
                 return -1;
             /* _note_drop, then reserve_handle */
-            c->dropped_messages++;
+            c->seam.dropped_messages++;
             c->next_seq++;
             return 0;
         }
@@ -190,7 +127,7 @@ static int refill_window(ML *c, int node)
     CHECK(schedule(c, now + c->waits[0], EV_TICK, node, 0, 0, 0));
     /* schedule_many_at: the tick block goes to the simulator whole */
     for (int j = 1; j < w; j++) {
-        double t = c->wiring ? now + (c->ticks[j] - now) : c->ticks[j];
+        double t = c->seam.wiring ? now + (c->ticks[j] - now) : c->ticks[j];
         CHECK(schedule(c, t, EV_TICK, node, 0, 0, 0));
     }
     c->flushes++;
@@ -199,12 +136,12 @@ static int refill_window(ML *c, int node)
      * through the scalar seam. */
     for (int j = 1; j < w; j++) {
         double sig = c->ticks[j - 1] + c->lats[j];
-        if (c->wiring)
+        if (c->seam.wiring)
             CHECK(send_message(c, sig - now, leader, 0, STATE_PROPAGATION, 0));
         else
             CHECK(schedule(c, sig, EV_SIGNAL, leader, 0, STATE_PROPAGATION, 0));
     }
-    if (!c->wiring) {
+    if (!c->seam.wiring) {
         c->flushes++;
         c->flushed_events += w - 1;
     }
@@ -281,13 +218,13 @@ static int tick(ML *c, int node)
     double delay;
     if (pool_next(&c->channel, &delay) < 0)
         return -1;
-    if (c->wiring) {
-        int rc = transform(c, node, &delay);
+    if (c->seam.wiring) {
+        int rc = seam_transform(&c->seam, node, &delay);
         if (rc <= 0) {
             if (rc < 0)
                 return -1;
             /* _note_drop: the failed channel unlocks its sender */
-            c->dropped_exchanges++;
+            c->seam.dropped_exchanges++;
             c->locked[node] = 0;
             c->next_seq++;
             return 0;
@@ -583,65 +520,8 @@ static int load_leaders(ML *c)
     return rc;
 }
 
-/* The FaultInjection's counters and its fault models; 1 ok, 0 unsupported. */
-static int load_faults(ML *c)
-{
-    CHECK(get_ll(c->wiring, "dropped_messages", &c->dropped_messages));
-    CHECK(get_ll(c->wiring, "dropped_exchanges", &c->dropped_exchanges));
-    int ok = 1;
-    PyObject *faults = get_list(c->wiring, "faults", -1, &ok);
-    if (!faults)
-        return ok ? -1 : 0;
-    Py_DECREF(faults); /* the wiring keeps it alive for the call */
-    Py_ssize_t nfaults = PyList_GET_SIZE(faults);
-    if (!PyTuple_Check(c->kinds) || PyTuple_GET_SIZE(c->kinds) != nfaults)
-        return 0;
-    c->nfaults = (int)nfaults;
-    c->faults = calloc((size_t)nfaults + 1, sizeof(Fault));
-    if (!c->faults) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (int i = 0; i < c->nfaults; i++) {
-        Fault *f = &c->faults[i];
-        PyObject *obj = f->obj = PyList_GET_ITEM(faults, i);
-        long kind = PyLong_AsLong(PyTuple_GET_ITEM(c->kinds, i));
-        if (kind == -1 && PyErr_Occurred())
-            return -1;
-        f->kind = (int)kind;
-        if (kind == FAULT_IID) {
-            CHECK(get_double(obj, "rate", &f->rate));
-            CHECK(get_ll(obj, "dropped", &f->dropped));
-            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
-        }
-        else if (kind == FAULT_BURSTY) {
-            CHECK(get_double(obj, "drop_good", &f->drop_good));
-            CHECK(get_double(obj, "drop_bad", &f->drop_bad));
-            CHECK(get_double(obj, "to_bad", &f->to_bad));
-            CHECK(get_double(obj, "to_good", &f->to_good));
-            CHECK(get_flag(obj, "bad", &f->bad));
-            CHECK(get_ll(obj, "dropped", &f->dropped));
-            CHECK(get_ll(obj, "bursts", &f->bursts));
-            LOAD(pool_open_attr(&f->pool, obj, "_pool", 0));
-        }
-        else if (kind == FAULT_STRAGGLERS) {
-            CHECK(get_double(obj, "slowdown", &f->slowdown));
-            f->slow = malloc((size_t)c->n);
-            if (!f->slow) {
-                PyErr_NoMemory();
-                return -1;
-            }
-            LOAD(load_flags(obj, "_slow", c->n, f->slow));
-        }
-        else {
-            return 0;
-        }
-    }
-    return 1;
-}
-
 /* Load everything; 1 = ready, 0 = unsupported state, -1 = error. */
-static int core_load(ML *c)
+static int core_load(ML *c, PyObject *wiring, PyObject *kinds)
 {
     long long n, k;
     CHECK(get_ll(c->proto, "n", &n));
@@ -727,25 +607,7 @@ static int core_load(ML *c)
         return -1;
     Py_DECREF(neighbors); /* the protocol keeps it alive for the call */
     LOAD(pool_open_attr(&c->neighbor, neighbors, "_pool", 1));
-    return c->wiring ? load_faults(c) : 1;
-}
-
-static int store_faults(ML *c)
-{
-    CHECK(set_ll(c->wiring, "dropped_messages", c->dropped_messages));
-    CHECK(set_ll(c->wiring, "dropped_exchanges", c->dropped_exchanges));
-    for (int i = 0; i < c->nfaults; i++) {
-        Fault *f = &c->faults[i];
-        if (f->kind == FAULT_STRAGGLERS)
-            continue;
-        CHECK(set_ll(f->obj, "dropped", f->dropped));
-        if (f->kind == FAULT_BURSTY) {
-            CHECK(set_flag(f->obj, "bad", f->bad));
-            CHECK(set_ll(f->obj, "bursts", f->bursts));
-        }
-        CHECK(pool_store(&f->pool));
-    }
-    return 0;
+    return seam_load(&c->seam, wiring, kinds, c->n);
 }
 
 static int core_store(void *core)
@@ -779,7 +641,7 @@ static int core_store(void *core)
     CHECK(pool_store(&c->latency));
     CHECK(pool_store(&c->channel));
     CHECK(pool_store(&c->neighbor));
-    return c->wiring ? store_faults(c) : 0;
+    return seam_store(&c->seam);
 }
 
 static void core_free(ML *c)
@@ -800,11 +662,7 @@ static void core_free(ML *c)
     free(c->lats);
     free(c->ticks);
     free(c->leaders);
-    for (int i = 0; c->faults && i < c->nfaults; i++) {
-        free(c->faults[i].slow);
-        pool_free(&c->faults[i].pool);
-    }
-    free(c->faults);
+    seam_free(&c->seam);
     free(c->heap.v);
     pool_free(&c->tick_wait);
     pool_free(&c->latency);
@@ -847,9 +705,7 @@ PyObject *ml_run(PyObject *module, PyObject *args)
     memset(&c, 0, sizeof c);
     c.proto = proto;
     c.funcs = funcs;
-    c.wiring = wiring == Py_None ? NULL : wiring;
-    c.kinds = kinds;
-    int ready = core_load(&c);
+    int ready = core_load(&c, wiring, kinds);
     if (ready != 1) {
         core_free(&c);
         if (ready < 0)

@@ -50,7 +50,6 @@ from repro.core.results import GenerationBirth, RunResult, StepStats
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
 from repro.engine.simulator import Simulator, tick_times
-from repro.engine.tracing import NULL_TRACER
 from repro.errors import ConfigurationError
 from repro.multileader.cluster_leader import (
     STATE_PROPAGATION,
@@ -59,13 +58,7 @@ from repro.multileader.cluster_leader import (
 )
 from repro.multileader.clustering import Clustering, publish_phase_metrics
 from repro.multileader.params import MultiLeaderParams
-from repro.scenarios.faults import (
-    FaultInjection,
-    GilbertElliottDrop,
-    IidDrop,
-    ProtocolAdapter,
-    Stragglers,
-)
+from repro.scenarios.faults import core_seam
 from repro.workloads.bias import (
     collision_probability,
     multiplicative_bias,
@@ -424,20 +417,15 @@ class MultiLeaderConsensusSim:
     def _core_seam(self):
         """How the compiled core can run this run, or ``False`` if it cannot.
 
-        ``(None, ())`` for a simulator of our own, ``(wiring, kinds)``
-        for one wrapped by a :class:`FaultInjection` whose models are
-        all :class:`IidDrop`, :class:`GilbertElliottDrop` or
-        :class:`Stragglers` (``kinds`` numbers them in model order).
-        Beyond that: ``K_n``, window > 1, no tracer (the simulator's or
-        a leader's), and none of the handlers the core replaces
-        overridden, the leaders' included.
+        :func:`~repro.scenarios.faults.core_seam`'s ``(wiring, kinds)``
+        for the simulator, given ``K_n``, window > 1, no leader tracer,
+        and none of the handlers the core replaces overridden, the
+        leaders' included.
         """
         cls = type(self)
         if not (
             self._window > 1
             and type(self.graph) is CompleteGraph
-            and type(self.sim) is Simulator
-            and self.sim.tracer is NULL_TRACER
             and all(getattr(cls, name) is getattr(MultiLeaderConsensusSim, name) for name in _CORE_HANDLERS)
             and not hasattr(cls, "_unlock")
             and all(
@@ -446,34 +434,7 @@ class MultiLeaderConsensusSim:
             )
         ):
             return False
-        shadowed = vars(self.sim).keys() & _SIMULATOR_METHODS
-        if not shadowed:
-            return None, ()
-        wiring = getattr(self.sim.schedule_in, "__self__", None)
-        if (
-            type(wiring) is not FaultInjection
-            or wiring.sim is not self.sim
-            or shadowed != _SEAM_METHODS.keys()
-            or any(
-                getattr(vars(self.sim)[name], "__self__", None) is not wiring
-                or getattr(vars(self.sim)[name], "__func__", None) is not method
-                for name, method in _SEAM_METHODS.items()
-            )
-            or any(
-                getattr(original, "__self__", None) is not self.sim
-                or getattr(original, "__func__", None) is not getattr(Simulator, name)
-                for name, original in (
-                    ("schedule_in", wiring._original_schedule_in),
-                    ("schedule_many_at", wiring._original_schedule_many_at),
-                )
-            )
-            or wiring._has_churn
-            or type(wiring.adapter) is not ProtocolAdapter
-            or wiring.adapter._sim_obj is not self
-            or not all(type(fault) in _FAULT_KINDS for fault in wiring.faults)
-        ):
-            return False
-        return wiring, tuple(_FAULT_KINDS[type(fault)] for fault in wiring.faults)
+        return core_seam(self)
 
     def _run_core(self, until: float) -> bool:
         """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
@@ -610,18 +571,6 @@ _CORE_FUNCS = (
     MultiLeaderConsensusSim._exchange,
     MultiLeaderConsensusSim._deliver_signal,
 )
-#: Simulator methods a fault seam may shadow on the instance.
-_SIMULATOR_METHODS = frozenset(name for name, value in vars(Simulator).items() if callable(value))
-#: The shadowing a FaultInjection installs, by simulator method.
-_SEAM_METHODS = {
-    "schedule": FaultInjection._schedule,
-    "schedule_in": FaultInjection._schedule_in,
-    "schedule_many_at": FaultInjection._schedule_many_at,
-    "tally_at": FaultInjection._tally_at,
-    "tally_in": FaultInjection._tally_in,
-}
-#: The fault models the core runs, numbered as it expects them.
-_FAULT_KINDS = {IidDrop: 0, GilbertElliottDrop: 1, Stragglers: 2}
 
 
 def run_multileader_consensus(

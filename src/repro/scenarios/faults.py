@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.engine.rng import UniformPool
 from repro.engine.simulator import Simulator
+from repro.engine.tracing import NULL_TRACER
 from repro.errors import ConfigurationError, SchedulingError
 from repro.util.validation import check_positive
 
@@ -71,6 +72,7 @@ __all__ = [
     "CrashAtTimes",
     "ProtocolAdapter",
     "FaultInjection",
+    "core_seam",
     "inject_faults",
     "prepare_faulty_simulator",
     "build_faults",
@@ -629,6 +631,66 @@ class FaultInjection:
 
     def describe(self) -> str:
         return ", ".join(fault.describe() for fault in self.faults) or "no faults"
+
+
+#: Simulator methods a fault seam may shadow on the instance.
+_SIMULATOR_METHODS = frozenset(name for name, value in vars(Simulator).items() if callable(value))
+#: The shadowing a FaultInjection installs, by simulator method.
+_SEAM_METHODS = {
+    "schedule": FaultInjection._schedule,
+    "schedule_in": FaultInjection._schedule_in,
+    "schedule_many_at": FaultInjection._schedule_many_at,
+    "tally_at": FaultInjection._tally_at,
+    "tally_in": FaultInjection._tally_in,
+}
+#: The fault models the compiled cores run, numbered as they expect them.
+_CORE_FAULT_KINDS = {IidDrop: 0, GilbertElliottDrop: 1, Stragglers: 2}
+
+
+def core_seam(sim_obj: Any):
+    """How a compiled core can schedule ``sim_obj``'s events, or ``False``.
+
+    ``sim_obj.sim`` must be a plain :class:`Simulator` with no tracer.
+    ``(None, ())`` when its scheduling methods are its own;
+    ``(wiring, kinds)`` when they are shadowed by exactly one
+    :class:`FaultInjection` (as :func:`prepare_faulty_simulator` and
+    :func:`inject_faults` install it) that is bound to ``sim_obj``, has
+    no churn, and whose models are all exactly :class:`IidDrop`,
+    :class:`GilbertElliottDrop` or :class:`Stragglers` (``kinds``
+    numbers them in model order, 0, 1 and 2).  Both multi-leader phases
+    hand the pair to their core, which runs the transforms in C.
+    """
+    sim = sim_obj.sim
+    if type(sim) is not Simulator or sim.tracer is not NULL_TRACER:
+        return False
+    shadowed = vars(sim).keys() & _SIMULATOR_METHODS
+    if not shadowed:
+        return None, ()
+    wiring = getattr(sim.schedule_in, "__self__", None)
+    if (
+        type(wiring) is not FaultInjection
+        or wiring.sim is not sim
+        or shadowed != _SEAM_METHODS.keys()
+        or any(
+            getattr(vars(sim)[name], "__self__", None) is not wiring
+            or getattr(vars(sim)[name], "__func__", None) is not method
+            for name, method in _SEAM_METHODS.items()
+        )
+        or any(
+            getattr(original, "__self__", None) is not sim
+            or getattr(original, "__func__", None) is not getattr(Simulator, name)
+            for name, original in (
+                ("schedule_in", wiring._original_schedule_in),
+                ("schedule_many_at", wiring._original_schedule_many_at),
+            )
+        )
+        or wiring._has_churn
+        or type(wiring.adapter) is not ProtocolAdapter
+        or wiring.adapter._sim_obj is not sim_obj
+        or not all(type(fault) in _CORE_FAULT_KINDS for fault in wiring.faults)
+    ):
+        return False
+    return wiring, tuple(_CORE_FAULT_KINDS[type(fault)] for fault in wiring.faults)
 
 
 def inject_faults(
