@@ -197,7 +197,8 @@ class ClusteringSim:
             )
         self._tick_wait = ExponentialPool(rng, params.clock_rate)
         self._latency = ExponentialPool(rng, params.latency_rate)
-        self._sample_other = graph.neighbor_pool(rng).sample
+        self._neighbors = graph.neighbor_pool(rng)
+        self._sample_other = self._neighbors.sample
         # Three concurrent channels to the sampled nodes per cycle.
         self._channel_delay = ChannelDelayPool(rng, params.latency_rate, stages=(3,))
         self._leader: list[int] = [-1] * self.n
@@ -369,6 +370,12 @@ class ClusteringSim:
         if self._broadcast_started and self._informed_count == self._total_leaders:
             self.sim.stop()
 
+    def _sample(self, every: float) -> None:
+        """Record the clustered fraction, then poll again ``every`` later."""
+        clustered = sum(1 for leader in self._leader if leader >= 0)
+        self.clustered_trajectory.append((self.sim.now, clustered / self.n))
+        self.sim.schedule_in(every, self._sample, every)
+
     def publish_metrics(self, metrics) -> None:
         """Harvest tick + engine counters into a registry (epilogue)."""
         publish_phase_metrics(self, metrics)
@@ -376,13 +383,7 @@ class ClusteringSim:
     # ------------------------------------------------------------------
     def run(self, *, max_time: float = 500.0, sample_every: float = 1.0) -> Clustering:
         """Run until every leader learned of the switch (or ``max_time``)."""
-
-        def sample() -> None:
-            clustered = sum(1 for leader in self._leader if leader >= 0)
-            self.clustered_trajectory.append((self.sim.now, clustered / self.n))
-            self.sim.schedule_in(sample_every, sample)
-
-        self.sim.schedule_in(sample_every, sample)
+        self.sim.schedule_in(sample_every, self._sample, sample_every)
         self.sim.run(until=max_time)
         if not self.active_leaders:
             raise SimulationError(
