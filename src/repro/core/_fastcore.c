@@ -1,7 +1,8 @@
 /* The compiled-core extension module and the helpers the cores share.
  *
  * run() is the single-leader core (_slcore.c), run_multileader() the
- * multi-leader one (_mlcore.c).  Everything here but the fault seam's
+ * multi-leader consensus one (_mlcore.c) and run_clustering() the
+ * clustering phase's (_clcore.c).  Everything here but the fault seam's
  * transform chain is off the event loop's hot path: opening, refilling
  * and storing draw pools, and loading attributes into C and storing
  * them back.
@@ -705,14 +706,15 @@ void seam_free(Seam *s)
 static PyMethodDef fastcore_methods[] = {
     {"run", sl_run, METH_VARARGS, sl_run_doc},
     {"run_multileader", ml_run, METH_VARARGS, ml_run_doc},
+    {"run_clustering", cl_run, METH_VARARGS, cl_run_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fastcore_module = {
     PyModuleDef_HEAD_INIT,
     "_fastcore",
-    "Compiled hot paths of SingleLeaderSim and MultiLeaderConsensusSim on K_n "
-    "(see repro.core.fastcore).",
+    "Compiled hot paths of SingleLeaderSim, MultiLeaderConsensusSim and "
+    "ClusteringSim on K_n (see repro.core.fastcore).",
     -1,
     fastcore_methods,
     NULL,

@@ -1,4 +1,4 @@
-/* Shared parts of the compiled cores (_slcore.c, _mlcore.c).
+/* Shared parts of the compiled cores (_slcore.c, _mlcore.c, _clcore.c).
  *
  * The event heap, the draw-pool view of a DrawPool's numpy block, the
  * fault seam, and the helpers that load Python attributes into C and
@@ -32,7 +32,7 @@ typedef struct {
     int a, b, c, d;
 } Event;
 
-#define KIND_BITS 2
+#define KIND_BITS 3
 #define MAX_SEQ (LLONG_MAX >> KIND_BITS)
 
 static inline long long ev_seq(const Event *e)
@@ -253,11 +253,13 @@ int store_clock(PyObject *sim, double now, long long executed, int stop);
  * NULL. */
 PyObject *finish_run(int rc, int (*store)(void *), void *core);
 
-/* The two cores' entry points. */
+/* The three cores' entry points. */
 PyObject *sl_run(PyObject *module, PyObject *args);
 PyObject *ml_run(PyObject *module, PyObject *args);
+PyObject *cl_run(PyObject *module, PyObject *args);
 extern const char sl_run_doc[];
 extern const char ml_run_doc[];
+extern const char cl_run_doc[];
 
 #define LOAD(expr)              \
     do {                        \

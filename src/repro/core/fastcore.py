@@ -1,12 +1,13 @@
 """Build and load the compiled cores (``_fastcore.c`` and friends).
 
-Two protocol simulators hand an eligible run's event loop to one C
+Three protocol simulators hand an eligible run's event loop to one C
 extension and keep their Python engines as the oracle and the fallback:
-:meth:`repro.core.single_leader.SingleLeaderSim.run` (``_slcore.c``)
-and :meth:`repro.multileader.consensus.MultiLeaderConsensusSim.run`
-(``_mlcore.c``).  Both share ``_fastcore.h``/``_fastcore.c``: the event
-heap, the draw-pool views and the attribute load/store helpers, and the
-module definition.  This module only builds and loads the extension:
+:meth:`repro.core.single_leader.SingleLeaderSim.run` (``_slcore.c``),
+:meth:`repro.multileader.consensus.MultiLeaderConsensusSim.run`
+(``_mlcore.c``) and :meth:`repro.multileader.clustering.ClusteringSim.run`
+(``_clcore.c``).  They share ``_fastcore.h``/``_fastcore.c``: the event
+heap, the draw-pool views, the fault seam of the two multi-leader
+phases, the attribute load/store helpers, and the module definition.  This module only builds and loads the extension:
 
 * **Lazily.**  Nothing is built at import; the first :func:`load`
   builds or finds the extension, and the result (the module, or
@@ -49,7 +50,7 @@ __all__ = ["load"]
 
 _HERE = Path(__file__).parent
 #: The extension's sources; the .c files compile to one object each.
-_SOURCES = ("_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c")
+_SOURCES = ("_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c", "_clcore.c")
 #: The gitignored build cache at the repository root (``src/..``).
 _BUILD_DIR = Path(__file__).resolve().parents[3] / ".bench_build"
 _MODULE_NAME = "repro.core._fastcore"

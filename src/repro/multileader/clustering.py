@@ -25,7 +25,14 @@ the cap; the ready counter starts only after the reopen window.
 
 The event hot path (ticks, latencies, contact sampling) draws from
 block-prefetched pools and dispatches bound methods with integer/tuple
-payloads — see the engine notes in :mod:`repro.core.single_leader`.
+payloads — see the engine notes in :mod:`repro.core.single_leader`.  An
+eligible run (``K_n``, no tracer, no churn, default admission, none of
+the core's handlers overridden) runs its event loop in the compiled
+core (:mod:`repro.core.fastcore`), which repeats these handlers — and
+the drop and straggler transforms of a
+:class:`~repro.scenarios.faults.FaultInjection` wrapping the simulator —
+draw for draw and writes the state back; this module stays its oracle
+and fallback.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import fastcore
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
 from repro.engine.simulator import Simulator, schedule_tick_window
 from repro.errors import ConfigurationError, SimulationError
 from repro.multileader.params import MultiLeaderParams
+from repro.scenarios.faults import core_seam
 from repro.util.validation import check_positive_int
 
 __all__ = ["Clustering", "ClusteringSim", "ideal_clustering", "run_clustering"]
@@ -158,9 +167,6 @@ class ClusteringSim:
         the pre-scenario engine; see :mod:`repro.scenarios.topology`).
     """
 
-    #: Clustering always runs on the Python engine.
-    core = "python"
-
     def __init__(
         self,
         params: MultiLeaderParams,
@@ -188,6 +194,8 @@ class ClusteringSim:
         self.graph = graph
         self._rng = rng
         self.sim = Simulator(tracer=tracer) if simulator is None else simulator
+        #: The core that ran the last run() ("c" or "python").
+        self.core = "python"
         self._tracer = self.sim.tracer
         self._trace_phase = self._tracer.enabled_for("phase")
         if self._tracer.enabled_for("run"):
@@ -381,10 +389,45 @@ class ClusteringSim:
         publish_phase_metrics(self, metrics)
 
     # ------------------------------------------------------------------
+    # compiled core
+    # ------------------------------------------------------------------
+    def _core_seam(self):
+        """How the compiled core can run this run, or ``False`` if it cannot.
+
+        :func:`~repro.scenarios.faults.core_seam`'s ``(wiring, kinds)``
+        for the simulator, given ``K_n``, window > 1, the default
+        admission policy (no ``faithful_pause``), and none of the
+        handlers the core replaces overridden.
+        """
+        cls = type(self)
+        if not (
+            self._window > 1
+            and type(self.graph) is CompleteGraph
+            and not self._faithful_pause
+            and all(getattr(cls, name) is getattr(ClusteringSim, name) for name in _CORE_HANDLERS)
+            and not hasattr(cls, "_unlock")
+        ):
+            return False
+        return core_seam(self)
+
+    def _run_core(self, until: float) -> bool:
+        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
+        seam = self._core_seam()
+        if seam is False:
+            return False
+        core = fastcore.load()
+        if core is None or not core.run_clustering(self, until, _CORE_FUNCS, *seam):
+            return False
+        self.core = "c"
+        return True
+
+    # ------------------------------------------------------------------
     def run(self, *, max_time: float = 500.0, sample_every: float = 1.0) -> Clustering:
         """Run until every leader learned of the switch (or ``max_time``)."""
+        self.core = "python"
         self.sim.schedule_in(sample_every, self._sample, sample_every)
-        self.sim.run(until=max_time)
+        if not self._run_core(max_time):
+            self.sim.run(until=max_time)
         if not self.active_leaders:
             raise SimulationError(
                 "clustering produced no active cluster; increase max_time or n"
@@ -402,6 +445,22 @@ class ClusteringSim:
             switch_times=dict(self.switch_times),
             elapsed=self.sim.now,
         )
+
+
+#: Handlers whose work the compiled core does itself.
+_CORE_HANDLERS = (
+    "_tick", "_exchange", "_join", "_accepting", "_leader_signal", "_inform", "_refill_window",
+    "_sample",
+)
+#: The handlers the core recognises in (and writes back to) the event
+#: queue, in the core's event-kind order.
+_CORE_FUNCS = (
+    ClusteringSim._tick,
+    ClusteringSim._exchange,
+    ClusteringSim._join,
+    ClusteringSim._leader_signal,
+    ClusteringSim._sample,
+)
 
 
 def publish_phase_metrics(phase, metrics) -> None:
