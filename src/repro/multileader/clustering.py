@@ -83,16 +83,14 @@ class Clustering:
 
     @property
     def leaders(self) -> list[int]:
-        """All cluster leaders (active or not)."""
-        own = np.nonzero(self.leader_of == np.arange(self.n))[0]
-        return [int(v) for v in own]
+        """All cluster leaders (active or not), ascending."""
+        return np.flatnonzero(self.leader_of == np.arange(self.n)).tolist()
 
     def cluster_sizes(self) -> dict[int, int]:
-        """Leader id -> cluster cardinality (leader included)."""
-        sizes: dict[int, int] = {}
-        for leader in self.leaders:
-            sizes[leader] = int(np.count_nonzero(self.leader_of == leader))
-        return sizes
+        """Leader id -> cluster cardinality (leader included), by ascending id."""
+        clustered = self.leader_of[self.leader_of >= 0]
+        counts = np.bincount(clustered, minlength=self.n)
+        return {leader: int(counts[leader]) for leader in self.leaders}
 
     @property
     def clustered_fraction(self) -> float:
@@ -101,11 +99,8 @@ class Clustering:
     @property
     def active_fraction(self) -> float:
         """Fraction of all nodes living in an active (consensus) cluster."""
-        active = set(self.active_leaders)
-        member_of_active = [
-            1 for leader in self.leader_of.tolist() if leader in active
-        ]
-        return len(member_of_active) / self.n
+        members = int(np.count_nonzero(np.isin(self.leader_of, self.active_leaders)))
+        return members / self.n
 
     @property
     def switch_spread(self) -> float:

@@ -36,6 +36,37 @@ class TestIdealClustering:
         assert ideal_clustering(100, 10).switch_spread == 0.0
 
 
+class TestBookkeeping:
+    """The vectorized cluster bookkeeping against the per-leader formulas."""
+
+    @staticmethod
+    def random_clustering(rng: np.random.Generator) -> Clustering:
+        n = int(rng.integers(2, 400))
+        leaders = np.unique(rng.integers(0, n, size=int(rng.integers(1, n + 1))))
+        leader_of = rng.choice(leaders, size=n)
+        leader_of[rng.random(n) < rng.random()] = -1  # unclustered nodes
+        leader_of[leaders] = leaders
+        active = [int(v) for v in leaders if rng.random() < 0.6]
+        return Clustering(leader_of=leader_of.astype(np.int64), active_leaders=active)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_leader_formulas(self, seed):
+        clustering = self.random_clustering(np.random.default_rng(seed))
+        leader_of = clustering.leader_of
+        leaders = [int(v) for v in np.nonzero(leader_of == np.arange(clustering.n))[0]]
+        sizes = {leader: int(np.count_nonzero(leader_of == leader)) for leader in leaders}
+        active = set(clustering.active_leaders)
+        in_active = len([1 for leader in leader_of.tolist() if leader in active])
+        assert clustering.leaders == leaders
+        assert list(clustering.cluster_sizes().items()) == list(sizes.items())
+        assert clustering.active_fraction == in_active / clustering.n
+
+    def test_no_active_leaders(self):
+        clustering = ideal_clustering(50, 10)
+        clustering.active_leaders = []
+        assert clustering.active_fraction == 0.0
+
+
 class TestClusteringSim:
     @pytest.fixture()
     def params(self) -> MultiLeaderParams:
