@@ -1,12 +1,11 @@
 """Discrete-event simulation substrate.
 
 This subpackage contains everything the protocols run *on top of*: the
-event queue and simulator loop, Poisson clocks, edge-latency models and
-the hypoexponential cycle-time math, the complete-graph address space,
+event queue and simulator loop, edge-latency models and the
+hypoexponential cycle-time math, the complete-graph address space,
 deterministic RNG substreams, and structured tracing.
 """
 
-from repro.engine.clocks import PoissonClock
 from repro.engine.events import EventQueue
 from repro.engine.hypoexp import Hypoexponential
 from repro.engine.latency import (
@@ -41,7 +40,6 @@ from repro.engine.tracing import (
 )
 
 __all__ = [
-    "PoissonClock",
     "EventQueue",
     "ChannelDelayPool",
     "DrawPool",
