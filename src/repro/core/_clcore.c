@@ -351,19 +351,13 @@ static int run_loop(CL *c, double horizon)
 /* loading and storing the Python state                               */
 /* ------------------------------------------------------------------ */
 
-/* A node id in [0, n): 1 ok, 0 unsupported, -1 error. */
-static int node_arg(CL *c, PyObject *v, int *out)
-{
-    return int_arg(v, c->n, out);
-}
-
 static int load_payload(void *core, int kind, PyObject *payload, Event *e)
 {
     CL *c = core;
     switch (kind) {
     case EV_TICK:
     case EV_SIGNAL:
-        return node_arg(c, payload, &e->a);
+        return int_arg(payload, c->n, &e->a);
     case EV_EXCHANGE: {
         /* (node, (s0, s1, s2)) */
         if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 2)
@@ -371,22 +365,22 @@ static int load_payload(void *core, int kind, PyObject *payload, Event *e)
         PyObject *samples = PyTuple_GET_ITEM(payload, 1);
         if (!PyTuple_Check(samples) || PyTuple_GET_SIZE(samples) != 3)
             return 0;
-        int rc = node_arg(c, PyTuple_GET_ITEM(payload, 0), &e->a);
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
         if (rc == 1)
-            rc = node_arg(c, PyTuple_GET_ITEM(samples, 0), &e->b);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 0), c->n, &e->b);
         if (rc == 1)
-            rc = node_arg(c, PyTuple_GET_ITEM(samples, 1), &e->c);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 1), c->n, &e->c);
         if (rc == 1)
-            rc = node_arg(c, PyTuple_GET_ITEM(samples, 2), &e->d);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 2), c->n, &e->d);
         return rc;
     }
     case EV_JOIN: {
         /* (node, target): a target is always a leader */
         if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 2)
             return 0;
-        int rc = node_arg(c, PyTuple_GET_ITEM(payload, 0), &e->a);
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
         if (rc == 1)
-            rc = node_arg(c, PyTuple_GET_ITEM(payload, 1), &e->b);
+            rc = int_arg(PyTuple_GET_ITEM(payload, 1), c->n, &e->b);
         return rc == 1 ? c->is_leader[e->b] : rc;
     }
     default: {
@@ -430,22 +424,6 @@ static PyObject *build_payload(void *core, const Event *e)
     }
 }
 
-/* An int attribute: 1 ok, 0 not an int, -1 error. */
-static int load_int(PyObject *obj, const char *name, long long *out)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    if (!v)
-        return -1;
-    int rc = PyLong_CheckExact(v);
-    if (rc) {
-        *out = PyLong_AsLongLong(v);
-        if (*out == -1 && PyErr_Occurred())
-            rc = -1;
-    }
-    Py_DECREF(v);
-    return rc;
-}
-
 /* A dict attribute keyed by the leaders (owned into *out); 1 ok, 0 not a dict. */
 static int load_dict(PyObject *obj, const char *name, PyObject **out)
 {
@@ -470,7 +448,7 @@ static int load_leader_dict(CL *c, PyObject *d, long long *ll, signed char *flag
     Py_ssize_t pos = 0;
     while (PyDict_Next(d, &pos, &key, &value)) {
         int node;
-        int rc = node_arg(c, key, &node);
+        int rc = int_arg(key, c->n, &node);
         if (rc != 1)
             return rc;
         if (d == c->size_d)
@@ -508,7 +486,7 @@ static int load_switches(CL *c)
     Py_ssize_t pos = 0;
     while (PyDict_Next(c->switch_d, &pos, &key, &value)) {
         int node;
-        int rc = node_arg(c, key, &node);
+        int rc = int_arg(key, c->n, &node);
         if (rc != 1)
             return rc;
         if (!PyFloat_CheckExact(value))
@@ -539,7 +517,7 @@ static int load_active(CL *c)
 static int core_load(CL *c, PyObject *wiring, PyObject *kinds)
 {
     long long n;
-    LOAD(load_int(c->proto, "n", &n));
+    CHECK(get_ll(c->proto, "n", &n));
     CHECK(get_int(c->proto, "_window", &c->window));
     if (n < 2 || n > INT_MAX / 2 || c->window < 2 || c->window > 1 << 20)
         return 0;
@@ -547,23 +525,17 @@ static int core_load(CL *c, PyObject *wiring, PyObject *kinds)
     PyObject *params = PyObject_GetAttrString(c->proto, "params");
     if (!params)
         return -1;
-    int rc = load_int(params, "max_cluster_size", &c->max_size);
-    if (rc == 1)
-        rc = load_int(params, "target_cluster_size", &c->target_size);
-    if (rc == 1)
-        rc = load_int(params, "min_active_size", &c->min_active);
+    int rc = get_ll(params, "max_cluster_size", &c->max_size);
+    if (rc == 0)
+        rc = get_ll(params, "target_cluster_size", &c->target_size);
+    if (rc == 0)
+        rc = get_ll(params, "min_active_size", &c->min_active);
     Py_DECREF(params);
-    LOAD(rc);
-    LOAD(load_int(c->proto, "_ready_signals", &c->ready_signals));
-    LOAD(load_int(c->proto, "_informed_count", &c->informed_count));
-    LOAD(load_int(c->proto, "_total_leaders", &c->total_leaders));
+    CHECK(rc);
+    CHECK(get_ll(c->proto, "_ready_signals", &c->ready_signals));
+    CHECK(get_ll(c->proto, "_informed_count", &c->informed_count));
+    CHECK(get_ll(c->proto, "_total_leaders", &c->total_leaders));
     CHECK(get_flag(c->proto, "_broadcast_started", &c->broadcast));
-    PyObject *first = PyObject_GetAttrString(c->proto, "first_ready_time");
-    if (!first)
-        return -1;
-    Py_DECREF(first);
-    if (first != Py_None && !PyFloat_CheckExact(first))
-        return 0;
 
     size_t nn = (size_t)c->n;
     c->leader = malloc(nn * sizeof(int));
