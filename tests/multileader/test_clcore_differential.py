@@ -173,14 +173,11 @@ def test_split_run_continues_exactly(first, second, monkeypatch):
     assert compiled == python
 
 
-_DROP_MODELS = st.sampled_from([None, "iid", "bursty"])
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     n=st.integers(4, 500),
     leader_probability=st.floats(0.01, 0.2),
-    drop_model=_DROP_MODELS,
+    drop_model=st.sampled_from([None, "iid", "bursty"]),
     drop=st.floats(0.0, 0.4),
     stragglers=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
