@@ -2,27 +2,21 @@
  *
  * One call, run_clustering(proto, horizon, funcs, wiring, kinds),
  * replaces proto.sim.run(until=horizon) for an eligible ClusteringSim
- * (see ClusteringSim._core_seam).  It loads the phase's state (the
- * per-node leader, lock and tick-window credit, every leader's size,
- * signal count and ready/informed flags, the switch times and the
- * sampled trajectory) out of the Python objects, runs the unpolled
- * event loop with the handlers inlined, and writes every piece of state
- * back, so the Python engine can inspect the result or continue the run
- * exactly.
- *
- * The byte-identity rules are the other cores' (_slcore.c): events pop
- * in (time, seq) order; the core never draws, but calls a pool's
- * _refill_array() when its block runs out; the handlers repeat the
- * Python arithmetic op for op.  The one order the Python phase leaves to
- * the interpreter, a set's iteration order when one exchange informs
+ * (see ClusteringSim._core_seam).  This file is the protocol half: the
+ * phase's state (the per-node leader, lock and tick-window credit,
+ * every leader's size, signal count and ready/informed flags, the
+ * switch times and the sampled trajectory), the handlers and the
+ * payload codecs; _fastcore.h holds the simulator half it runs on, over
+ * an always-empty tally stream.  The one order the Python phase leaves
+ * to the interpreter, a set's iteration order when one exchange informs
  * several leaders, is taken from a real set built the same way.
  *
  * wiring and kinds are the multi-leader consensus core's: None, or the
- * FaultInjection on the simulator with its drop and straggler models
- * (seam_transform).  _exchange and _join are exchanges of their
- * initiating node (a drop unlocks it), _leader_signal a message with no
- * owner node (dropped, never slowed), and _tick and _sample take no
- * transform.
+ * FaultInjection on the simulator with its drop and straggler models.
+ * _exchange and _join are exchanges of their initiating node sent
+ * through the seam (sim_send; a drop unlocks the node), _leader_signal
+ * a message with no owner node (dropped, never slowed), and _tick and
+ * _sample take no transform.
  *
  * A state the core does not model makes run_clustering() return False
  * before anything is consumed; the caller then runs Python.
@@ -32,16 +26,16 @@
 /* The events, numbered like their handlers in funcs: tick(a),
  * exchange((a, (b, c, d))), join((a, b)), leader_signal(a) and
  * sample(every[a]). */
-enum { EV_TICK, EV_EXCHANGE, EV_JOIN, EV_SIGNAL, EV_SAMPLE, EV_KINDS };
+enum { EV_EXCHANGE = EV_TICK + 1, EV_JOIN, EV_SIGNAL, EV_SAMPLE, EV_KINDS };
 
 /* Distinct sample intervals a queue may hold. */
 #define MAX_EVERY 8
 
 typedef struct {
-    PyObject *proto, *sim, *queue, *funcs;
+    Sim s;
     /* the phase's dicts and lists (owned references) */
     PyObject *size_d, *signal_d, *ready_d, *informed_d, *switch_d, *active_l, *traj_l;
-    int n, window;
+    int window;
     long long max_size, target_size, min_active, ready_signals;
     /* per-node state */
     int *leader, *credit;
@@ -58,115 +52,61 @@ typedef struct {
     int broadcast, first_set;
     double first_ready;
     double *waits, *ticks;
-    long long good, total;
-    Seam seam;
     /* the sample intervals in the queue: payload objects and values */
     PyObject *every[MAX_EVERY];
     double every_v[MAX_EVERY];
     int nevery;
-    /* simulator */
-    double now;
-    long long next_seq, executed, flushes, flushed_events;
-    int stop;
-    EventHeap heap;
-    Pool tick_wait, latency, channel, neighbor;
 } CL;
-
-/* ------------------------------------------------------------------ */
-/* scheduling                                                         */
-/* ------------------------------------------------------------------ */
-
-static inline int schedule(CL *c, double time, int kind, int a, int b, int x, int d)
-{
-    Event e = {time, c->next_seq++ << KIND_BITS | kind, a, b, x, d};
-    return ev_push(&c->heap, &e);
-}
-
-/* An exchange of node (_exchange or _join) after delay, through the
- * seam: a drop unlocks the sender. */
-static int send_exchange(CL *c, double delay, int kind, int node, int b, int x, int d)
-{
-    if (c->seam.wiring) {
-        int rc = seam_transform(&c->seam, node, &delay);
-        if (rc <= 0) {
-            if (rc < 0)
-                return -1;
-            /* _note_drop, then reserve_handle */
-            c->seam.dropped_exchanges++;
-            c->locked[node] = 0;
-            c->next_seq++;
-            return 0;
-        }
-    }
-    return schedule(c, c->now + delay, kind, node, b, x, d);
-}
-
-/* _refill_window (window >= 2): schedule_tick_window */
-static int refill_window(CL *c, int node)
-{
-    int w = c->window;
-    double now = c->now;
-    if (pool_take(&c->tick_wait, w, c->waits) < 0)
-        return -1;
-    double total = 0.0;
-    for (int j = 0; j < w; j++) {
-        total += c->waits[j];
-        c->ticks[j] = total + now;
-    }
-    CHECK(schedule(c, now + c->waits[0], EV_TICK, node, 0, 0, 0));
-    /* schedule_many_at: the block goes to the simulator whole */
-    for (int j = 1; j < w; j++) {
-        double t = c->seam.wiring ? now + (c->ticks[j] - now) : c->ticks[j];
-        CHECK(schedule(c, t, EV_TICK, node, 0, 0, 0));
-    }
-    c->flushes++;
-    c->flushed_events += w - 1;
-    c->credit[node] = w;
-    return 0;
-}
 
 /* ------------------------------------------------------------------ */
 /* handlers (ClusteringSim, faithful_pause off)                       */
 /* ------------------------------------------------------------------ */
 
+/* An exchange of node (_exchange or _join) after delay, through the
+ * seam: a drop unlocks the sender. */
+static int send_exchange(CL *c, double delay, int kind, int node, int b, int x, int d)
+{
+    int rc = sim_send(&c->s, node, delay, kind, node, b, x, d);
+    if (rc == 0)
+        c->locked[node] = 0;
+    return rc < 0 ? -1 : 0;
+}
+
 /* _tick */
 static int tick(CL *c, int node)
 {
-    c->total++;
+    c->s.total_ticks++;
     int credit = c->credit[node] - 1;
     if (credit)
         c->credit[node] = credit;
-    else if (refill_window(c, node) < 0)
-        return -1;
+    else {
+        /* _refill_window (window >= 2): schedule_tick_window */
+        if (pool_take(&c->s.tick_wait, c->window, c->waits) < 0)
+            return -1;
+        CHECK(sim_tick_block(&c->s, node, c->window, c->waits, c->ticks));
+        c->credit[node] = c->window;
+    }
     int own = c->leader[node];
     if (own >= 0) {
         /* Member (or leader itself): 0-signal to the own leader. */
         double delay;
-        if (pool_next(&c->latency, &delay) < 0)
+        if (pool_next(&c->s.latency, &delay) < 0)
             return -1;
-        int rc = c->seam.wiring ? seam_transform(&c->seam, -1, &delay) : 1;
-        if (rc < 0)
-            return -1;
-        if (rc)
-            CHECK(schedule(c, c->now + delay, EV_SIGNAL, own, 0, 0, 0));
-        else {
-            c->seam.dropped_messages++;
-            c->next_seq++;
-        }
+        CHECK(sim_send(&c->s, -1, delay, EV_SIGNAL, own, 0, 0, 0));
     }
     if (c->locked[node])
         return 0;
     c->locked[node] = 1;
-    c->good++;
+    c->s.good_ticks++;
     long long v[3];
     for (int j = 0; j < 3; j++) {
-        if (pool_next_int(&c->neighbor, &v[j]) < 0)
+        if (pool_next_int(&c->s.neighbor, &v[j]) < 0)
             return -1;
         if (v[j] >= node)
             v[j]++;
     }
     double delay;
-    if (pool_next(&c->channel, &delay) < 0)
+    if (pool_next(&c->s.channel, &delay) < 0)
         return -1;
     return send_exchange(c, delay, EV_EXCHANGE, node, (int)v[0], (int)v[1], (int)v[2]);
 }
@@ -184,12 +124,12 @@ static void inform(CL *c, int leader)
             pos = c->switch_pos[leader] = c->nswitch++;
             c->switch_node[pos] = leader;
         }
-        c->switch_time[pos] = c->now;
+        c->switch_time[pos] = c->s.now;
         c->active[c->nactive++] = leader;
     }
     /* Termination is detected here, as in Python. */
     if (c->broadcast && c->informed_count == c->total_leaders)
-        c->stop = 1;
+        c->s.stop = 1;
 }
 
 /* Inform every seen leader in the iteration order of the set the
@@ -256,7 +196,7 @@ static int exchange(CL *c, int node, int s0, int s1, int s2)
     }
     /* Unclustered follower: try to join the smallest sampled leader. */
     double delay;
-    if (pool_next(&c->latency, &delay) < 0)
+    if (pool_next(&c->s.latency, &delay) < 0)
         return -1;
     return send_exchange(c, delay, EV_JOIN, node, target, 0, 0);
 }
@@ -284,7 +224,7 @@ static void leader_signal(CL *c, int leader)
         if (!c->broadcast) {
             c->broadcast = 1;
             c->first_set = 1;
-            c->first_ready = c->now;
+            c->first_ready = c->s.now;
             inform(c, leader);
         }
     }
@@ -293,71 +233,51 @@ static void leader_signal(CL *c, int leader)
 /* _sample */
 static int sample(CL *c, int every)
 {
-    PyObject *point = Py_BuildValue("(dd)", c->now, (double)c->clustered / (double)c->n);
+    double now = c->s.now;
+    PyObject *point = Py_BuildValue("(dd)", now, (double)c->clustered / (double)c->s.n);
     if (!point)
         return -1;
     int rc = PyList_Append(c->traj_l, point);
     Py_DECREF(point);
     CHECK(rc);
-    return schedule(c, c->now + c->every_v[every], EV_SAMPLE, every, 0, 0, 0);
+    return schedule(&c->s, now + c->every_v[every], EV_SAMPLE, every, 0, 0, 0);
 }
 
-/* Simulator._run_free over an empty tally stream */
-static int run_loop(CL *c, double horizon)
+static int dispatch(Sim *s, const Event *e)
 {
-    long long budget = SIGNAL_CHECK_EVERY;
-    while (c->heap.len) {
-        double due = c->heap.v[0].time;
-        if (due > horizon) {
-            c->now = horizon;
-            return 0;
-        }
-        Event e = c->heap.v[0];
-        ev_pop(&c->heap);
-        c->now = due;
-        int rc = 0;
-        switch (ev_kind(&e)) {
-        case EV_TICK:
-            rc = tick(c, e.a);
-            break;
-        case EV_EXCHANGE:
-            rc = exchange(c, e.a, e.b, e.c, e.d);
-            break;
-        case EV_JOIN:
-            join(c, e.a, e.b);
-            break;
-        case EV_SIGNAL:
-            leader_signal(c, e.a);
-            break;
-        default:
-            rc = sample(c, e.a);
-            break;
-        }
-        if (rc < 0)
-            return -1;
-        c->executed++;
-        if (c->stop)
-            return 0;
-        if (--budget <= 0) {
-            budget = SIGNAL_CHECK_EVERY;
-            if (PyErr_CheckSignals() < 0)
-                return -1;
-        }
+    CL *c = (CL *)s;
+    switch (ev_kind(e)) {
+    case EV_TICK:
+        return tick(c, e->a);
+    case EV_EXCHANGE:
+        return exchange(c, e->a, e->b, e->c, e->d);
+    case EV_JOIN:
+        join(c, e->a, e->b);
+        return 0;
+    case EV_SIGNAL:
+        leader_signal(c, e->a);
+        return 0;
+    default:
+        return sample(c, e->a);
     }
-    return 0;
+}
+
+static int loop(Sim *s, double horizon)
+{
+    return run_loop(s, horizon, dispatch, NULL);
 }
 
 /* ------------------------------------------------------------------ */
-/* loading and storing the Python state                               */
+/* loading and storing the phase's state                              */
 /* ------------------------------------------------------------------ */
 
-static int load_payload(void *core, int kind, PyObject *payload, Event *e)
+static int load_payload(Sim *s, int kind, PyObject *payload, Event *e)
 {
-    CL *c = core;
+    CL *c = (CL *)s;
     switch (kind) {
     case EV_TICK:
     case EV_SIGNAL:
-        return int_arg(payload, c->n, &e->a);
+        return int_arg(payload, c->s.n, &e->a);
     case EV_EXCHANGE: {
         /* (node, (s0, s1, s2)) */
         if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 2)
@@ -365,22 +285,22 @@ static int load_payload(void *core, int kind, PyObject *payload, Event *e)
         PyObject *samples = PyTuple_GET_ITEM(payload, 1);
         if (!PyTuple_Check(samples) || PyTuple_GET_SIZE(samples) != 3)
             return 0;
-        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->s.n, &e->a);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(samples, 0), c->n, &e->b);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 0), c->s.n, &e->b);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(samples, 1), c->n, &e->c);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 1), c->s.n, &e->c);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(samples, 2), c->n, &e->d);
+            rc = int_arg(PyTuple_GET_ITEM(samples, 2), c->s.n, &e->d);
         return rc;
     }
     case EV_JOIN: {
         /* (node, target): a target is always a leader */
         if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 2)
             return 0;
-        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->s.n, &e->a);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(payload, 1), c->n, &e->b);
+            rc = int_arg(PyTuple_GET_ITEM(payload, 1), c->s.n, &e->b);
         return rc == 1 ? c->is_leader[e->b] : rc;
     }
     default: {
@@ -408,9 +328,9 @@ static int load_payload(void *core, int kind, PyObject *payload, Event *e)
     }
 }
 
-static PyObject *build_payload(void *core, const Event *e)
+static PyObject *build_payload(Sim *s, const Event *e)
 {
-    CL *c = core;
+    CL *c = (CL *)s;
     switch (ev_kind(e)) {
     case EV_TICK:
     case EV_SIGNAL:
@@ -439,7 +359,7 @@ static int load_leader_dict(CL *c, PyObject *d, long long *ll, signed char *flag
 {
     if (d != c->size_d) {
         Py_ssize_t leaders = 0;
-        for (int v = 0; v < c->n; v++)
+        for (int v = 0; v < c->s.n; v++)
             leaders += c->is_leader[v];
         if (PyDict_GET_SIZE(d) != leaders)
             return 0;
@@ -448,7 +368,7 @@ static int load_leader_dict(CL *c, PyObject *d, long long *ll, signed char *flag
     Py_ssize_t pos = 0;
     while (PyDict_Next(d, &pos, &key, &value)) {
         int node;
-        int rc = int_arg(key, c->n, &node);
+        int rc = int_arg(key, c->s.n, &node);
         if (rc != 1)
             return rc;
         if (d == c->size_d)
@@ -473,9 +393,9 @@ static int load_leader_dict(CL *c, PyObject *d, long long *ll, signed char *flag
 
 static int load_switches(CL *c)
 {
-    LOAD(load_dict(c->proto, "switch_times", &c->switch_d));
+    LOAD(load_dict(c->s.proto, "switch_times", &c->switch_d));
     Py_ssize_t len = PyDict_GET_SIZE(c->switch_d);
-    size_t cap = (size_t)len + (size_t)c->n;
+    size_t cap = (size_t)len + (size_t)c->s.n;
     c->switch_node = malloc(cap * sizeof(int));
     c->switch_time = malloc(cap * sizeof(double));
     if (!c->switch_node || !c->switch_time) {
@@ -486,7 +406,7 @@ static int load_switches(CL *c)
     Py_ssize_t pos = 0;
     while (PyDict_Next(c->switch_d, &pos, &key, &value)) {
         int node;
-        int rc = int_arg(key, c->n, &node);
+        int rc = int_arg(key, c->s.n, &node);
         if (rc != 1)
             return rc;
         if (!PyFloat_CheckExact(value))
@@ -501,11 +421,11 @@ static int load_switches(CL *c)
 static int load_active(CL *c)
 {
     int ok = 1;
-    c->active_l = get_list(c->proto, "active_leaders", -1, &ok);
+    c->active_l = get_list(c->s.proto, "active_leaders", -1, &ok);
     if (!c->active_l)
         return ok ? -1 : 0;
     c->active0 = c->nactive = (int)PyList_GET_SIZE(c->active_l);
-    c->active = malloc(((size_t)c->active0 + (size_t)c->n) * sizeof(int));
+    c->active = malloc(((size_t)c->active0 + (size_t)c->s.n) * sizeof(int));
     if (!c->active) {
         PyErr_NoMemory();
         return -1;
@@ -513,16 +433,16 @@ static int load_active(CL *c)
     return 1;
 }
 
-/* Load everything; 1 = ready, 0 = unsupported state, -1 = error. */
-static int core_load(CL *c, PyObject *wiring, PyObject *kinds)
+static int core_load(Sim *s)
 {
+    CL *c = (CL *)s;
     long long n;
-    CHECK(get_ll(c->proto, "n", &n));
-    CHECK(get_int(c->proto, "_window", &c->window));
+    CHECK(get_ll(s->proto, "n", &n));
+    CHECK(get_int(s->proto, "_window", &c->window));
     if (n < 2 || n > INT_MAX / 2 || c->window < 2 || c->window > 1 << 20)
         return 0;
-    c->n = (int)n;
-    PyObject *params = PyObject_GetAttrString(c->proto, "params");
+    s->n = (int)n;
+    PyObject *params = PyObject_GetAttrString(s->proto, "params");
     if (!params)
         return -1;
     int rc = get_ll(params, "max_cluster_size", &c->max_size);
@@ -532,12 +452,12 @@ static int core_load(CL *c, PyObject *wiring, PyObject *kinds)
         rc = get_ll(params, "min_active_size", &c->min_active);
     Py_DECREF(params);
     CHECK(rc);
-    CHECK(get_ll(c->proto, "_ready_signals", &c->ready_signals));
-    CHECK(get_ll(c->proto, "_informed_count", &c->informed_count));
-    CHECK(get_ll(c->proto, "_total_leaders", &c->total_leaders));
-    CHECK(get_flag(c->proto, "_broadcast_started", &c->broadcast));
+    CHECK(get_ll(s->proto, "_ready_signals", &c->ready_signals));
+    CHECK(get_ll(s->proto, "_informed_count", &c->informed_count));
+    CHECK(get_ll(s->proto, "_total_leaders", &c->total_leaders));
+    CHECK(get_flag(s->proto, "_broadcast_started", &c->broadcast));
 
-    size_t nn = (size_t)c->n;
+    size_t nn = (size_t)s->n;
     c->leader = malloc(nn * sizeof(int));
     c->credit = malloc(nn * sizeof(int));
     c->switch_pos = malloc(nn * sizeof(int));
@@ -554,66 +474,36 @@ static int core_load(CL *c, PyObject *wiring, PyObject *kinds)
         PyErr_NoMemory();
         return -1;
     }
-    for (int v = 0; v < c->n; v++)
+    for (int v = 0; v < s->n; v++)
         c->switch_pos[v] = -1;
-    LOAD(load_ints(c->proto, "_leader", c->n, c->leader));
-    LOAD(load_ints(c->proto, "_credit", c->n, c->credit));
-    LOAD(load_flags(c->proto, "_locked", c->n, c->locked));
-    LOAD(load_dict(c->proto, "size", &c->size_d));
-    LOAD(load_dict(c->proto, "signal_count", &c->signal_d));
-    LOAD(load_dict(c->proto, "ready", &c->ready_d));
-    LOAD(load_dict(c->proto, "informed", &c->informed_d));
+    LOAD(load_ints(s->proto, "_leader", s->n, c->leader));
+    LOAD(load_ints(s->proto, "_credit", s->n, c->credit));
+    LOAD(load_flags(s->proto, "_locked", s->n, c->locked));
+    LOAD(load_dict(s->proto, "size", &c->size_d));
+    LOAD(load_dict(s->proto, "signal_count", &c->signal_d));
+    LOAD(load_dict(s->proto, "ready", &c->ready_d));
+    LOAD(load_dict(s->proto, "informed", &c->informed_d));
     LOAD(load_leader_dict(c, c->size_d, c->size, NULL));
     LOAD(load_leader_dict(c, c->signal_d, c->signals, NULL));
     LOAD(load_leader_dict(c, c->ready_d, NULL, c->ready));
     LOAD(load_leader_dict(c, c->informed_d, NULL, c->informed));
-    for (int v = 0; v < c->n; v++) {
+    for (int v = 0; v < s->n; v++) {
         int own = c->leader[v];
-        if (own < -1 || own >= c->n || (own >= 0 && !c->is_leader[own]))
+        if (own < -1 || own >= s->n || (own >= 0 && !c->is_leader[own]))
             return 0;
         c->clustered += own >= 0;
     }
     LOAD(load_switches(c));
     LOAD(load_active(c));
     int ok = 1;
-    c->traj_l = get_list(c->proto, "clustered_trajectory", -1, &ok);
-    if (!c->traj_l)
-        return ok ? -1 : 0;
-    CHECK(get_ll(c->proto, "good_ticks", &c->good));
-    CHECK(get_ll(c->proto, "total_ticks", &c->total));
-
-    c->sim = PyObject_GetAttrString(c->proto, "sim");
-    if (!c->sim)
-        return -1;
-    c->queue = PyObject_GetAttrString(c->sim, "queue");
-    if (!c->queue)
-        return -1;
-    CHECK(get_double(c->sim, "now", &c->now));
-    PyObject *tally = get_list(c->sim, "_tally", -1, &ok);
-    if (!tally)
-        return ok ? -1 : 0;
-    Py_ssize_t tallied = PyList_GET_SIZE(tally);
-    Py_DECREF(tally);
-    if (tallied)
-        return 0; /* this phase files no tally arrivals */
-    CHECK(get_ll(c->queue, "flushes", &c->flushes));
-    CHECK(get_ll(c->queue, "flushed_events", &c->flushed_events));
-    LOAD(load_queue(c->queue, c->proto, c->funcs, &c->heap, &c->next_seq, load_payload, c));
-    LOAD(pool_open_attr(&c->tick_wait, c->proto, "_tick_wait", 0));
-    LOAD(pool_open_attr(&c->latency, c->proto, "_latency", 0));
-    LOAD(pool_open_attr(&c->channel, c->proto, "_channel_delay", 0));
-    PyObject *neighbors = PyObject_GetAttrString(c->proto, "_neighbors");
-    if (!neighbors)
-        return -1;
-    Py_DECREF(neighbors); /* the phase keeps it alive for the call */
-    LOAD(pool_open_attr(&c->neighbor, neighbors, "_pool", 1));
-    return seam_load(&c->seam, wiring, kinds, c->n);
+    c->traj_l = get_list(s->proto, "clustered_trajectory", -1, &ok);
+    return c->traj_l ? 1 : ok ? -1 : 0;
 }
 
 /* Write one leader dict's values back, key by key (order kept). */
 static int store_leader_dict(CL *c, PyObject *d, const long long *ll, const signed char *flags)
 {
-    for (int v = 0; v < c->n; v++) {
+    for (int v = 0; v < c->s.n; v++) {
         if (!c->is_leader[v])
             continue;
         PyObject *key = PyLong_FromLong(v);
@@ -626,12 +516,12 @@ static int store_leader_dict(CL *c, PyObject *d, const long long *ll, const sign
     return 0;
 }
 
-static int core_store(void *core)
+static int core_store(Sim *s)
 {
-    CL *c = core;
-    CHECK(store_ints(c->proto, "_leader", c->n, c->leader));
-    CHECK(store_ints(c->proto, "_credit", c->n, c->credit));
-    CHECK(store_flags(c->proto, "_locked", c->n, c->locked));
+    CL *c = (CL *)s;
+    CHECK(store_ints(s->proto, "_leader", s->n, c->leader));
+    CHECK(store_ints(s->proto, "_credit", s->n, c->credit));
+    CHECK(store_flags(s->proto, "_locked", s->n, c->locked));
     CHECK(store_leader_dict(c, c->size_d, c->size, NULL));
     CHECK(store_leader_dict(c, c->signal_d, c->signals, NULL));
     CHECK(store_leader_dict(c, c->ready_d, NULL, c->ready));
@@ -651,25 +541,16 @@ static int core_store(void *core)
         Py_XDECREF(v);
         CHECK(rc);
     }
-    CHECK(set_ll(c->proto, "_informed_count", c->informed_count));
-    CHECK(set_flag(c->proto, "_broadcast_started", c->broadcast));
+    CHECK(set_ll(s->proto, "_informed_count", c->informed_count));
+    CHECK(set_flag(s->proto, "_broadcast_started", c->broadcast));
     if (c->first_set)
-        CHECK(set_obj(c->proto, "first_ready_time", PyFloat_FromDouble(c->first_ready)));
-    CHECK(set_ll(c->proto, "good_ticks", c->good));
-    CHECK(set_ll(c->proto, "total_ticks", c->total));
-    CHECK(store_clock(c->sim, c->now, c->executed, c->stop));
-    CHECK(store_queue(c->queue, c->proto, c->funcs, &c->heap, c->next_seq, build_payload, c));
-    CHECK(set_ll(c->queue, "flushes", c->flushes));
-    CHECK(set_ll(c->queue, "flushed_events", c->flushed_events));
-    CHECK(pool_store(&c->tick_wait));
-    CHECK(pool_store(&c->latency));
-    CHECK(pool_store(&c->channel));
-    CHECK(pool_store(&c->neighbor));
-    return seam_store(&c->seam);
+        CHECK(set_obj(s->proto, "first_ready_time", PyFloat_FromDouble(c->first_ready)));
+    return 0;
 }
 
-static void core_free(CL *c)
+static void core_release(Sim *s)
 {
+    CL *c = (CL *)s;
     free(c->leader);
     free(c->credit);
     free(c->locked);
@@ -684,12 +565,6 @@ static void core_free(CL *c)
     free(c->active);
     free(c->waits);
     free(c->ticks);
-    free(c->heap.v);
-    seam_free(&c->seam);
-    pool_free(&c->tick_wait);
-    pool_free(&c->latency);
-    pool_free(&c->channel);
-    pool_free(&c->neighbor);
     for (int j = 0; j < c->nevery; j++)
         Py_DECREF(c->every[j]);
     Py_XDECREF(c->size_d);
@@ -699,9 +574,12 @@ static void core_free(CL *c)
     Py_XDECREF(c->switch_d);
     Py_XDECREF(c->active_l);
     Py_XDECREF(c->traj_l);
-    Py_XDECREF(c->queue);
-    Py_XDECREF(c->sim);
 }
+
+static const CoreSpec spec = {
+    sizeof(CL), EV_KINDS, 0, core_load, load_payload, build_payload, loop, core_store,
+    core_release,
+};
 
 const char cl_run_doc[] =
 "run_clustering(proto, horizon, funcs, wiring, kinds) -> bool\n\n"
@@ -714,31 +592,5 @@ const char cl_run_doc[] =
 PyObject *cl_run(PyObject *module, PyObject *args)
 {
     (void)module;
-    PyObject *proto, *funcs, *wiring, *kinds;
-    double horizon;
-    if (!PyArg_ParseTuple(args, "OdO!OO", &proto, &horizon, &PyTuple_Type, &funcs, &wiring,
-                          &kinds))
-        return NULL;
-    if (PyTuple_GET_SIZE(funcs) != EV_KINDS) {
-        PyErr_SetString(PyExc_TypeError, "funcs must hold five handler functions");
-        return NULL;
-    }
-    CL c;
-    memset(&c, 0, sizeof c);
-    c.proto = proto;
-    c.funcs = funcs;
-    int ready = core_load(&c, wiring, kinds);
-    if (ready != 1) {
-        core_free(&c);
-        if (ready < 0)
-            return NULL;
-        Py_RETURN_FALSE;
-    }
-    int rc = run_loop(&c, horizon);
-    /* Simulator.run: an exhausted schedule advances the clock to until. */
-    if (rc == 0 && !c.heap.len && c.now < horizon)
-        c.now = horizon;
-    PyObject *result = finish_run(rc, core_store, &c);
-    core_free(&c);
-    return result;
+    return sim_main(args, &spec);
 }

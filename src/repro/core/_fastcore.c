@@ -1,11 +1,14 @@
-/* The compiled-core extension module and the helpers the cores share.
+/* The compiled-core extension module, the simulator half and the
+ * helpers the cores share.
  *
  * run() is the single-leader core (_slcore.c), run_multileader() the
  * multi-leader consensus one (_mlcore.c) and run_clustering() the
- * clustering phase's (_clcore.c).  Everything here but the fault seam's
- * transform chain is off the event loop's hot path: opening, refilling
- * and storing draw pools, and loading attributes into C and storing
- * them back.
+ * clustering phase's (_clcore.c); each is sim_main over its CoreSpec.
+ * Everything here but the fault seam's transform chain is off the event
+ * loop's hot path: loading the simulator half (clock, queue, tally
+ * stream, draw pools, tick counters, fault seam) into C and storing it
+ * back, opening, refilling and storing draw pools, and the attribute
+ * helpers the protocol halves load and store their state with.
  */
 #include "_fastcore.h"
 
@@ -71,7 +74,7 @@ static int pool_open(Pool *p, PyObject *obj, int integer)
     return p->len == blen && p->pos >= 0 && p->pos <= p->len;
 }
 
-int pool_open_attr(Pool *p, PyObject *obj, const char *name, int integer)
+static int pool_open_attr(Pool *p, PyObject *obj, const char *name, int integer)
 {
     PyObject *pool = PyObject_GetAttrString(obj, name);
     if (!pool)
@@ -100,7 +103,7 @@ int pool_refill(Pool *p)
     return 0;
 }
 
-int pool_store(Pool *p)
+static int pool_store(Pool *p)
 {
     if (!p->obj)
         return 0;
@@ -123,7 +126,7 @@ int pool_store(Pool *p)
     return rc;
 }
 
-void pool_free(Pool *p)
+static void pool_free(Pool *p)
 {
     pool_release(p);
     Py_CLEAR(p->arr);
@@ -428,142 +431,6 @@ int int_arg(PyObject *v, int bound, int *out)
     return x >= 0 && x < bound;
 }
 
-/* Which handler an event's bound method is, or -1. */
-static int handler_kind(PyObject *proto, PyObject *funcs, PyObject *action)
-{
-    if (!PyMethod_Check(action) || PyMethod_GET_SELF(action) != proto)
-        return -1;
-    PyObject *f = PyMethod_GET_FUNCTION(action);
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(funcs) && i < (1 << KIND_BITS); i++) {
-        if (f == PyTuple_GET_ITEM(funcs, i))
-            return (int)i;
-    }
-    return -1;
-}
-
-int load_queue(PyObject *queue, PyObject *proto, PyObject *funcs, EventHeap *heap,
-               long long *next_seq, PayloadLoader parse, void *core)
-{
-    PyObject *live = PyObject_GetAttrString(queue, "_live");
-    if (!live)
-        return -1;
-    int plain = live == Py_None;
-    Py_DECREF(live);
-    if (!plain)
-        return 0; /* a cancellation happened: tombstones are Python's */
-    CHECK(get_ll(queue, "_next_seq", next_seq));
-    if (*next_seq < 0 || *next_seq > MAX_SEQ / 2)
-        return 0;
-    int ok = 1;
-    PyObject *entries = get_list(queue, "_heap", -1, &ok);
-    if (!entries)
-        return ok ? -1 : 0;
-    int rc = 1;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(entries) && rc == 1; i++) {
-        PyObject *entry = PyList_GET_ITEM(entries, i);
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
-            rc = 0;
-            break;
-        }
-        Event e = {0.0, 0, 0, 0, 0, 0};
-        e.time = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
-        long long seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-        if (PyErr_Occurred()) {
-            rc = -1;
-            break;
-        }
-        int kind = handler_kind(proto, funcs, PyTuple_GET_ITEM(entry, 2));
-        if (kind < 0 || seq < 0 || seq > MAX_SEQ) {
-            rc = 0;
-            break;
-        }
-        e.key = seq << KIND_BITS | kind;
-        rc = parse(core, kind, PyTuple_GET_ITEM(entry, 3), &e);
-        if (rc == 1 && ev_push(heap, &e) < 0)
-            rc = -1;
-    }
-    Py_DECREF(entries);
-    return rc;
-}
-
-int store_queue(PyObject *queue, PyObject *proto, PyObject *funcs, const EventHeap *heap,
-                long long next_seq, PayloadBuilder build, void *core)
-{
-    Py_ssize_t nfuncs = PyTuple_GET_SIZE(funcs);
-    PyObject *methods = PyTuple_New(nfuncs);
-    PyObject *list = NULL;
-    int rc = -1;
-    if (!methods)
-        return -1;
-    for (Py_ssize_t i = 0; i < nfuncs; i++) {
-        PyObject *method = PyMethod_New(PyTuple_GET_ITEM(funcs, i), proto);
-        if (!method)
-            goto done;
-        PyTuple_SET_ITEM(methods, i, method);
-    }
-    list = PyList_New(heap->len);
-    if (!list)
-        goto done;
-    /* The C heap is ordered like the tuples, so it is a valid heapq. */
-    for (Py_ssize_t i = 0; i < heap->len; i++) {
-        const Event *e = &heap->v[i];
-        PyObject *payload = build(core, e);
-        if (!payload)
-            goto done;
-        PyObject *entry = Py_BuildValue("(dLON)", e->time, ev_seq(e),
-                                        PyTuple_GET_ITEM(methods, ev_kind(e)), payload);
-        if (!entry)
-            goto done;
-        PyList_SET_ITEM(list, i, entry);
-    }
-    PyObject *entries = PyObject_GetAttrString(queue, "_heap");
-    if (!entries)
-        goto done;
-    rc = PyList_SetSlice(entries, 0, PY_SSIZE_T_MAX, list);
-    Py_DECREF(entries);
-    if (rc == 0)
-        rc = set_ll(queue, "_next_seq", next_seq);
-done:
-    Py_XDECREF(list);
-    Py_DECREF(methods);
-    return rc;
-}
-
-int store_clock(PyObject *sim, double now, long long executed, int stop)
-{
-    long long before;
-    CHECK(get_ll(sim, "_events_executed", &before));
-    CHECK(set_ll(sim, "_events_executed", before + executed));
-    CHECK(set_obj(sim, "now", PyFloat_FromDouble(now)));
-    return set_flag(sim, "_stop_requested", stop);
-}
-
-PyObject *finish_run(int rc, int (*store)(void *), void *core)
-{
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = rc < 0 ? PyErr_GetRaisedException() : NULL;
-#else
-    PyObject *et = NULL, *ev = NULL, *tb = NULL;
-    if (rc < 0)
-        PyErr_Fetch(&et, &ev, &tb);
-#endif
-    int stored = store(core);
-    if (rc < 0) {
-        /* The run's own error wins over a failed write-back. */
-        if (stored < 0)
-            PyErr_Clear();
-#if PY_VERSION_HEX >= 0x030C0000
-        PyErr_SetRaisedException(exc);
-#else
-        PyErr_Restore(et, ev, tb);
-#endif
-        return NULL;
-    }
-    if (stored < 0)
-        return NULL;
-    Py_RETURN_TRUE;
-}
-
 /* ------------------------------------------------------------------ */
 /* the fault seam                                                     */
 /* ------------------------------------------------------------------ */
@@ -611,7 +478,7 @@ int seam_transform(Seam *s, int node, double *delay)
     return 1;
 }
 
-int seam_load(Seam *s, PyObject *wiring, PyObject *kinds, int n)
+static int seam_load(Seam *s, PyObject *wiring, PyObject *kinds, int n)
 {
     if (wiring == Py_None)
         return 1;
@@ -670,7 +537,7 @@ int seam_load(Seam *s, PyObject *wiring, PyObject *kinds, int n)
     return 1;
 }
 
-int seam_store(Seam *s)
+static int seam_store(Seam *s)
 {
     if (!s->wiring)
         return 0;
@@ -690,13 +557,329 @@ int seam_store(Seam *s)
     return 0;
 }
 
-void seam_free(Seam *s)
+static void seam_free(Seam *s)
 {
     for (int i = 0; s->faults && i < s->nfaults; i++) {
         free(s->faults[i].slow);
         pool_free(&s->faults[i].pool);
     }
     free(s->faults);
+}
+
+/* ------------------------------------------------------------------ */
+/* the simulator half                                                 */
+/* ------------------------------------------------------------------ */
+
+int sim_tick_block(Sim *s, int node, int w, const double *waits, double *ticks)
+{
+    double now = s->now, total = 0.0;
+    for (int j = 0; j < w; j++) {
+        total += waits[j];
+        ticks[j] = total + now;
+    }
+    CHECK(schedule(s, now + waits[0], EV_TICK, node, 0, 0, 0));
+    /* With a fault seam, FaultInjection._schedule_many_at files each
+     * time t of the block as now + (t - now).  That is t again, so t is
+     * filed as it is.  Write +' and -' for the rounded operations: t =
+     * now +' s with now >= 0 and s >= 0 (the running sum), and then
+     * now +' (t -' now) = t.  If s <= now, Fast2Sum makes t -' now exact.
+     * If s > now, t - now lies in t's binade or the one below, so t -'
+     * now is off by at most half an ulp of t, and so is the sum from t.
+     * A tie there needs now to be an odd multiple of half that ulp; then
+     * now + s was a tie as well, t is the even neighbour, and the tie
+     * rounds to t again.  test_fault_block_seam.py checks the identity
+     * on doubles and on float16. */
+    for (int j = 1; j < w; j++)
+        CHECK(schedule(s, ticks[j], EV_TICK, node, 0, 0, 0));
+    s->flushes++;
+    s->flushed_events += w - 1;
+    return 0;
+}
+
+/* Which handler an event's bound method is, or -1. */
+static int handler_kind(const Sim *s, PyObject *action)
+{
+    if (!PyMethod_Check(action) || PyMethod_GET_SELF(action) != s->proto)
+        return -1;
+    PyObject *f = PyMethod_GET_FUNCTION(action);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(s->funcs) && i < (1 << KIND_BITS); i++) {
+        if (f == PyTuple_GET_ITEM(s->funcs, i))
+            return (int)i;
+    }
+    return -1;
+}
+
+/* EventQueue._heap and _next_seq; 1 ok, 0 unsupported (a foreign
+ * event, a cancellation), -1 error. */
+static int load_queue(Sim *s, const CoreSpec *spec)
+{
+    PyObject *live = PyObject_GetAttrString(s->queue, "_live");
+    if (!live)
+        return -1;
+    int plain = live == Py_None;
+    Py_DECREF(live);
+    if (!plain)
+        return 0; /* a cancellation happened: tombstones are Python's */
+    CHECK(get_ll(s->queue, "_next_seq", &s->next_seq));
+    if (s->next_seq < 0 || s->next_seq > MAX_SEQ / 2)
+        return 0;
+    int ok = 1;
+    PyObject *entries = get_list(s->queue, "_heap", -1, &ok);
+    if (!entries)
+        return ok ? -1 : 0;
+    int rc = 1;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(entries) && rc == 1; i++) {
+        PyObject *entry = PyList_GET_ITEM(entries, i);
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+            rc = 0;
+            break;
+        }
+        Event e = {0.0, 0, 0, 0, 0, 0};
+        e.time = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 0));
+        long long seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+        if (PyErr_Occurred()) {
+            rc = -1;
+            break;
+        }
+        int kind = handler_kind(s, PyTuple_GET_ITEM(entry, 2));
+        if (kind < 0 || seq < 0 || seq > MAX_SEQ) {
+            rc = 0;
+            break;
+        }
+        e.key = seq << KIND_BITS | kind;
+        rc = spec->parse(s, kind, PyTuple_GET_ITEM(entry, 3), &e);
+        if (rc == 1 && ev_push(&s->heap, &e) < 0)
+            rc = -1;
+    }
+    Py_DECREF(entries);
+    return rc;
+}
+
+static int store_queue(Sim *s, const CoreSpec *spec)
+{
+    Py_ssize_t nfuncs = PyTuple_GET_SIZE(s->funcs);
+    PyObject *methods = PyTuple_New(nfuncs);
+    PyObject *list = NULL;
+    int rc = -1;
+    if (!methods)
+        return -1;
+    for (Py_ssize_t i = 0; i < nfuncs; i++) {
+        PyObject *method = PyMethod_New(PyTuple_GET_ITEM(s->funcs, i), s->proto);
+        if (!method)
+            goto done;
+        PyTuple_SET_ITEM(methods, i, method);
+    }
+    list = PyList_New(s->heap.len);
+    if (!list)
+        goto done;
+    /* The C heap is ordered like the tuples, so it is a valid heapq. */
+    for (Py_ssize_t i = 0; i < s->heap.len; i++) {
+        const Event *e = &s->heap.v[i];
+        PyObject *payload = spec->build(s, e);
+        if (!payload)
+            goto done;
+        PyObject *entry = Py_BuildValue("(dLON)", e->time, ev_seq(e),
+                                        PyTuple_GET_ITEM(methods, ev_kind(e)), payload);
+        if (!entry)
+            goto done;
+        PyList_SET_ITEM(list, i, entry);
+    }
+    PyObject *entries = PyObject_GetAttrString(s->queue, "_heap");
+    if (!entries)
+        goto done;
+    rc = PyList_SetSlice(entries, 0, PY_SSIZE_T_MAX, list);
+    Py_DECREF(entries);
+    if (rc == 0)
+        rc = set_ll(s->queue, "_next_seq", s->next_seq);
+done:
+    Py_XDECREF(list);
+    Py_DECREF(methods);
+    return rc;
+}
+
+/* Simulator._tally, _tallied and the armed trigger, which must be the
+ * core's own; a core without a trigger files no tally arrivals. */
+static int load_tally(Sim *s)
+{
+    int ok = 1;
+    PyObject *tally = get_list(s->sim, "_tally", -1, &ok);
+    if (!tally)
+        return ok ? -1 : 0;
+    Py_ssize_t len = PyList_GET_SIZE(tally);
+    for (Py_ssize_t i = 0; s->f_trigger && i < len; i++) {
+        double t = PyFloat_AsDouble(PyList_GET_ITEM(tally, i));
+        if ((t == -1.0 && PyErr_Occurred()) || tally_push(&s->tally, t) < 0) {
+            Py_DECREF(tally);
+            return -1;
+        }
+    }
+    Py_DECREF(tally);
+    if (!s->f_trigger)
+        return len == 0;
+    CHECK(get_ll(s->sim, "_tallied", &s->tallied));
+    CHECK(get_ll(s->sim, "_trigger_at", &s->trigger_at));
+    PyObject *action = PyObject_GetAttrString(s->sim, "_trigger_action");
+    if (!action)
+        return -1;
+    int known = action == Py_None
+                    ? s->trigger_at == -1
+                    : PyMethod_Check(action) && PyMethod_GET_SELF(action) == s->proto
+                          && PyMethod_GET_FUNCTION(action) == s->f_trigger;
+    Py_DECREF(action);
+    return known;
+}
+
+/* Everything but the protocol's state; 1 ready, 0 unsupported, -1 error. */
+static int sim_load(Sim *s, const CoreSpec *spec, PyObject *wiring, PyObject *kinds)
+{
+    s->sim = PyObject_GetAttrString(s->proto, "sim");
+    if (!s->sim)
+        return -1;
+    s->queue = PyObject_GetAttrString(s->sim, "queue");
+    if (!s->queue)
+        return -1;
+    CHECK(get_double(s->sim, "now", &s->now));
+    LOAD(load_tally(s));
+    CHECK(get_ll(s->queue, "flushes", &s->flushes));
+    CHECK(get_ll(s->queue, "flushed_events", &s->flushed_events));
+    LOAD(load_queue(s, spec));
+    CHECK(get_ll(s->proto, "good_ticks", &s->good_ticks));
+    CHECK(get_ll(s->proto, "total_ticks", &s->total_ticks));
+    LOAD(pool_open_attr(&s->tick_wait, s->proto, "_tick_wait", 0));
+    LOAD(pool_open_attr(&s->latency, s->proto, "_latency", 0));
+    LOAD(pool_open_attr(&s->channel, s->proto, "_channel_delay", 0));
+    PyObject *neighbors = PyObject_GetAttrString(s->proto, "_neighbors");
+    if (!neighbors)
+        return -1;
+    Py_DECREF(neighbors); /* the protocol keeps it alive for the call */
+    LOAD(pool_open_attr(&s->neighbor, neighbors, "_pool", 1));
+    return seam_load(&s->seam, wiring, kinds, s->n);
+}
+
+static int store_tally(Sim *s)
+{
+    PyObject *list = PyList_New(s->tally.len);
+    if (!list)
+        return -1;
+    for (Py_ssize_t i = 0; i < s->tally.len; i++) {
+        PyObject *v = PyFloat_FromDouble(s->tally.v[i]);
+        if (!v) {
+            Py_DECREF(list);
+            return -1;
+        }
+        PyList_SET_ITEM(list, i, v);
+    }
+    PyObject *tally = PyObject_GetAttrString(s->sim, "_tally");
+    int rc = tally ? PyList_SetSlice(tally, 0, PY_SSIZE_T_MAX, list) : -1;
+    Py_XDECREF(tally);
+    Py_DECREF(list);
+    CHECK(rc);
+    PyObject *action = s->trigger_at != -1 ? PyMethod_New(s->f_trigger, s->proto)
+                                           : Py_NewRef(Py_None);
+    CHECK(set_obj(s->sim, "_trigger_action", action));
+    CHECK(set_ll(s->sim, "_trigger_at", s->trigger_at));
+    return set_ll(s->sim, "_tallied", s->tallied);
+}
+
+static int sim_store(Sim *s, const CoreSpec *spec)
+{
+    if (s->f_trigger)
+        CHECK(store_tally(s));
+    long long before;
+    CHECK(get_ll(s->sim, "_events_executed", &before));
+    CHECK(set_ll(s->sim, "_events_executed", before + s->executed));
+    CHECK(set_obj(s->sim, "now", PyFloat_FromDouble(s->now)));
+    CHECK(set_flag(s->sim, "_stop_requested", s->stop));
+    CHECK(store_queue(s, spec));
+    CHECK(set_ll(s->queue, "flushes", s->flushes));
+    CHECK(set_ll(s->queue, "flushed_events", s->flushed_events));
+    CHECK(set_ll(s->proto, "good_ticks", s->good_ticks));
+    CHECK(set_ll(s->proto, "total_ticks", s->total_ticks));
+    CHECK(pool_store(&s->tick_wait));
+    CHECK(pool_store(&s->latency));
+    CHECK(pool_store(&s->channel));
+    CHECK(pool_store(&s->neighbor));
+    return seam_store(&s->seam);
+}
+
+static void sim_free(Sim *s)
+{
+    free(s->heap.v);
+    free(s->tally.v);
+    pool_free(&s->tick_wait);
+    pool_free(&s->latency);
+    pool_free(&s->channel);
+    pool_free(&s->neighbor);
+    seam_free(&s->seam);
+    Py_XDECREF(s->queue);
+    Py_XDECREF(s->sim);
+}
+
+/* Write both halves back whatever the loop's outcome rc, keep the
+ * loop's own error, and return True or NULL. */
+static PyObject *finish_run(Sim *s, const CoreSpec *spec, int rc)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = rc < 0 ? PyErr_GetRaisedException() : NULL;
+#else
+    PyObject *et = NULL, *ev = NULL, *tb = NULL;
+    if (rc < 0)
+        PyErr_Fetch(&et, &ev, &tb);
+#endif
+    int stored = spec->store(s);
+    if (stored == 0)
+        stored = sim_store(s, spec);
+    if (rc < 0) {
+        /* The run's own error wins over a failed write-back. */
+        if (stored < 0)
+            PyErr_Clear();
+#if PY_VERSION_HEX >= 0x030C0000
+        PyErr_SetRaisedException(exc);
+#else
+        PyErr_Restore(et, ev, tb);
+#endif
+        return NULL;
+    }
+    if (stored < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+PyObject *sim_main(PyObject *args, const CoreSpec *spec)
+{
+    PyObject *proto, *funcs, *wiring, *kinds;
+    double horizon;
+    if (!PyArg_ParseTuple(args, "OdO!OO", &proto, &horizon, &PyTuple_Type, &funcs, &wiring,
+                          &kinds))
+        return NULL;
+    if (PyTuple_GET_SIZE(funcs) != spec->nfuncs)
+        return PyErr_Format(PyExc_TypeError, "funcs must hold %d handler functions",
+                            spec->nfuncs);
+    Sim *s = calloc(1, spec->size);
+    if (!s)
+        return PyErr_NoMemory();
+    s->proto = proto;
+    s->funcs = funcs;
+    s->f_trigger = spec->has_trigger ? PyTuple_GET_ITEM(funcs, spec->nfuncs - 1) : NULL;
+    s->trigger_at = -1;
+    PyObject *result = NULL;
+    int rc = spec->load(s);
+    if (rc == 1)
+        rc = sim_load(s, spec, wiring, kinds);
+    if (rc == 1) {
+        rc = spec->run(s, horizon);
+        /* Simulator.run: an exhausted schedule advances the clock to until. */
+        if (rc == 0 && !s->heap.len && !s->tally.len && s->now < horizon)
+            s->now = horizon;
+        result = finish_run(s, spec, rc);
+    }
+    else if (rc == 0) {
+        result = Py_NewRef(Py_False);
+    }
+    spec->release(s);
+    sim_free(s);
+    free(s);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */

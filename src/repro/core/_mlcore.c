@@ -2,28 +2,21 @@
  *
  * One call, run_multileader(proto, horizon, funcs, wiring, kinds),
  * replaces proto.sim.run(until=horizon) for an eligible
- * MultiLeaderConsensusSim (see MultiLeaderConsensusSim._core_seam).  It
- * loads the protocol's state (Algorithm 4's per-node state and every
- * cluster leader's Algorithm 5 state) out of the Python objects, runs
- * the unpolled event loop with the handlers inlined, and writes every
- * piece of state back, so the Python engine can inspect the result or
- * continue the run exactly.
- *
- * The byte-identity rules are the single-leader core's (_slcore.c):
- * events pop in (time, seq) order; the core never draws, but calls a
- * pool's _refill_array() when its block runs out; the handlers repeat
- * the Python arithmetic op for op; and leader transitions and
- * generation births call back into Python (ClusterLeaderState._record,
- * proto._record_birth), which record what the Python engine would.
+ * MultiLeaderConsensusSim (see MultiLeaderConsensusSim._core_seam).
+ * This file is the protocol half: Algorithm 4's per-node state, every
+ * cluster leader's Algorithm 5 state, the handlers and the payload
+ * codecs; _fastcore.h holds the simulator half it runs on, over an
+ * always-empty tally stream.  Leader transitions and generation births
+ * call back into Python (ClusterLeaderState._record, proto._record_birth),
+ * which record what the Python engine would.
  *
  * wiring is None on a simulator of the protocol's own, or the
  * repro.scenarios.faults.FaultInjection that wraps it, whose fault
  * models kinds names in order (FAULT_* in _fastcore.h; no churn).  The
  * core then does what the wrapped scheduling methods do: classify by
- * handler, run the shared transforms (seam_transform) in model order,
- * file a signal block entry by entry at now + (time - now), take a
- * sequence number for each drop, and unlock the sender of a dropped
- * exchange.
+ * handler, send exchanges and signals through the seam (sim_send), file
+ * a signal block entry by entry at now + (time - now), and unlock the
+ * sender of a dropped exchange.
  *
  * A state the core does not model makes run_multileader() return
  * False before anything is consumed; the caller then runs Python.
@@ -32,7 +25,7 @@
 
 /* The events, numbered like their handlers in funcs: tick(a),
  * exchange((a, b, c, d)) and deliver_signal((leaders[a], b, c, d)). */
-enum { EV_TICK, EV_EXCHANGE, EV_SIGNAL };
+enum { EV_EXCHANGE = EV_TICK + 1, EV_SIGNAL };
 
 /* ClusterLeaderState.state */
 enum { STATE_TWO_CHOICES = 1, STATE_SLEEPING = 2, STATE_PROPAGATION = 3 };
@@ -45,8 +38,8 @@ typedef struct {
 } Leader;
 
 typedef struct {
-    PyObject *proto, *sim, *queue, *funcs;
-    int n, k, window, plurality, nleaders;
+    Sim s;
+    int k, window, plurality, nleaders;
     Py_ssize_t rows;
     long long max_generation;
     /* per-node state */
@@ -58,44 +51,17 @@ typedef struct {
     long long *matrix, *counts;
     double *waits, *lats, *ticks;
     Leader *leaders;
-    long long good, total;
     EpsTarget eps;
-    Seam seam;
-    /* simulator */
-    double now;
-    long long next_seq, executed, flushes, flushed_events;
-    int stop;
-    EventHeap heap;
-    Pool tick_wait, latency, channel, neighbor;
 } ML;
 
-static PyObject *str_relay, *str_ticks, *str_gen_size;
-
 /* ------------------------------------------------------------------ */
-/* scheduling and the fault seam                                      */
+/* handlers (MultiLeaderConsensusSim, ClusterLeaderState)             */
 /* ------------------------------------------------------------------ */
 
-static inline int schedule(ML *c, double time, int kind, int a, int b, int x, int d)
-{
-    Event e = {time, c->next_seq++ << KIND_BITS | kind, a, b, x, d};
-    return ev_push(&c->heap, &e);
-}
-
-/* A _deliver_signal scheduled delay from now, through the seam. */
+/* A _deliver_signal delay from now, through the seam. */
 static int send_message(ML *c, double delay, int leader, int i, int s, int changed)
 {
-    if (c->seam.wiring) {
-        int rc = seam_transform(&c->seam, -1, &delay);
-        if (rc <= 0) {
-            if (rc < 0)
-                return -1;
-            /* _note_drop, then reserve_handle */
-            c->seam.dropped_messages++;
-            c->next_seq++;
-            return 0;
-        }
-    }
-    return schedule(c, c->now + delay, EV_SIGNAL, leader, i, s, changed);
+    return sim_send(&c->s, -1, delay, EV_SIGNAL, leader, i, s, changed) < 0 ? -1 : 0;
 }
 
 /* _signal: leader is the sending node's leader index (-1: no signal). */
@@ -104,7 +70,7 @@ static int signal_leader(ML *c, int leader, int i, int s, int changed)
     if (leader < 0)
         return 0;
     double delay;
-    if (pool_next(&c->latency, &delay) < 0)
+    if (pool_next(&c->s.latency, &delay) < 0)
         return -1;
     return send_message(c, delay, leader, i, s, changed);
 }
@@ -114,51 +80,35 @@ static int signal_leader(ML *c, int leader, int i, int s, int changed)
 static int refill_window(ML *c, int node)
 {
     int w = c->window, leader = c->lidx[node];
-    double now = c->now;
-    if (pool_take(&c->tick_wait, w, c->waits) < 0 || pool_take(&c->latency, w, c->lats) < 0)
+    double now = c->s.now;
+    if (pool_take(&c->s.tick_wait, w, c->waits) < 0 || pool_take(&c->s.latency, w, c->lats) < 0)
         return -1;
-    double total = 0.0;
-    for (int j = 0; j < w; j++) {
-        total += c->waits[j];
-        c->ticks[j] = total + now;
-    }
     /* line 1's signal for the firing tick */
     CHECK(send_message(c, c->lats[0], leader, 0, STATE_PROPAGATION, 0));
-    CHECK(schedule(c, now + c->waits[0], EV_TICK, node, 0, 0, 0));
-    /* schedule_many_at: the tick block goes to the simulator whole */
-    for (int j = 1; j < w; j++) {
-        double t = c->seam.wiring ? now + (c->ticks[j] - now) : c->ticks[j];
-        CHECK(schedule(c, t, EV_TICK, node, 0, 0, 0));
-    }
-    c->flushes++;
-    c->flushed_events += w - 1;
+    CHECK(sim_tick_block(&c->s, node, w, c->waits, c->ticks));
     /* The signal block: whole without faults, else entry by entry
      * through the scalar seam. */
     for (int j = 1; j < w; j++) {
         double sig = c->ticks[j - 1] + c->lats[j];
-        if (c->seam.wiring)
+        if (c->s.seam.wiring)
             CHECK(send_message(c, sig - now, leader, 0, STATE_PROPAGATION, 0));
         else
-            CHECK(schedule(c, sig, EV_SIGNAL, leader, 0, STATE_PROPAGATION, 0));
+            CHECK(schedule(&c->s, sig, EV_SIGNAL, leader, 0, STATE_PROPAGATION, 0));
     }
-    if (!c->seam.wiring) {
-        c->flushes++;
-        c->flushed_events += w - 1;
+    if (!c->s.seam.wiring) {
+        c->s.flushes++;
+        c->s.flushed_events += w - 1;
     }
     c->credit[node] = w;
     return 0;
 }
-
-/* ------------------------------------------------------------------ */
-/* handlers (MultiLeaderConsensusSim, ClusterLeaderState)             */
-/* ------------------------------------------------------------------ */
 
 static int record_birth(ML *c, int gen)
 {
     PyObject *row = ll_list(c->matrix + (Py_ssize_t)gen * c->k, c->k);
     if (!row)
         return -1;
-    PyObject *res = PyObject_CallMethod(c->proto, "_record_birth", "idO", gen, c->now, row);
+    PyObject *res = PyObject_CallMethod(c->s.proto, "_record_birth", "idO", gen, c->s.now, row);
     Py_DECREF(row);
     if (!res)
         return -1;
@@ -179,12 +129,12 @@ static int set_state(ML *c, int node, int gen, int col)
         long long count = ++c->counts[col];
         if (c->eps.has && !c->eps.hit && col == c->plurality && count >= c->eps.target) {
             c->eps.hit = 1;
-            c->eps.time = c->now;
+            c->eps.time = c->s.now;
             if (c->eps.stop)
-                c->stop = 1;
+                c->s.stop = 1;
         }
-        if (count == c->n)
-            c->stop = 1;
+        if (count == c->s.n)
+            c->s.stop = 1;
     }
     c->gens[node] = gen;
     c->cols[node] = col;
@@ -198,7 +148,7 @@ static int set_state(ML *c, int node, int gen, int col)
 /* _tick */
 static int tick(ML *c, int node)
 {
-    c->total++;
+    c->s.total_ticks++;
     int credit = c->credit[node] - 1;
     if (credit)
         c->credit[node] = credit;
@@ -207,30 +157,21 @@ static int tick(ML *c, int node)
     if (c->locked[node])
         return 0;
     c->locked[node] = 1;
-    c->good++;
+    c->s.good_ticks++;
     long long v[3];
     for (int j = 0; j < 3; j++) {
-        if (pool_next_int(&c->neighbor, &v[j]) < 0)
+        if (pool_next_int(&c->s.neighbor, &v[j]) < 0)
             return -1;
         if (v[j] >= node)
             v[j]++;
     }
     double delay;
-    if (pool_next(&c->channel, &delay) < 0)
+    if (pool_next(&c->s.channel, &delay) < 0)
         return -1;
-    if (c->seam.wiring) {
-        int rc = seam_transform(&c->seam, node, &delay);
-        if (rc <= 0) {
-            if (rc < 0)
-                return -1;
-            /* _note_drop: the failed channel unlocks its sender */
-            c->seam.dropped_exchanges++;
-            c->locked[node] = 0;
-            c->next_seq++;
-            return 0;
-        }
-    }
-    return schedule(c, c->now + delay, EV_EXCHANGE, node, (int)v[0], (int)v[1], (int)v[2]);
+    int rc = sim_send(&c->s, node, delay, EV_EXCHANGE, node, (int)v[0], (int)v[1], (int)v[2]);
+    if (rc == 0)
+        c->locked[node] = 0; /* the failed channel unlocks its sender */
+    return rc < 0 ? -1 : 0;
 }
 
 /* _exchange */
@@ -305,11 +246,11 @@ static int exchange(ML *c, int node, int v1, int v2, int v3)
 }
 
 /* ClusterLeaderState._record, after publishing (gen, state). */
-static int record_transition(ML *c, Leader *l, PyObject *cause)
+static int record_transition(ML *c, Leader *l, const char *cause)
 {
     CHECK(set_ll(l->obj, "gen", l->gen));
     CHECK(set_ll(l->obj, "state", l->state));
-    PyObject *res = PyObject_CallMethod(l->obj, "_record", "dO", c->now, cause);
+    PyObject *res = PyObject_CallMethod(l->obj, "_record", "ds", c->s.now, cause);
     if (!res)
         return -1;
     Py_DECREF(res);
@@ -331,17 +272,17 @@ static int deliver_signal(ML *c, int leader, int i, int s, int changed)
             l->tick_count = l->sleep_thr;
         else
             l->tick_count = l->prop_thr;
-        CHECK(record_transition(c, l, str_relay));
+        CHECK(record_transition(c, l, "relay"));
     }
     if (i == 0) {
         l->tick_count++;
         if (l->tick_count >= l->sleep_thr && l->state == STATE_TWO_CHOICES) {
             l->state = STATE_SLEEPING;
-            return record_transition(c, l, str_ticks);
+            return record_transition(c, l, "ticks");
         }
         if (l->tick_count >= l->prop_thr && l->state == STATE_SLEEPING) {
             l->state = STATE_PROPAGATION;
-            return record_transition(c, l, str_ticks);
+            return record_transition(c, l, "ticks");
         }
         return 0;
     }
@@ -352,73 +293,52 @@ static int deliver_signal(ML *c, int leader, int i, int s, int changed)
             l->state = STATE_TWO_CHOICES;
             l->tick_count = 0;
             l->gen_size = 0;
-            return record_transition(c, l, str_gen_size);
+            return record_transition(c, l, "gen-size");
         }
     }
     return 0;
 }
 
-/* Simulator._run_free over an empty tally stream */
-static int run_loop(ML *c, double horizon)
+static int dispatch(Sim *s, const Event *e)
 {
-    long long budget = SIGNAL_CHECK_EVERY;
-    while (c->heap.len) {
-        double due = c->heap.v[0].time;
-        if (due > horizon) {
-            c->now = horizon;
-            return 0;
-        }
-        Event e = c->heap.v[0];
-        ev_pop(&c->heap);
-        c->now = due;
-        int rc;
-        switch (ev_kind(&e)) {
-        case EV_TICK:
-            rc = tick(c, e.a);
-            break;
-        case EV_EXCHANGE:
-            rc = exchange(c, e.a, e.b, e.c, e.d);
-            break;
-        default:
-            rc = deliver_signal(c, e.a, e.b, e.c, e.d);
-            break;
-        }
-        if (rc < 0)
-            return -1;
-        c->executed++;
-        if (c->stop)
-            return 0;
-        if (--budget <= 0) {
-            budget = SIGNAL_CHECK_EVERY;
-            if (PyErr_CheckSignals() < 0)
-                return -1;
-        }
+    ML *c = (ML *)s;
+    switch (ev_kind(e)) {
+    case EV_TICK:
+        return tick(c, e->a);
+    case EV_EXCHANGE:
+        return exchange(c, e->a, e->b, e->c, e->d);
+    default:
+        return deliver_signal(c, e->a, e->b, e->c, e->d);
     }
-    return 0;
+}
+
+static int loop(Sim *s, double horizon)
+{
+    return run_loop(s, horizon, dispatch, NULL);
 }
 
 /* ------------------------------------------------------------------ */
-/* loading and storing the Python state                               */
+/* loading and storing the protocol's state                           */
 /* ------------------------------------------------------------------ */
 
-static int load_payload(void *core, int kind, PyObject *payload, Event *e)
+static int load_payload(Sim *s, int kind, PyObject *payload, Event *e)
 {
-    ML *c = core;
+    ML *c = (ML *)s;
     if (kind == EV_TICK) {
         /* Only active members tick (a tick files the member's signals). */
-        int rc = int_arg(payload, c->n, &e->a);
+        int rc = int_arg(payload, s->n, &e->a);
         return rc == 1 ? c->lidx[e->a] >= 0 : rc;
     }
     if (!PyTuple_Check(payload) || PyTuple_GET_SIZE(payload) != 4)
         return 0;
     if (kind == EV_EXCHANGE) {
-        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), c->n, &e->a);
+        int rc = int_arg(PyTuple_GET_ITEM(payload, 0), s->n, &e->a);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(payload, 1), c->n, &e->b);
+            rc = int_arg(PyTuple_GET_ITEM(payload, 1), s->n, &e->b);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(payload, 2), c->n, &e->c);
+            rc = int_arg(PyTuple_GET_ITEM(payload, 2), s->n, &e->c);
         if (rc == 1)
-            rc = int_arg(PyTuple_GET_ITEM(payload, 3), c->n, &e->d);
+            rc = int_arg(PyTuple_GET_ITEM(payload, 3), s->n, &e->d);
         return rc;
     }
     if (kind != EV_SIGNAL)
@@ -430,7 +350,7 @@ static int load_payload(void *core, int kind, PyObject *payload, Event *e)
         PyErr_Clear();
         return 0;
     }
-    int leader, rc = int_arg(node, c->n, &leader);
+    int leader, rc = int_arg(node, s->n, &leader);
     Py_DECREF(node);
     if (rc != 1)
         return rc;
@@ -446,9 +366,9 @@ static int load_payload(void *core, int kind, PyObject *payload, Event *e)
     return e->d < 0 ? -1 : 1;
 }
 
-static PyObject *build_payload(void *core, const Event *e)
+static PyObject *build_payload(Sim *s, const Event *e)
 {
-    ML *c = core;
+    ML *c = (ML *)s;
     switch (ev_kind(e)) {
     case EV_TICK:
         return PyLong_FromLong(e->a);
@@ -463,21 +383,21 @@ static PyObject *build_payload(void *core, const Event *e)
 /* proto.leaders and the per-node leader index; 1 ok, 0 unsupported. */
 static int load_leaders(ML *c)
 {
-    PyObject *leaders = PyObject_GetAttrString(c->proto, "leaders");
+    int n = c->s.n;
+    PyObject *leaders = PyObject_GetAttrString(c->s.proto, "leaders");
     if (!leaders)
         return -1;
     Py_DECREF(leaders); /* the protocol keeps it alive for the call */
-    if (!PyDict_Check(leaders) || PyDict_GET_SIZE(leaders) < 1
-        || PyDict_GET_SIZE(leaders) > c->n)
+    if (!PyDict_Check(leaders) || PyDict_GET_SIZE(leaders) < 1 || PyDict_GET_SIZE(leaders) > n)
         return 0;
     c->nleaders = (int)PyDict_GET_SIZE(leaders);
     c->leaders = calloc((size_t)c->nleaders, sizeof(Leader));
-    int *index = c->leader_index = malloc((size_t)c->n * sizeof(int));
+    int *index = c->leader_index = malloc((size_t)n * sizeof(int));
     if (!c->leaders || !index) {
         PyErr_NoMemory();
         return -1;
     }
-    for (int v = 0; v < c->n; v++)
+    for (int v = 0; v < n; v++)
         index[v] = -1;
     PyObject *key, *value;
     Py_ssize_t pos = 0;
@@ -485,7 +405,7 @@ static int load_leaders(ML *c)
     for (int j = 0; rc == 1 && PyDict_Next(leaders, &pos, &key, &value); j++) {
         Leader *l = &c->leaders[j];
         int node;
-        rc = int_arg(key, c->n, &node);
+        rc = int_arg(key, n, &node);
         if (rc != 1)
             break;
         index[node] = j;
@@ -502,16 +422,16 @@ static int load_leaders(ML *c)
                  || l->state < INT_MIN || l->state > INT_MAX)
             rc = 0;
     }
-    int *leader_of = malloc((size_t)c->n * sizeof(int));
+    int *leader_of = malloc((size_t)n * sizeof(int));
     if (rc == 1 && !leader_of) {
         PyErr_NoMemory();
         rc = -1;
     }
     if (rc == 1)
-        rc = load_ints(c->proto, "_leader_of", c->n, leader_of);
-    for (int v = 0; rc == 1 && v < c->n; v++) {
+        rc = load_ints(c->s.proto, "_leader_of", n, leader_of);
+    for (int v = 0; rc == 1 && v < n; v++) {
         int own = leader_of[v];
-        if (own < -1 || own >= c->n)
+        if (own < -1 || own >= n)
             rc = 0;
         else
             c->lidx[v] = own < 0 ? -1 : index[own];
@@ -520,26 +440,27 @@ static int load_leaders(ML *c)
     return rc;
 }
 
-/* Load everything; 1 = ready, 0 = unsupported state, -1 = error. */
-static int core_load(ML *c, PyObject *wiring, PyObject *kinds)
+static int core_load(Sim *s)
 {
+    ML *c = (ML *)s;
+    PyObject *proto = s->proto;
     long long n, k;
-    CHECK(get_ll(c->proto, "n", &n));
-    CHECK(get_ll(c->proto, "k", &k));
-    CHECK(get_int(c->proto, "_window", &c->window));
-    CHECK(get_int(c->proto, "plurality", &c->plurality));
+    CHECK(get_ll(proto, "n", &n));
+    CHECK(get_ll(proto, "k", &k));
+    CHECK(get_int(proto, "_window", &c->window));
+    CHECK(get_int(proto, "plurality", &c->plurality));
     if (n < 2 || n > INT_MAX / 2 || k < 1 || k > INT_MAX || c->window < 2 || c->window > 1 << 20)
         return 0;
-    c->n = (int)n;
+    s->n = (int)n;
     c->k = (int)k;
-    PyObject *params = PyObject_GetAttrString(c->proto, "params");
+    PyObject *params = PyObject_GetAttrString(proto, "params");
     if (!params)
         return -1;
     int rc = get_ll(params, "max_generation", &c->max_generation);
     Py_DECREF(params);
     CHECK(rc);
 
-    size_t nn = (size_t)c->n;
+    size_t nn = (size_t)n;
     c->cols = malloc(nn * sizeof(int));
     c->gens = malloc(nn * sizeof(int));
     c->tmp_gen = malloc(nn * sizeof(int));
@@ -557,75 +478,44 @@ static int core_load(ML *c, PyObject *wiring, PyObject *kinds)
         PyErr_NoMemory();
         return -1;
     }
-    LOAD(load_ints(c->proto, "_cols", c->n, c->cols));
-    LOAD(load_ints(c->proto, "_gens", c->n, c->gens));
-    LOAD(load_ints(c->proto, "_tmp_gen", c->n, c->tmp_gen));
-    LOAD(load_ints(c->proto, "_tmp_state", c->n, c->tmp_state));
-    LOAD(load_ints(c->proto, "_credit", c->n, c->credit));
-    LOAD(load_flags(c->proto, "_finished", c->n, c->finished));
-    LOAD(load_flags(c->proto, "_locked", c->n, c->locked));
-    LOAD(load_matrix(c->proto, "_matrix", c->k, c->max_generation, &c->matrix, &c->rows));
-    LOAD(load_lls(c->proto, "_color_counts", c->k, c->counts));
+    LOAD(load_ints(proto, "_cols", s->n, c->cols));
+    LOAD(load_ints(proto, "_gens", s->n, c->gens));
+    LOAD(load_ints(proto, "_tmp_gen", s->n, c->tmp_gen));
+    LOAD(load_ints(proto, "_tmp_state", s->n, c->tmp_state));
+    LOAD(load_ints(proto, "_credit", s->n, c->credit));
+    LOAD(load_flags(proto, "_finished", s->n, c->finished));
+    LOAD(load_flags(proto, "_locked", s->n, c->locked));
+    LOAD(load_matrix(proto, "_matrix", c->k, c->max_generation, &c->matrix, &c->rows));
+    LOAD(load_lls(proto, "_color_counts", c->k, c->counts));
     c->birth_seen = malloc((size_t)c->rows);
     if (!c->birth_seen) {
         PyErr_NoMemory();
         return -1;
     }
-    LOAD(load_flags(c->proto, "_birth_seen", (int)c->rows, c->birth_seen));
-    for (int i = 0; i < c->n; i++) {
+    LOAD(load_flags(proto, "_birth_seen", (int)c->rows, c->birth_seen));
+    for (int i = 0; i < s->n; i++) {
         if (c->cols[i] < 0 || c->cols[i] >= c->k || c->gens[i] < 0 || c->gens[i] >= c->rows)
             return 0;
     }
     LOAD(load_leaders(c));
-    LOAD(load_eps(c->proto, &c->eps));
-    CHECK(get_ll(c->proto, "good_ticks", &c->good));
-    CHECK(get_ll(c->proto, "total_ticks", &c->total));
-
-    c->sim = PyObject_GetAttrString(c->proto, "sim");
-    if (!c->sim)
-        return -1;
-    c->queue = PyObject_GetAttrString(c->sim, "queue");
-    if (!c->queue)
-        return -1;
-    CHECK(get_double(c->sim, "now", &c->now));
-    int ok = 1;
-    PyObject *tally = get_list(c->sim, "_tally", -1, &ok);
-    if (!tally)
-        return ok ? -1 : 0;
-    Py_ssize_t tallied = PyList_GET_SIZE(tally);
-    Py_DECREF(tally);
-    if (tallied)
-        return 0; /* this protocol files no tally arrivals */
-    CHECK(get_ll(c->queue, "flushes", &c->flushes));
-    CHECK(get_ll(c->queue, "flushed_events", &c->flushed_events));
-    LOAD(load_queue(c->queue, c->proto, c->funcs, &c->heap, &c->next_seq, load_payload, c));
-    LOAD(pool_open_attr(&c->tick_wait, c->proto, "_tick_wait", 0));
-    LOAD(pool_open_attr(&c->latency, c->proto, "_latency", 0));
-    LOAD(pool_open_attr(&c->channel, c->proto, "_channel_delay", 0));
-    PyObject *neighbors = PyObject_GetAttrString(c->proto, "_neighbors");
-    if (!neighbors)
-        return -1;
-    Py_DECREF(neighbors); /* the protocol keeps it alive for the call */
-    LOAD(pool_open_attr(&c->neighbor, neighbors, "_pool", 1));
-    return seam_load(&c->seam, wiring, kinds, c->n);
+    return load_eps(proto, &c->eps);
 }
 
-static int core_store(void *core)
+static int core_store(Sim *s)
 {
-    ML *c = core;
-    CHECK(store_ints(c->proto, "_cols", c->n, c->cols));
-    CHECK(store_ints(c->proto, "_gens", c->n, c->gens));
-    CHECK(store_ints(c->proto, "_tmp_gen", c->n, c->tmp_gen));
-    CHECK(store_ints(c->proto, "_tmp_state", c->n, c->tmp_state));
-    CHECK(store_ints(c->proto, "_credit", c->n, c->credit));
-    CHECK(store_flags(c->proto, "_finished", c->n, c->finished));
-    CHECK(store_flags(c->proto, "_locked", c->n, c->locked));
-    CHECK(store_matrix(c->proto, "_matrix", c->k, c->rows, c->matrix));
-    CHECK(store_lls(c->proto, "_color_counts", c->k, c->counts));
-    CHECK(store_flags(c->proto, "_birth_seen", (int)c->rows, c->birth_seen));
-    CHECK(set_ll(c->proto, "good_ticks", c->good));
-    CHECK(set_ll(c->proto, "total_ticks", c->total));
-    CHECK(store_eps(c->proto, &c->eps));
+    ML *c = (ML *)s;
+    PyObject *proto = s->proto;
+    CHECK(store_ints(proto, "_cols", s->n, c->cols));
+    CHECK(store_ints(proto, "_gens", s->n, c->gens));
+    CHECK(store_ints(proto, "_tmp_gen", s->n, c->tmp_gen));
+    CHECK(store_ints(proto, "_tmp_state", s->n, c->tmp_state));
+    CHECK(store_ints(proto, "_credit", s->n, c->credit));
+    CHECK(store_flags(proto, "_finished", s->n, c->finished));
+    CHECK(store_flags(proto, "_locked", s->n, c->locked));
+    CHECK(store_matrix(proto, "_matrix", c->k, c->rows, c->matrix));
+    CHECK(store_lls(proto, "_color_counts", c->k, c->counts));
+    CHECK(store_flags(proto, "_birth_seen", (int)c->rows, c->birth_seen));
+    CHECK(store_eps(proto, &c->eps));
     for (int j = 0; j < c->nleaders; j++) {
         Leader *l = &c->leaders[j];
         CHECK(set_ll(l->obj, "gen", l->gen));
@@ -633,19 +523,12 @@ static int core_store(void *core)
         CHECK(set_ll(l->obj, "tick_count", l->tick_count));
         CHECK(set_ll(l->obj, "gen_size", l->gen_size));
     }
-    CHECK(store_clock(c->sim, c->now, c->executed, c->stop));
-    CHECK(store_queue(c->queue, c->proto, c->funcs, &c->heap, c->next_seq, build_payload, c));
-    CHECK(set_ll(c->queue, "flushes", c->flushes));
-    CHECK(set_ll(c->queue, "flushed_events", c->flushed_events));
-    CHECK(pool_store(&c->tick_wait));
-    CHECK(pool_store(&c->latency));
-    CHECK(pool_store(&c->channel));
-    CHECK(pool_store(&c->neighbor));
-    return seam_store(&c->seam);
+    return 0;
 }
 
-static void core_free(ML *c)
+static void core_release(Sim *s)
 {
+    ML *c = (ML *)s;
     free(c->cols);
     free(c->gens);
     free(c->tmp_gen);
@@ -662,15 +545,11 @@ static void core_free(ML *c)
     free(c->lats);
     free(c->ticks);
     free(c->leaders);
-    seam_free(&c->seam);
-    free(c->heap.v);
-    pool_free(&c->tick_wait);
-    pool_free(&c->latency);
-    pool_free(&c->channel);
-    pool_free(&c->neighbor);
-    Py_XDECREF(c->queue);
-    Py_XDECREF(c->sim);
 }
+
+static const CoreSpec spec = {
+    sizeof(ML), 3, 0, core_load, load_payload, build_payload, loop, core_store, core_release,
+};
 
 const char ml_run_doc[] =
 "run_multileader(proto, horizon, funcs, wiring, kinds) -> bool\n\n"
@@ -685,38 +564,5 @@ const char ml_run_doc[] =
 PyObject *ml_run(PyObject *module, PyObject *args)
 {
     (void)module;
-    PyObject *proto, *funcs, *wiring, *kinds;
-    double horizon;
-    if (!PyArg_ParseTuple(args, "OdO!OO", &proto, &horizon, &PyTuple_Type, &funcs, &wiring,
-                          &kinds))
-        return NULL;
-    if (PyTuple_GET_SIZE(funcs) != 3) {
-        PyErr_SetString(PyExc_TypeError, "funcs must hold three handler functions");
-        return NULL;
-    }
-    if (!str_relay) {
-        str_relay = PyUnicode_InternFromString("relay");
-        str_ticks = PyUnicode_InternFromString("ticks");
-        str_gen_size = PyUnicode_InternFromString("gen-size");
-        if (!str_relay || !str_ticks || !str_gen_size)
-            return NULL;
-    }
-    ML c;
-    memset(&c, 0, sizeof c);
-    c.proto = proto;
-    c.funcs = funcs;
-    int ready = core_load(&c, wiring, kinds);
-    if (ready != 1) {
-        core_free(&c);
-        if (ready < 0)
-            return NULL;
-        Py_RETURN_FALSE;
-    }
-    int rc = run_loop(&c, horizon);
-    /* Simulator.run: an exhausted schedule advances the clock to until. */
-    if (rc == 0 && !c.heap.len && c.now < horizon)
-        c.now = horizon;
-    PyObject *result = finish_run(rc, core_store, &c);
-    core_free(&c);
-    return result;
+    return sim_main(args, &spec);
 }

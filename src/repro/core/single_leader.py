@@ -618,7 +618,7 @@ class SingleLeaderSim:
         if not self._core_eligible():
             return False
         core = fastcore.load()
-        if core is None or not core.run(self, until, _CORE_FUNCS):
+        if core is None or not core.run(self, until, _CORE_FUNCS, None, ()):
             return False
         self.core = "c"
         return True

@@ -7,7 +7,9 @@ through the scalar seam in block order.  These tests pin that to the
 scalar seam: a rejected block leaves every queue, counter
 and fault pool untouched, a block pops, drops and draws exactly as the
 same entries filed one by one through ``schedule_in`` / ``tally_in``,
-and no numpy scalar reaches the clock or the trace.
+and no numpy scalar reaches the clock or the trace.  The seam's
+``now + (time - now)`` refiling of a tick block gives back every tick
+time exactly, which is why the compiled cores file the times as they are.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.rng import RngRegistry
@@ -229,3 +231,28 @@ def test_faulty_multileader_run_keeps_plain_float_times():
         assert all(type(entry[0]) is float for entry in simulator.queue._heap)
     assert tracer.records
     assert all(type(record.time) is float for record in tracer.records)
+
+
+NONNEGATIVE = dict(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(now=st.floats(**NONNEGATIVE), s=st.floats(**NONNEGATIVE))
+@example(now=2.0**-53, s=1.0 + 2.0**-51)  # every rounding below is a tie
+@example(now=2.0**-54, s=1.0 - 2.0**-53)  # the tick time is a power of two
+def test_tick_block_refiling_is_exact(now, s):
+    """``now + (t - now) == t`` for every tick time ``t = now + s`` (s >= 0)."""
+    t = now + s
+    assume(math.isfinite(t))
+    assert now + (t - now) == t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(now=st.floats(width=16, **NONNEGATIVE), s=st.floats(width=16, **NONNEGATIVE))
+def test_tick_block_refiling_is_exact_in_half_precision(now, s):
+    """The same identity in float16, whose few values make rounding ties common."""
+    now, s = np.float16(now), np.float16(s)
+    with np.errstate(over="ignore"):
+        t = now + s
+    assume(np.isfinite(t))
+    assert now + (t - now) == t
