@@ -7,9 +7,8 @@
  * every leader's size, signal count and ready/informed flags, the
  * switch times and the sampled trajectory), the handlers and the
  * payload codecs; _fastcore.h holds the simulator half it runs on, over
- * an always-empty tally stream.  The one order the Python phase leaves
- * to the interpreter, a set's iteration order when one exchange informs
- * several leaders, is taken from a real set built the same way.
+ * an always-empty tally stream.  _exchange informs the leaders it saw
+ * in ascending order, as the Python phase does.
  *
  * wiring and kinds are the multi-leader consensus core's: None, or the
  * FaultInjection on the simulator with its drop and straggler models.
@@ -132,63 +131,30 @@ static void inform(CL *c, int leader)
         c->s.stop = 1;
 }
 
-/* Inform every seen leader in the iteration order of the set the
- * Python handler builds: its samples' leaders, then its own. */
-static int inform_set(CL *c, const int *leaders, int count)
-{
-    PyObject *set = PySet_New(NULL);
-    if (!set)
-        return -1;
-    for (int j = 0; j < count; j++) {
-        PyObject *v = PyLong_FromLong(leaders[j]);
-        int rc = v ? PySet_Add(set, v) : -1;
-        Py_XDECREF(v);
-        if (rc < 0) {
-            Py_DECREF(set);
-            return -1;
-        }
-    }
-    PyObject *it = PyObject_GetIter(set);
-    Py_DECREF(set);
-    if (!it)
-        return -1;
-    PyObject *key;
-    while ((key = PyIter_Next(it))) {
-        int leader = (int)PyLong_AsLong(key);
-        Py_DECREF(key);
-        inform(c, leader);
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : 0;
-}
-
 /* _exchange */
 static int exchange(CL *c, int node, int s0, int s1, int s2)
 {
-    /* The seen leaders, samples' first, own last, duplicates kept. */
-    int seen[4], count = 0, distinct = 0, target = -1, any_informed = 0;
+    /* The distinct seen leaders, samples' and own, in ascending order. */
+    int seen[4], count = 0, any_informed = 0;
     int samples[3] = {s0, s1, s2};
     int own = c->leader[node];
     for (int j = 0; j < 4; j++) {
         int l = j < 3 ? c->leader[samples[j]] : own;
         if (l < 0)
             continue;
-        int dup = 0;
-        for (int i = 0; i < count; i++)
-            dup |= seen[i] == l;
-        seen[count++] = l;
-        if (dup)
+        int i = count;
+        while (i > 0 && seen[i - 1] > l)
+            i--;
+        if (i > 0 && seen[i - 1] == l)
             continue;
-        distinct++;
+        memmove(seen + i + 1, seen + i, (size_t)(count - i) * sizeof(int));
+        seen[i] = l;
+        count++;
         any_informed |= c->informed[l];
-        if (target < 0 || l < target)
-            target = l;
     }
     if (any_informed) {
-        if (distinct == 1)
-            inform(c, seen[0]);
-        else
-            CHECK(inform_set(c, seen, count));
+        for (int i = 0; i < count; i++)
+            inform(c, seen[i]);
     }
     if (own >= 0 || !count) {
         c->locked[node] = 0;
@@ -198,7 +164,7 @@ static int exchange(CL *c, int node, int s0, int s1, int s2)
     double delay;
     if (pool_next(&c->s.latency, &delay) < 0)
         return -1;
-    return send_exchange(c, delay, EV_JOIN, node, target, 0, 0);
+    return send_exchange(c, delay, EV_JOIN, node, seen[0], 0, 0);
 }
 
 /* _join through _accepting (open until the cap, closed once switched) */

@@ -300,7 +300,8 @@ class ClusteringSim:
 
     def _exchange(self, payload: tuple[int, tuple[int, ...]]) -> None:
         node, samples = payload
-        # Relay the switch broadcast between every pair of leaders seen.
+        # Relay the switch broadcast between every pair of leaders seen,
+        # informing them in ascending order.
         leader = self._leader
         seen_leaders = {leader[s] for s in samples if leader[s] >= 0}
         own = leader[node]
@@ -308,7 +309,7 @@ class ClusteringSim:
             seen_leaders.add(own)
         informed = self.informed
         if any(informed.get(l, False) for l in seen_leaders):
-            for seen in seen_leaders:
+            for seen in sorted(seen_leaders):
                 self._inform(seen)
         if own >= 0 or not seen_leaders:
             self._locked[node] = False
