@@ -10,15 +10,19 @@ snapshot property, the protocol counters, the simulator's clock and
 counters, the pending event queue and tally stream, each draw pool's
 position, and the generator's state.  A split run and a run continued
 on the other core check that the write-back leaves a state the Python
-engine continues exactly.
+engine continues exactly, and a derandomized Hypothesis slice draws
+eligible configs.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fastcore
 from repro.core.delayed_exchange import DelayedExchangeSim
@@ -134,6 +138,49 @@ def test_split_run_continues_exactly(second, monkeypatch):
     split = build(**config)
     compiled = [run_on("c", split, monkeypatch, max_time=25.0)]
     compiled.append(run_on(second, split, monkeypatch))
+    assert compiled == python
+
+
+def core_for(core: str, sim: SingleLeaderSim, epsilon) -> str:
+    """The core ``run()`` takes: it polls a decided start in Python."""
+    counts = sim._color_counts
+    target = None if epsilon is None else math.ceil((1.0 - epsilon) * sim.n)
+    decided = max(counts) == sim.n or (target is not None and counts[sim.plurality] >= target)
+    return "python" if decided else core
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(8, 200),
+    k=st.integers(2, 5),
+    alpha=st.floats(1.2, 3.0),
+    gamma=st.floats(0.3, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.sampled_from([None, 0.05, 0.2]),
+    stop_at_epsilon=st.booleans(),
+    max_time=st.floats(5.0, 150.0),
+    split=st.floats(0.0, 1.0),
+    first=st.sampled_from(["python", "c"]),
+)
+def test_drawn_configs_agree(n, k, alpha, gamma, seed, epsilon, stop_at_epsilon, max_time,
+                             split, first):
+    """Eligible configs, drawn: Python throughout vs a run split at a drawn time."""
+    config = dict(n=n, k=k, alpha=alpha, seed=seed, gamma=gamma)
+    run_kwargs = dict(epsilon=epsilon, stop_at_epsilon=stop_at_epsilon)
+    second = "c" if first == "python" else "python"
+    with pytest.MonkeyPatch.context() as patch:
+        reference = build(**config)
+        python = [
+            run_on("python", reference, patch, max_time=split * max_time, **run_kwargs),
+            run_on("python", reference, patch, max_time=max_time, **run_kwargs),
+        ]
+        split_run = build(**config)
+        compiled = [
+            run_on(core_for(first, split_run, epsilon), split_run, patch,
+                   max_time=split * max_time, **run_kwargs),
+            run_on(core_for(second, split_run, epsilon), split_run, patch,
+                   max_time=max_time, **run_kwargs),
+        ]
     assert compiled == python
 
 
