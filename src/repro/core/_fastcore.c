@@ -587,8 +587,8 @@ int sim_tick_block(Sim *s, int node, int w, const double *waits, double *ticks)
      * now is off by at most half an ulp of t, and so is the sum from t.
      * A tie there needs now to be an odd multiple of half that ulp; then
      * now + s was a tie as well, t is the even neighbour, and the tie
-     * rounds to t again.  test_fault_block_seam.py checks the identity
-     * on doubles and on float16. */
+     * rounds to t again.  test_fault_block_seam.py checks the identity,
+     * tie cases included. */
     for (int j = 1; j < w; j++)
         CHECK(schedule(s, ticks[j], EV_TICK, node, 0, 0, 0));
     s->flushes++;
@@ -706,7 +706,11 @@ static int load_tally(Sim *s)
     if (!tally)
         return ok ? -1 : 0;
     Py_ssize_t len = PyList_GET_SIZE(tally);
-    for (Py_ssize_t i = 0; s->f_trigger && i < len; i++) {
+    if (!s->f_trigger) {
+        Py_DECREF(tally);
+        return len == 0;
+    }
+    for (Py_ssize_t i = 0; i < len; i++) {
         double t = PyFloat_AsDouble(PyList_GET_ITEM(tally, i));
         if ((t == -1.0 && PyErr_Occurred()) || tally_push(&s->tally, t) < 0) {
             Py_DECREF(tally);
@@ -714,8 +718,6 @@ static int load_tally(Sim *s)
         }
     }
     Py_DECREF(tally);
-    if (!s->f_trigger)
-        return len == 0;
     CHECK(get_ll(s->sim, "_tallied", &s->tallied));
     CHECK(get_ll(s->sim, "_trigger_at", &s->trigger_at));
     PyObject *action = PyObject_GetAttrString(s->sim, "_trigger_action");

@@ -194,7 +194,7 @@ def core_for(core: str, sim: MultiLeaderConsensusSim, epsilon) -> str:
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    n=st.integers(8, 200),
+    n=st.integers(8, 150),
     k=st.integers(2, 4),
     alpha=st.floats(1.2, 3.0),
     unclustered=st.floats(0.0, 0.5),
@@ -204,7 +204,7 @@ def core_for(core: str, sim: MultiLeaderConsensusSim, epsilon) -> str:
     seed=st.integers(0, 2**32 - 1),
     epsilon=st.sampled_from([None, 0.05, 0.2]),
     stop_at_epsilon=st.booleans(),
-    max_time=st.floats(10.0, 80.0),
+    max_time=st.floats(10.0, 60.0),
     split=st.floats(0.0, 1.0),
     first=st.sampled_from(["python", "c"]),
 )

@@ -236,7 +236,7 @@ def test_faulty_multileader_run_keeps_plain_float_times():
 NONNEGATIVE = dict(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(now=st.floats(**NONNEGATIVE), s=st.floats(**NONNEGATIVE))
 @example(now=2.0**-53, s=1.0 + 2.0**-51)  # every rounding below is a tie
 @example(now=2.0**-54, s=1.0 - 2.0**-53)  # the tick time is a power of two
@@ -246,13 +246,3 @@ def test_tick_block_refiling_is_exact(now, s):
     assume(math.isfinite(t))
     assert now + (t - now) == t
 
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(now=st.floats(width=16, **NONNEGATIVE), s=st.floats(width=16, **NONNEGATIVE))
-def test_tick_block_refiling_is_exact_in_half_precision(now, s):
-    """The same identity in float16, whose few values make rounding ties common."""
-    now, s = np.float16(now), np.float16(s)
-    with np.errstate(over="ignore"):
-        t = now + s
-    assume(np.isfinite(t))
-    assert now + (t - now) == t
