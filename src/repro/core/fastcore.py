@@ -5,9 +5,12 @@ extension and keep their Python engines as the oracle and the fallback:
 :meth:`repro.core.single_leader.SingleLeaderSim.run` (``_slcore.c``),
 :meth:`repro.multileader.consensus.MultiLeaderConsensusSim.run`
 (``_mlcore.c``) and :meth:`repro.multileader.clustering.ClusteringSim.run`
-(``_clcore.c``).  They share ``_fastcore.h``/``_fastcore.c``: the event
-heap, the draw-pool views, the fault seam of the two multi-leader
-phases, the attribute load/store helpers, and the module definition.  This module only builds and loads the extension:
+(``_clcore.c``).  Each of those files is a protocol half (state,
+handlers, payload codecs, a dispatch function) on one simulator half in
+``_fastcore.h``/``_fastcore.c``: the clock, event heap, tally stream,
+draw pools, tick counters and fault seam of a run, the event loop, and
+the one entry body that loads both halves, runs the loop and writes
+everything back.  This module only builds and loads the extension:
 
 * **Lazily.**  Nothing is built at import; the first :func:`load`
   builds or finds the extension, and the result (the module, or
