@@ -115,13 +115,28 @@ class TestExactScalarReplay:
     """Block-1 pools consume the shared generator in seed order, so the
     fast engine must replay the preserved seed implementation exactly."""
 
-    @pytest.mark.parametrize("seed", [1, 3, 11])
-    def test_single_leader_replays_reference(self, scalar_blocks, seed):
+    @pytest.mark.parametrize(
+        "seed, counts, run_kwargs",
+        [
+            pytest.param(1, [30, 18], {}, id="1"),
+            pytest.param(3, [30, 18], {}, id="3"),
+            pytest.param(11, [30, 18], {}, id="11"),
+            # Decided starts: all one color, or the ε-target already met
+            # (ceil(0.5 · 48) = 24 <= 30), stopping there or running on.
+            pytest.param(1, [48, 0], {}, id="1-one-color"),
+            pytest.param(3, [30, 18], dict(epsilon=0.5, stop_at_epsilon=True), id="3-eps-met-stop"),
+            pytest.param(11, [30, 18], dict(epsilon=0.5), id="11-eps-met-continue"),
+        ],
+    )
+    def test_single_leader_replays_reference(self, scalar_blocks, seed, counts, run_kwargs):
         params = SingleLeaderParams(n=48, k=2, alpha0=1.5)
-        counts = np.array([30, 18])
-        fast = SingleLeaderSim(params, counts, generator(seed)).run(max_time=400.0)
-        ref = ReferenceSingleLeaderSim(params, counts, generator(seed)).run(max_time=400.0)
+        counts = np.array(counts)
+        fast = SingleLeaderSim(params, counts, generator(seed)).run(max_time=400.0, **run_kwargs)
+        ref = ReferenceSingleLeaderSim(params, counts, generator(seed)).run(
+            max_time=400.0, **run_kwargs
+        )
         assert fast.elapsed == ref.elapsed
+        assert fast.epsilon_convergence_time == ref.epsilon_convergence_time
         assert fast.converged == ref.converged
         assert fast.winner == ref.winner
         assert fast.info["events"] == ref.info["events"]

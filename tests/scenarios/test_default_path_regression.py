@@ -12,7 +12,9 @@ trajectories are pinned in ``golden_default_path_batch.json`` so future
 engine changes cannot slip through unnoticed.  The unsharded per-node
 synchronous engine's full trajectories (fixed schedule, ``int64`` state
 fallback, round faults with churn rejoins, a sparse graph, an explicit
-placement) are pinned under ``pernode_unsharded``.
+placement) are pinned under ``pernode_unsharded``, and multi-leader
+runs whose consensus phase starts decided (all one color, or the
+ε-target already met) under ``multileader_decided_starts``.
 """
 
 from __future__ import annotations
@@ -230,6 +232,16 @@ class TestRoundSeamDefaults:
         assert records == GOLDEN_ROUND["population_records"]
 
 
+#: Consensus runs that start decided: all one color, or the ε-target
+#: already met (ceil(0.4 · 400) = 160 <= 200), stopping there or running
+#: on to consensus.
+MULTILEADER_DECIDED_STARTS = {
+    "one_color": ([400, 0, 0], {}),
+    "eps_met_stop": (None, dict(epsilon=0.6, stop_at_epsilon=True)),
+    "eps_met_continue": (None, dict(epsilon=0.6)),
+}
+
+
 class TestBatchEngineGolden:
     """Pin the event engine's default trajectories going forward."""
 
@@ -287,6 +299,21 @@ class TestBatchEngineGolden:
                 repr(result.elapsed),
                 result.final_color_counts.tolist(),
             ] == GOLDEN_BATCH["multileader"]
+        for name, (counts, run_kwargs) in MULTILEADER_DECIDED_STARTS.items():
+            result = run_multileader(
+                MultiLeaderParams(n=400, k=3, alpha0=2.0),
+                biased_counts(400, 3, 2.0) if counts is None else counts,
+                RngRegistry(42).stream("ml"),
+                clustering_max_time=300.0,
+                max_time=1500.0,
+                **run_kwargs,
+            )
+            assert [
+                bool(result.converged),
+                repr(result.elapsed),
+                repr(result.epsilon_convergence_time),
+                int(result.info["events"]),
+            ] == GOLDEN["multileader_decided_starts"][name], name
 
     def test_sweep_records_batch(self):
         spec = SweepSpec(
