@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.workloads.bias import multiplicative_bias
+
 __all__ = ["StepStats", "GenerationBirth", "RunResult"]
 
 
@@ -33,6 +35,27 @@ class StepStats:
             "plurality_fraction": self.plurality_fraction,
             "bias": self.bias,
         }
+
+
+def _top_generation(matrix: np.ndarray, n: int) -> tuple[int, float]:
+    """``(top, share)``: the highest occupied generation and its fraction."""
+    per_generation = matrix.sum(axis=1)
+    occupied = np.nonzero(per_generation)[0]
+    top = int(occupied[-1]) if occupied.size else 0
+    return top, float(per_generation[top]) / n
+
+
+def _matrix_stats(matrix: np.ndarray, n: int, time: float) -> StepStats:
+    """Summary statistics from a generation×color count matrix."""
+    top, top_fraction = _top_generation(matrix, n)
+    color_counts = matrix.sum(axis=0)
+    return StepStats(
+        time=time,
+        top_generation=top,
+        top_generation_fraction=top_fraction,
+        plurality_fraction=float(color_counts.max()) / n,
+        bias=multiplicative_bias(color_counts),
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,13 +44,19 @@ Engine notes (the hot path):
   ``matrix`` and friends are numpy *snapshot* properties built on
   access), so handler bodies are pure scalar Python with no numpy
   round-trips;
-* the convergence predicate runs after every event, so it is a Python
-  ``max`` over the ``k``-entry color-count list, not a numpy reduction;
+* convergence is detected where counts change (:meth:`_set_state`);
+  only a run that starts decided (all one color, or the ε-target
+  already met) polls its predicate after every event, a Python ``max``
+  over the ``k``-entry color-count list, not a numpy reduction;
 * an eligible run (the paper's default path: K_n, exponential
   latencies, no tracer, faults or sampler) runs its event loop in the
   compiled core (:mod:`repro.core.fastcore`), which repeats these
   handlers draw for draw and writes the state back; this module stays
   its oracle and fallback.
+
+The constructor guard, the snapshot views, ``stats()``, the run's
+prologue and the compiled-core hand-off come from
+:class:`~repro.core.async_protocol.AsyncProtocolSim`.
 
 The seed scalar-draw implementation is preserved in
 :mod:`repro.core.reference` as the distributional oracle for
@@ -61,28 +67,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import fastcore
+from repro.core.async_protocol import AsyncProtocolSim, handlers_unchanged, snapshot_view
 from repro.core.leader import Leader, LeaderPhaseChange
 from repro.core.params import SingleLeaderParams
-from repro.core.results import GenerationBirth, RunResult, StepStats
+from repro.core.results import GenerationBirth, RunResult
 from repro.engine.latency import ChannelPlan, LatencyModel
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool, LatencyPool
 from repro.engine.simulator import Simulator
 from repro.engine.tracing import Tracer
-from repro.errors import ConfigurationError
-from repro.workloads.bias import (
-    collision_probability,
-    multiplicative_bias,
-    plurality_color,
-    validate_counts,
-)
+from repro.workloads.bias import collision_probability, multiplicative_bias
 from repro.workloads.opinions import counts_to_assignment, validate_assignment
 
 __all__ = ["SingleLeaderSim", "run_single_leader"]
 
 
-class SingleLeaderSim:
+class SingleLeaderSim(AsyncProtocolSim):
     """Event-driven simulator of the single-leader protocol.
 
     Parameters
@@ -113,6 +113,7 @@ class SingleLeaderSim:
 
     #: Protocol label stamped on trace ``run`` headers (subclass hook).
     _trace_protocol = "single_leader"
+    _core_entry = "run"
 
     def __init__(
         self,
@@ -126,40 +127,12 @@ class SingleLeaderSim:
         simulator: Simulator | None = None,
         assignment=None,
     ):
-        counts = validate_counts(counts)
-        if int(counts.sum()) != params.n:
-            raise ConfigurationError(
-                f"counts sum to {int(counts.sum())} but params.n={params.n}"
-            )
-        if counts.size != params.k:
-            raise ConfigurationError(f"counts has {counts.size} colors but params.k={params.k}")
-        if graph is None:
-            graph = CompleteGraph(params.n)
-        elif len(graph) != params.n:
-            raise ConfigurationError(
-                f"graph has {len(graph)} nodes but params.n={params.n}"
-            )
-        elif getattr(graph, "min_degree", 1) < 1:
-            raise ConfigurationError("graph has isolated nodes; contact sampling needs degree >= 1")
-        if simulator is not None and tracer is not None:
-            raise ConfigurationError(
-                "pass the tracer to the pre-built simulator, not the protocol"
-            )
-        self.params = params
-        self.n = params.n
-        self.k = params.k
-        self.graph = graph
-        self._rng = rng
+        super().__init__(params, rng, graph=graph, simulator=simulator, tracer=tracer)
+        counts = self._check_counts(counts)
         self._latency_model = latency_model
-        # A pre-built simulator (e.g. pre-wrapped by
-        # repro.scenarios.faults.prepare_faulty_simulator) governs even
-        # the construction-time initial tick scheduling below.
-        self.sim = Simulator(tracer=tracer) if simulator is None else simulator
         # The compiled core runs only a simulator built here without a
         # tracer: no fault transforms, no trace records.
         self._plain_sim = simulator is None and tracer is None
-        #: The core that ran the last run() ("c" or "python").
-        self.core = "python"
         self.leader = Leader(params)
         self._phase_changes_seen = 0
         # The leader's 0-signal counters follow the tally stream:
@@ -171,7 +144,6 @@ class SingleLeaderSim:
         # changes, never raw dispatches — the skip-tick chains would
         # make a dispatch trace under-report).  The flags
         # are cached so the untraced hot path pays one bool test.
-        self._tracer = self.sim.tracer
         self._trace_state = self._tracer.enabled_for("state")
         self._trace_phase = self._tracer.enabled_for("phase")
         if self._tracer.enabled_for("run"):
@@ -205,47 +177,28 @@ class SingleLeaderSim:
         # :mod:`repro.scenarios.topology`) switches contact sampling to
         # the scaled variant: the cycle's channel-establishment delay is
         # multiplied by the slowest contact edge's weight.
-        pool = graph.neighbor_pool(rng)
+        pool = self.graph.neighbor_pool(rng)
         self._neighbors = pool
         self._sample_neighbor = pool.sample
-        self._weighted = bool(getattr(graph, "is_weighted", False))
+        self._weighted = bool(getattr(self.graph, "is_weighted", False))
         self._sample_scaled = getattr(pool, "sample_scaled", None)
         self._cycle_scale = 1.0
 
         # Hot per-node state: plain Python lists (see module docstring).
         if assignment is None:
-            self._cols: list[int] = counts_to_assignment(counts, rng).tolist()
+            cols = counts_to_assignment(counts, rng).tolist()
         else:
             # Topology-correlated adversarial placement (the node→color
             # map is the caller's, not a uniform shuffle).
-            self._cols = validate_assignment(assignment, counts).tolist()
-        self._gens: list[int] = [0] * self.n
-        self._locked: list[bool] = [False] * self.n
+            cols = validate_assignment(assignment, counts).tolist()
+        self._init_counts(counts, cols)
         self._seen_gen: list[int] = [-1] * self.n
         self._seen_prop: list[int] = [-1] * self.n
-
-        rows = params.max_generation + 2
-        self._matrix: list[list[int]] = [[0] * self.k for _ in range(rows)]
-        self._matrix[0] = [int(c) for c in counts]
-        self._color_counts: list[int] = [int(c) for c in counts]
-        self.plurality = plurality_color(counts)
-        self.births: list[GenerationBirth] = []
-        self.trajectory: list[StepStats] = []
-        self.good_ticks = 0
-        self.total_ticks = 0
         #: Ticks counted-at-unlock instead of dispatched (skip chains)
         #: and pool-block chain refills — runtime telemetry, harvested
         #: by :meth:`publish_metrics`.
         self.skipped_ticks = 0
         self.refills = 0
-
-        # Convergence is detected where counts change (_set_state), not
-        # polled per event: reaching n nodes of one color requests a
-        # simulator stop, and the ε-target is recorded the instant the
-        # plurality count crosses it.
-        self._eps_target: int | None = None
-        self._eps_stop = False
-        self._eps_time: float | None = None
 
         # Tick scheduling.  Window 1 (block-1 pools): the reference
         # engine's event-granular pattern, one tick event per tick.
@@ -280,43 +233,12 @@ class SingleLeaderSim:
             for node in range(self.n):
                 schedule_in(wait(), tick, node)
 
-    # ------------------------------------------------------------------
-    # numpy snapshot views (external consumers: tests, experiments)
-    # ------------------------------------------------------------------
-    @property
-    def cols(self) -> np.ndarray:
-        """Per-node colors (snapshot array)."""
-        return np.asarray(self._cols, dtype=np.int64)
-
-    @property
-    def gens(self) -> np.ndarray:
-        """Per-node generations (snapshot array)."""
-        return np.asarray(self._gens, dtype=np.int64)
-
-    @property
-    def locked(self) -> np.ndarray:
-        """Per-node locked flags (snapshot array)."""
-        return np.asarray(self._locked, dtype=bool)
-
-    @property
-    def seen_gen(self) -> np.ndarray:
-        """Stored leader generation per node (snapshot array)."""
-        return np.asarray(self._seen_gen, dtype=np.int64)
-
-    @property
-    def seen_prop(self) -> np.ndarray:
-        """Stored leader propagation flag per node (snapshot array)."""
-        return np.asarray(self._seen_prop, dtype=np.int8)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Generation×color count matrix (snapshot array)."""
-        return np.asarray(self._matrix, dtype=np.int64)
-
-    @property
-    def color_counts(self) -> np.ndarray:
-        """Current per-color node counts (snapshot array)."""
-        return np.asarray(self._color_counts, dtype=np.int64)
+    seen_gen = snapshot_view(
+        "_seen_gen", np.int64, "Stored leader generation per node (snapshot array)."
+    )
+    seen_prop = snapshot_view(
+        "_seen_prop", np.int8, "Stored leader propagation flag per node (snapshot array)."
+    )
 
     # ------------------------------------------------------------------
     # event handlers
@@ -593,8 +515,8 @@ class SingleLeaderSim:
         gens[node] = gen
         cols[node] = col
 
-    def _core_eligible(self) -> bool:
-        """Whether the compiled core models this run exactly.
+    def _core_seam(self):
+        """No fault seam (``(None, ())``) when the compiled core models this run, else ``False``.
 
         The paper's default path only: skip-tick chains (window > 1),
         ``K_n``, exponential latencies, a simulator of our own with no
@@ -603,25 +525,15 @@ class SingleLeaderSim:
         the core replaces overridden (a subclass that only wraps
         ``__init__`` or ``run`` stays eligible).
         """
-        cls = type(self)
-        return (
+        eligible = (
             self._skip
             and self._plain_sim
             and vars(self.sim).keys().isdisjoint(_SIMULATOR_METHODS)
             and self._latency_model is None
             and type(self.graph) is CompleteGraph
-            and all(getattr(cls, name) is getattr(SingleLeaderSim, name) for name in _CORE_HANDLERS)
+            and handlers_unchanged(self, SingleLeaderSim, _CORE_HANDLERS)
         )
-
-    def _run_core(self, until: float) -> bool:
-        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
-        if not self._core_eligible():
-            return False
-        core = fastcore.load()
-        if core is None or not core.run(self, until, _CORE_FUNCS, None, ()):
-            return False
-        self.core = "c"
-        return True
+        return (None, ()) if eligible else False
 
     def _trace_end_fields(self) -> dict:
         """Extra fields for the trace ``end`` record (subclass hook)."""
@@ -653,29 +565,6 @@ class SingleLeaderSim:
         self.sim.publish_metrics(metrics)
 
     # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def stats(self) -> StepStats:
-        matrix = self.matrix
-        per_generation = matrix.sum(axis=1)
-        occupied = np.nonzero(per_generation)[0]
-        top = int(occupied[-1]) if occupied.size else 0
-        return StepStats(
-            time=self.sim.now,
-            top_generation=top,
-            top_generation_fraction=float(per_generation[top]) / self.n,
-            plurality_fraction=float(max(self._color_counts)) / self.n,
-            bias=multiplicative_bias(self.color_counts),
-        )
-
-    def _schedule_sampler(self, every: float) -> None:
-        def sample() -> None:
-            self.trajectory.append(self.stats())
-            self.sim.schedule_in(every, sample)
-
-        self.sim.schedule_in(every, sample)
-
-    # ------------------------------------------------------------------
     # runner
     # ------------------------------------------------------------------
     def run(
@@ -701,41 +590,7 @@ class SingleLeaderSim:
         record_every:
             If set, append a :class:`StepStats` snapshot this often.
         """
-        self.core = "python"
-        if record_every is not None:
-            self._schedule_sampler(record_every)
-        epsilon_target = None
-        if epsilon is not None:
-            epsilon_target = int(np.ceil((1.0 - epsilon) * self.n))
-        n = self.n
-        counts = self._color_counts
-        plurality = self.plurality
-        self._eps_target = epsilon_target
-        self._eps_stop = stop_at_epsilon
-        self._eps_time = None
-
-        already_converged = max(counts) == n
-        eps_pre_satisfied = (
-            epsilon_target is not None and counts[plurality] >= epsilon_target
-        )
-        if already_converged or eps_pre_satisfied:
-            # Degenerate starts cannot trigger the _set_state hooks (the
-            # counts never cross a threshold they are already past), so
-            # fall back to the seed's per-event polling.
-            def done() -> bool:
-                if (
-                    epsilon_target is not None
-                    and self._eps_time is None
-                    and counts[plurality] >= epsilon_target
-                ):
-                    self._eps_time = self.sim.now
-                    if stop_at_epsilon:
-                        return True
-                return max(counts) == n
-
-            self.sim.run(until=max_time, stop_when=done)
-        elif record_every is not None or not self._run_core(max_time):
-            self.sim.run(until=max_time)
+        self._run_to_stop(max_time, epsilon, stop_at_epsilon, record_every)
         if self._skip:
             # Ticks that elapsed while a node sat locked at the end of
             # the run were never dispatched; count them so total_ticks
@@ -744,7 +599,7 @@ class SingleLeaderSim:
             chains = self._chain
             cptrs = self._cptr
             extra = 0
-            for node in range(n):
+            for node in range(self.n):
                 if self._locked[node]:
                     chain = chains[node]
                     ptr = cptrs[node]
@@ -755,42 +610,21 @@ class SingleLeaderSim:
             self.total_ticks += extra
             self.skipped_ticks += extra
         self._sync_leader()
-        epsilon_time = self._eps_time
-        converged = max(counts) == n
-        if self._tracer.enabled_for("end"):
-            # Only engine-independent (protocol-level) counters; the
-            # dispatch-lagging stats like total_ticks stay in
-            # RunResult.info instead.
-            self._tracer.record(
-                "end",
-                self.sim.now,
-                converged=converged,
-                counts=[int(c) for c in counts],
-                eps_time=epsilon_time,
-                zero_signals=self.leader.zero_signals,
-                gen_signals=self.leader.gen_signals,
-                good_ticks=self.good_ticks,
-                leader_gen=self.leader.gen,
-                **self._trace_end_fields(),
-            )
-        return RunResult(
-            converged=converged,
-            winner=int(np.argmax(counts)),
-            plurality_color=self.plurality,
-            elapsed=self.sim.now,
-            final_color_counts=self.color_counts,
-            epsilon_convergence_time=epsilon_time,
-            trajectory=self.trajectory,
-            births=self.births,
-            info={
-                "events": float(self.sim.events_executed),
-                "good_ticks": float(self.good_ticks),
-                "total_ticks": float(self.total_ticks),
-                "leader_zero_signals": float(self.leader.zero_signals),
-                "leader_gen_signals": float(self.leader.gen_signals),
-                "final_leader_generation": float(self.leader.gen),
-                "time_unit": self.params.time_unit,
+        leader = self.leader
+        # The end record carries only engine-independent (protocol-level)
+        # counters; the dispatch-lagging stats like total_ticks stay in
+        # RunResult.info instead.
+        return self._result(
+            {
+                "leader_zero_signals": float(leader.zero_signals),
+                "leader_gen_signals": float(leader.gen_signals),
+                "final_leader_generation": float(leader.gen),
             },
+            zero_signals=leader.zero_signals,
+            gen_signals=leader.gen_signals,
+            good_ticks=self.good_ticks,
+            leader_gen=leader.gen,
+            **self._trace_end_fields(),
         )
 
 
@@ -802,9 +636,8 @@ _CORE_HANDLERS = (
 )
 #: Simulator methods a fault seam may shadow on the instance.
 _SIMULATOR_METHODS = frozenset(name for name, value in vars(Simulator).items() if callable(value))
-#: The handlers the core recognises in (and writes back to) the event
-#: queue and the tally trigger.
-_CORE_FUNCS = (
+#: The queue handlers, then the tally trigger.
+SingleLeaderSim._core_funcs = (
     SingleLeaderSim._tick,
     SingleLeaderSim._exchange,
     SingleLeaderSim._leader_signal,

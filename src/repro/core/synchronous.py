@@ -46,7 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.results import GenerationBirth, RunResult, StepStats
+from repro.core.results import (
+    GenerationBirth,
+    RunResult,
+    StepStats,
+    _matrix_stats,
+    _top_generation,
+)
 from repro.core.schedule import Schedule
 from repro.engine.network import CompleteGraph
 from repro.engine.tracing import NULL_TRACER, Tracer
@@ -215,31 +221,10 @@ def state_tally(gens: np.ndarray, cols: np.ndarray, k: int, size: int) -> np.nda
     return np.bincount(keys, minlength=size)
 
 
-def _top_generation(matrix: np.ndarray, n: int) -> tuple[int, float]:
-    """``(top, share)``: the highest occupied generation and its fraction."""
-    per_generation = matrix.sum(axis=1)
-    occupied = np.nonzero(per_generation)[0]
-    top = int(occupied[-1]) if occupied.size else 0
-    return top, float(per_generation[top]) / n
-
-
 def _mean_field_top_share(matrix: np.ndarray, n: int) -> float:
     """The aggregate engines' schedule feed: the top generation's fractions summed."""
     per_generation = (matrix / n).sum(axis=1)
     return float(per_generation[np.nonzero(per_generation)[0][-1]])
-
-
-def _matrix_stats(matrix: np.ndarray, n: int, time: float) -> StepStats:
-    """Summary statistics from a generation×color count matrix."""
-    top, top_fraction = _top_generation(matrix, n)
-    color_counts = matrix.sum(axis=0)
-    return StepStats(
-        time=time,
-        top_generation=top,
-        top_generation_fraction=top_fraction,
-        plurality_fraction=float(color_counts.max()) / n,
-        bias=multiplicative_bias(color_counts),
-    )
 
 
 class _SynchronousBase:

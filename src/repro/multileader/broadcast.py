@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.network import CompleteGraph
+from repro.core.async_protocol import AsyncProtocolSim, check_run_inputs
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
-from repro.engine.simulator import Simulator, schedule_tick_window
 from repro.errors import ConfigurationError
 from repro.multileader.clustering import Clustering
 from repro.multileader.params import MultiLeaderParams
@@ -43,7 +42,7 @@ class BroadcastResult:
         return self.all_informed_time is not None
 
 
-class BroadcastSim:
+class BroadcastSim(AsyncProtocolSim):
     """Event-driven broadcast among the leaders of an existing clustering."""
 
     def __init__(
@@ -57,27 +56,12 @@ class BroadcastSim:
         simulator=None,
         tracer=None,
     ):
-        if simulator is not None and tracer is not None:
-            raise ConfigurationError(
-                "pass the tracer to the pre-built simulator, not both"
-            )
+        super().__init__(params, rng, graph=graph, simulator=simulator, tracer=tracer)
         if clustering.n != params.n:
             raise ConfigurationError("clustering size does not match params.n")
-        if graph is None:
-            graph = CompleteGraph(params.n)
-        elif len(graph) != params.n:
-            raise ConfigurationError(f"graph has {len(graph)} nodes but params.n={params.n}")
-        elif getattr(graph, "min_degree", 1) < 1:
-            raise ConfigurationError("graph has isolated nodes; contact sampling needs degree >= 1")
-        self.params = params
-        self.n = params.n
-        self.graph = graph
-        self._rng = rng
-        self.sim = Simulator(tracer=tracer) if simulator is None else simulator
-        self._tracer = self.sim.tracer
         self._trace_phase = self._tracer.enabled_for("phase")
         self._tick_wait = ExponentialPool(rng, params.clock_rate)
-        self._sample_other = graph.neighbor_pool(rng).sample
+        self._sample_other = self.graph.neighbor_pool(rng).sample
         # Own leader + two sampled nodes concurrently, then their leaders.
         self._channel_delay = ChannelDelayPool(rng, params.latency_rate, stages=(3, 2))
         self._leader_of: list[int] = clustering.leader_of.tolist()
@@ -99,36 +83,9 @@ class BroadcastSim:
             )
         self._locked: list[bool] = [False] * self.n
         self._active = set(self.leaders)
-        # One initial tick per member (identical to the scalar engine);
-        # each node's first tick then grows its chain to a full window.
-        self._window = self.sim.tick_window
-        self._credit: list[int] = [1] * self.n
-        schedule_in = self.sim.schedule_in
-        tick = self._tick
-        wait = self._tick_wait
-        for node in range(self.n):
-            if self._leader_of[node] in self._active:
-                schedule_in(wait(), tick, node)
-
-    def _refill_window(self, node: int) -> None:
-        """Pre-schedule the node's next tick window (one bulk insert)."""
-        window = self._window
-        if window == 1:
-            # Event-granular fallback: the legacy draw/push sequence.
-            self.sim.schedule_in(self._tick_wait(), self._tick, node)
-            return
-        schedule_tick_window(self.sim, self._tick_wait, self._tick, node, window)
-        self._credit[node] = window
-
-    @property
-    def leader_of(self) -> np.ndarray:
-        """Per-node leader assignment, ``-1`` when unclustered (snapshot)."""
-        return np.asarray(self._leader_of, dtype=np.int64)
-
-    @property
-    def locked(self) -> np.ndarray:
-        """Per-node locked flags (snapshot array)."""
-        return np.asarray(self._locked, dtype=bool)
+        self._schedule_first_ticks(
+            node for node in range(self.n) if self._leader_of[node] in self._active
+        )
 
     def _tick(self, node: int) -> None:
         credit = self._credit
@@ -170,6 +127,7 @@ class BroadcastSim:
 
     def run(self, *, max_time: float = 200.0) -> BroadcastResult:
         """Run until every active leader is informed (or ``max_time``)."""
+        check_run_inputs(max_time)
         if self.informed_count == len(self.leaders):
             # Degenerate single-leader overlay: already informed; keep
             # the seed's stop-after-first-event semantics.

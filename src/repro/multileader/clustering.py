@@ -32,7 +32,9 @@ core (:mod:`repro.core.fastcore`), which repeats these handlers — and
 the drop and straggler transforms of a
 :class:`~repro.scenarios.faults.FaultInjection` wrapping the simulator —
 draw for draw and writes the state back; this module stays its oracle
-and fallback.
+and fallback.  The constructor guard, the tick windows and the
+compiled-core hand-off come from
+:class:`~repro.core.async_protocol.AsyncProtocolSim`.
 """
 
 from __future__ import annotations
@@ -42,14 +44,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import fastcore
+from repro.core.async_protocol import (
+    AsyncProtocolSim,
+    check_run_inputs,
+    handlers_unchanged,
+    snapshot_view,
+)
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
-from repro.engine.simulator import Simulator, schedule_tick_window
 from repro.errors import ConfigurationError, SimulationError
 from repro.multileader.params import MultiLeaderParams
 from repro.scenarios.faults import core_seam
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive, check_positive_int
 
 __all__ = ["Clustering", "ClusteringSim", "ideal_clustering", "run_clustering"]
 
@@ -139,7 +145,7 @@ def ideal_clustering(n: int, cluster_size: int) -> Clustering:
     )
 
 
-class ClusteringSim:
+class ClusteringSim(AsyncProtocolSim):
     """Event-driven simulator of the clustering phase.
 
     Parameters
@@ -162,6 +168,8 @@ class ClusteringSim:
         the pre-scenario engine; see :mod:`repro.scenarios.topology`).
     """
 
+    _core_entry = "run_clustering"
+
     def __init__(
         self,
         params: MultiLeaderParams,
@@ -174,24 +182,7 @@ class ClusteringSim:
         simulator=None,
         tracer=None,
     ):
-        if simulator is not None and tracer is not None:
-            raise ConfigurationError(
-                "pass the tracer to the pre-built simulator, not both"
-            )
-        if graph is None:
-            graph = CompleteGraph(params.n)
-        elif len(graph) != params.n:
-            raise ConfigurationError(f"graph has {len(graph)} nodes but params.n={params.n}")
-        elif getattr(graph, "min_degree", 1) < 1:
-            raise ConfigurationError("graph has isolated nodes; contact sampling needs degree >= 1")
-        self.params = params
-        self.n = params.n
-        self.graph = graph
-        self._rng = rng
-        self.sim = Simulator(tracer=tracer) if simulator is None else simulator
-        #: The core that ran the last run() ("c" or "python").
-        self.core = "python"
-        self._tracer = self.sim.tracer
+        super().__init__(params, rng, graph=graph, simulator=simulator, tracer=tracer)
         self._trace_phase = self._tracer.enabled_for("phase")
         if self._tracer.enabled_for("run"):
             self._tracer.record(
@@ -200,7 +191,7 @@ class ClusteringSim:
             )
         self._tick_wait = ExponentialPool(rng, params.clock_rate)
         self._latency = ExponentialPool(rng, params.latency_rate)
-        self._neighbors = graph.neighbor_pool(rng)
+        self._neighbors = self.graph.neighbor_pool(rng)
         self._sample_other = self._neighbors.sample
         # Three concurrent channels to the sampled nodes per cycle.
         self._channel_delay = ChannelDelayPool(rng, params.latency_rate, stages=(3,))
@@ -237,42 +228,11 @@ class ClusteringSim:
         self.clustered_trajectory: list[tuple[float, float]] = []
         self.total_ticks = 0
         self.good_ticks = 0
-        # One initial tick per node (identical to the scalar engine);
-        # each node's first tick then grows its chain to a full window.
-        self._window = self.sim.tick_window
-        self._credit: list[int] = [1] * self.n
-        schedule_in = self.sim.schedule_in
-        tick = self._tick
-        wait = self._tick_wait
-        for node in range(self.n):
-            schedule_in(wait(), tick, node)
+        self._schedule_first_ticks(range(self.n))
 
-    def _refill_window(self, node: int) -> None:
-        """Pre-schedule the node's next tick window (one bulk insert).
-
-        Unlike the consensus phase, the member 0-signal's *target*
-        (the node's leader) changes as clusters form, so signals are
-        drawn per tick in :meth:`_tick`; only the unconditional tick
-        chain is batched.
-        """
-        window = self._window
-        if window == 1:
-            # Event-granular fallback: the legacy draw/push sequence.
-            self.sim.schedule_in(self._tick_wait(), self._tick, node)
-            return
-        schedule_tick_window(self.sim, self._tick_wait, self._tick, node, window)
-        self._credit[node] = window
-
-    # ------------------------------------------------------------------
-    @property
-    def leader_of(self) -> np.ndarray:
-        """Per-node leader assignment, ``-1`` when unclustered (snapshot)."""
-        return np.asarray(self._leader, dtype=np.int64)
-
-    @property
-    def locked(self) -> np.ndarray:
-        """Per-node locked flags (snapshot array)."""
-        return np.asarray(self._locked, dtype=bool)
+    leader_of = snapshot_view(
+        "_leader", np.int64, "Per-node leader assignment, ``-1`` when unclustered (snapshot)."
+    )
 
     def _tick(self, node: int) -> None:
         sim = self.sim
@@ -395,31 +355,21 @@ class ClusteringSim:
         admission policy (no ``faithful_pause``), and none of the
         handlers the core replaces overridden.
         """
-        cls = type(self)
         if not (
             self._window > 1
             and type(self.graph) is CompleteGraph
             and not self._faithful_pause
-            and all(getattr(cls, name) is getattr(ClusteringSim, name) for name in _CORE_HANDLERS)
-            and not hasattr(cls, "_unlock")
+            and handlers_unchanged(self, ClusteringSim, _CORE_HANDLERS)
+            and not hasattr(type(self), "_unlock")
         ):
             return False
         return core_seam(self)
 
-    def _run_core(self, until: float) -> bool:
-        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
-        seam = self._core_seam()
-        if seam is False:
-            return False
-        core = fastcore.load()
-        if core is None or not core.run_clustering(self, until, _CORE_FUNCS, *seam):
-            return False
-        self.core = "c"
-        return True
-
     # ------------------------------------------------------------------
     def run(self, *, max_time: float = 500.0, sample_every: float = 1.0) -> Clustering:
         """Run until every leader learned of the switch (or ``max_time``)."""
+        check_run_inputs(max_time)
+        check_positive("sample_every", sample_every)
         self.core = "python"
         self.sim.schedule_in(sample_every, self._sample, sample_every)
         if not self._run_core(max_time):
@@ -448,9 +398,7 @@ _CORE_HANDLERS = (
     "_tick", "_exchange", "_join", "_accepting", "_leader_signal", "_inform", "_refill_window",
     "_sample",
 )
-#: The handlers the core recognises in (and writes back to) the event
-#: queue, in the core's event-kind order.
-_CORE_FUNCS = (
+ClusteringSim._core_funcs = (
     ClusteringSim._tick,
     ClusteringSim._exchange,
     ClusteringSim._join,

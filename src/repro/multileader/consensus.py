@@ -31,7 +31,10 @@ receive pushes, exactly as in Theorem 27's accounting.
 Engine notes: randomness comes from block-prefetched pools, events are
 ``(time, seq, bound_method, payload)`` tuples, and per-node state lives
 in plain Python lists with numpy snapshot properties — see
-:mod:`repro.core.single_leader` for the rationale.  An eligible run
+:mod:`repro.core.single_leader` for the rationale; the scaffold it shares
+with the other asynchronous simulators (constructor guard, count state,
+run prologue, compiled-core hand-off) is
+:class:`~repro.core.async_protocol.AsyncProtocolSim`.  An eligible run
 (``K_n``, no tracer, no ``record_every``, no churn, none of the core's
 handlers overridden) runs its event loop in the compiled core
 (:mod:`repro.core.fastcore`), which repeats these handlers — and the
@@ -45,11 +48,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import fastcore
-from repro.core.results import GenerationBirth, RunResult, StepStats
+from repro.core.async_protocol import AsyncProtocolSim, handlers_unchanged, snapshot_view
+from repro.core.results import GenerationBirth, RunResult
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
-from repro.engine.simulator import Simulator, tick_times
+from repro.engine.simulator import tick_times
 from repro.errors import ConfigurationError
 from repro.multileader.cluster_leader import (
     STATE_PROPAGATION,
@@ -59,19 +62,16 @@ from repro.multileader.cluster_leader import (
 from repro.multileader.clustering import Clustering, publish_phase_metrics
 from repro.multileader.params import MultiLeaderParams
 from repro.scenarios.faults import core_seam
-from repro.workloads.bias import (
-    collision_probability,
-    multiplicative_bias,
-    plurality_color,
-    validate_counts,
-)
+from repro.workloads.bias import collision_probability, multiplicative_bias
 from repro.workloads.opinions import counts_to_assignment
 
 __all__ = ["MultiLeaderConsensusSim", "run_multileader_consensus"]
 
 
-class MultiLeaderConsensusSim:
+class MultiLeaderConsensusSim(AsyncProtocolSim):
     """Event-driven simulator of Algorithms 4+5 on a given clustering."""
+
+    _core_entry = "run_multileader"
 
     def __init__(
         self,
@@ -84,38 +84,15 @@ class MultiLeaderConsensusSim:
         simulator=None,
         tracer=None,
     ):
-        if simulator is not None and tracer is not None:
-            raise ConfigurationError(
-                "pass the tracer to the pre-built simulator, not both"
-            )
-        if graph is None:
-            graph = CompleteGraph(params.n)
-        elif len(graph) != params.n:
-            raise ConfigurationError(f"graph has {len(graph)} nodes but params.n={params.n}")
-        elif getattr(graph, "min_degree", 1) < 1:
-            raise ConfigurationError("graph has isolated nodes; contact sampling needs degree >= 1")
-        counts = validate_counts(counts)
-        if int(counts.sum()) != params.n:
-            raise ConfigurationError(
-                f"counts sum to {int(counts.sum())} but params.n={params.n}"
-            )
-        if counts.size != params.k:
-            raise ConfigurationError(f"counts has {counts.size} colors, params.k={params.k}")
+        super().__init__(params, rng, graph=graph, simulator=simulator, tracer=tracer)
+        counts = self._check_counts(counts)
         if clustering.n != params.n:
             raise ConfigurationError("clustering size does not match params.n")
-        self.params = params
-        self.n = params.n
-        self.k = params.k
-        self.graph = graph
-        self._rng = rng
-        self.sim = Simulator(tracer=tracer) if simulator is None else simulator
-        #: The core that ran the last run() ("c" or "python").
-        self.core = "python"
         self._leader_of: list[int] = clustering.leader_of.tolist()
 
         self._tick_wait = ExponentialPool(rng, params.clock_rate)
         self._latency = ExponentialPool(rng, params.latency_rate)
-        self._neighbors = graph.neighbor_pool(rng)
+        self._neighbors = self.graph.neighbor_pool(rng)
         self._sample_other = self._neighbors.sample
         # Three sample channels concurrently, then the two leader
         # channels concurrently — one composite pooled draw per cycle.
@@ -128,7 +105,6 @@ class MultiLeaderConsensusSim:
         }
         if not self.leaders:
             raise ConfigurationError("clustering has no active leaders")
-        self._tracer = self.sim.tracer
         self._trace_state = self._tracer.enabled_for("state")
         if self._tracer.enabled_for("phase"):
             for state in self.leaders.values():
@@ -148,41 +124,13 @@ class MultiLeaderConsensusSim:
             for leader in self._leader_of
         ]
 
-        self._cols: list[int] = counts_to_assignment(counts, rng).tolist()
-        self._gens: list[int] = [0] * self.n
+        self._init_counts(counts, counts_to_assignment(counts, rng).tolist())
         self._finished: list[bool] = [False] * self.n
-        self._locked: list[bool] = [False] * self.n
         self._tmp_gen: list[int] = [0] * self.n
         self._tmp_state: list[int] = [0] * self.n
-
-        rows = params.max_generation + 2
-        self._matrix: list[list[int]] = [[0] * self.k for _ in range(rows)]
-        self._matrix[0] = [int(c) for c in counts]
-        self._color_counts: list[int] = [int(c) for c in counts]
-        self.plurality = plurality_color(counts)
-        self.births: list[GenerationBirth] = []
-        self._birth_seen: list[bool] = [False] * rows
+        self._birth_seen: list[bool] = [False] * (params.max_generation + 2)
         self._birth_seen[0] = True
-        self.trajectory: list[StepStats] = []
-        self.good_ticks = 0
-        self.total_ticks = 0
-
-        # Convergence detection lives in _set_state (see
-        # repro.core.single_leader), not in a per-event stop_when poll.
-        self._eps_target: int | None = None
-        self._eps_stop = False
-        self._eps_time: float | None = None
-
-        # One initial tick per active member (identical to the scalar
-        # engine); the first tick grows each chain to a full window.
-        self._window = self.sim.tick_window
-        self._credit: list[int] = [1] * self.n
-        schedule_in = self.sim.schedule_in
-        tick = self._tick
-        wait = self._tick_wait
-        for node in range(self.n):
-            if active_member[node]:
-                schedule_in(wait(), tick, node)
+        self._schedule_first_ticks(node for node in range(self.n) if active_member[node])
 
     def _refill_window(self, node: int) -> None:
         """Next tick window + (0, 3, ·)-signal fan-out, two bulk inserts."""
@@ -206,53 +154,13 @@ class MultiLeaderConsensusSim:
         sim.schedule_many_at(sigs, self._deliver_signal, [payload] * (window - 1))
         self._credit[node] = window
 
-    # ------------------------------------------------------------------
-    # numpy snapshot views (external consumers: tests, experiments)
-    # ------------------------------------------------------------------
-    @property
-    def leader_of(self) -> np.ndarray:
-        """Per-node leader assignment, ``-1`` when unclustered (snapshot)."""
-        return np.asarray(self._leader_of, dtype=np.int64)
-
-    @property
-    def cols(self) -> np.ndarray:
-        """Per-node colors (snapshot array)."""
-        return np.asarray(self._cols, dtype=np.int64)
-
-    @property
-    def gens(self) -> np.ndarray:
-        """Per-node generations (snapshot array)."""
-        return np.asarray(self._gens, dtype=np.int64)
-
-    @property
-    def finished(self) -> np.ndarray:
-        """Per-node finished flags (snapshot array)."""
-        return np.asarray(self._finished, dtype=bool)
-
-    @property
-    def locked(self) -> np.ndarray:
-        """Per-node locked flags (snapshot array)."""
-        return np.asarray(self._locked, dtype=bool)
-
-    @property
-    def tmp_gen(self) -> np.ndarray:
-        """Stored own-leader generation per node (snapshot array)."""
-        return np.asarray(self._tmp_gen, dtype=np.int64)
-
-    @property
-    def tmp_state(self) -> np.ndarray:
-        """Stored own-leader state per node (snapshot array)."""
-        return np.asarray(self._tmp_state, dtype=np.int64)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Generation×color count matrix (snapshot array)."""
-        return np.asarray(self._matrix, dtype=np.int64)
-
-    @property
-    def color_counts(self) -> np.ndarray:
-        """Current per-color node counts (snapshot array)."""
-        return np.asarray(self._color_counts, dtype=np.int64)
+    finished = snapshot_view("_finished", bool, "Per-node finished flags (snapshot array).")
+    tmp_gen = snapshot_view(
+        "_tmp_gen", np.int64, "Stored own-leader generation per node (snapshot array)."
+    )
+    tmp_state = snapshot_view(
+        "_tmp_state", np.int64, "Stored own-leader state per node (snapshot array)."
+    )
 
     # ------------------------------------------------------------------
     # event handlers
@@ -422,12 +330,11 @@ class MultiLeaderConsensusSim:
         and none of the handlers the core replaces overridden, the
         leaders' included.
         """
-        cls = type(self)
         if not (
             self._window > 1
             and type(self.graph) is CompleteGraph
-            and all(getattr(cls, name) is getattr(MultiLeaderConsensusSim, name) for name in _CORE_HANDLERS)
-            and not hasattr(cls, "_unlock")
+            and handlers_unchanged(self, MultiLeaderConsensusSim, _CORE_HANDLERS)
+            and not hasattr(type(self), "_unlock")
             and all(
                 type(state) is ClusterLeaderState and state.tracer is None
                 for state in self.leaders.values()
@@ -436,36 +343,9 @@ class MultiLeaderConsensusSim:
             return False
         return core_seam(self)
 
-    def _run_core(self, until: float) -> bool:
-        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
-        seam = self._core_seam()
-        if seam is False:
-            return False
-        core = fastcore.load()
-        if core is None or not core.run_multileader(self, until, _CORE_FUNCS, *seam):
-            return False
-        self.core = "c"
-        return True
-
     def publish_metrics(self, metrics) -> None:
         """Harvest tick + engine counters into a registry (epilogue)."""
         publish_phase_metrics(self, metrics)
-
-    # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def stats(self) -> StepStats:
-        matrix = self.matrix
-        per_generation = matrix.sum(axis=1)
-        occupied = np.nonzero(per_generation)[0]
-        top = int(occupied[-1]) if occupied.size else 0
-        return StepStats(
-            time=self.sim.now,
-            top_generation=top,
-            top_generation_fraction=float(per_generation[top]) / self.n,
-            plurality_fraction=float(max(self._color_counts)) / self.n,
-            bias=multiplicative_bias(self.color_counts),
-        )
 
     def leader_phase_table(self) -> dict[int, dict[int, dict[int, float]]]:
         """generation -> state -> {leader: first entry time} (Figure 2 data)."""
@@ -491,82 +371,24 @@ class MultiLeaderConsensusSim:
         record_every: float | None = None,
     ) -> RunResult:
         """Run until full consensus, the ε-target, or ``max_time``."""
-        self.core = "python"
-        if record_every is not None:
-
-            def sample() -> None:
-                self.trajectory.append(self.stats())
-                self.sim.schedule_in(record_every, sample)
-
-            self.sim.schedule_in(record_every, sample)
-        epsilon_target = None
-        if epsilon is not None:
-            epsilon_target = int(np.ceil((1.0 - epsilon) * self.n))
-        n = self.n
-        counts = self._color_counts
-        plurality = self.plurality
-        self._eps_target = epsilon_target
-        self._eps_stop = stop_at_epsilon
-        self._eps_time = None
-
-        already_converged = max(counts) == n
-        eps_pre_satisfied = (
-            epsilon_target is not None and counts[plurality] >= epsilon_target
-        )
-        if already_converged or eps_pre_satisfied:
-            # Degenerate starts cannot trigger the _set_state hooks.
-            def done() -> bool:
-                if (
-                    epsilon_target is not None
-                    and self._eps_time is None
-                    and counts[plurality] >= epsilon_target
-                ):
-                    self._eps_time = self.sim.now
-                    if stop_at_epsilon:
-                        return True
-                return max(counts) == n
-
-            self.sim.run(until=max_time, stop_when=done)
-        elif record_every is not None or not self._run_core(max_time):
-            self.sim.run(until=max_time)
-        epsilon_time = self._eps_time
-        converged = max(counts) == n
+        self._run_to_stop(max_time, epsilon, stop_at_epsilon, record_every)
         max_leader_gen = max(state.gen for state in self.leaders.values())
-        if self._tracer.enabled_for("end"):
-            self._tracer.record(
-                "end", self.sim.now, converged=converged,
-                counts=[int(c) for c in counts], eps_time=epsilon_time,
-                good_ticks=self.good_ticks, leader_gen=max_leader_gen,
-            )
-        return RunResult(
-            converged=converged,
-            winner=int(np.argmax(counts)),
-            plurality_color=self.plurality,
-            elapsed=self.sim.now,
-            final_color_counts=self.color_counts,
-            epsilon_convergence_time=epsilon_time,
-            trajectory=self.trajectory,
-            births=self.births,
-            info={
-                "events": float(self.sim.events_executed),
-                "good_ticks": float(self.good_ticks),
-                "total_ticks": float(self.total_ticks),
+        return self._result(
+            {
                 "active_leaders": float(len(self.leaders)),
                 "max_leader_generation": float(max_leader_gen),
                 "active_member_fraction": float(self._active_member.mean()),
-                "time_unit": self.params.time_unit,
             },
+            good_ticks=self.good_ticks,
+            leader_gen=max_leader_gen,
         )
-
 
 #: Handlers whose work the compiled core does itself.
 _CORE_HANDLERS = (
     "_tick", "_exchange", "_deliver_signal", "_signal", "_set_state", "_refill_window",
     "_record_birth",
 )
-#: The handlers the core recognises in (and writes back to) the event
-#: queue, in the core's event-kind order.
-_CORE_FUNCS = (
+MultiLeaderConsensusSim._core_funcs = (
     MultiLeaderConsensusSim._tick,
     MultiLeaderConsensusSim._exchange,
     MultiLeaderConsensusSim._deliver_signal,

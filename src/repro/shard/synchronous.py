@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.results import RunResult
+from repro.core.results import RunResult, _top_generation
 from repro.core.schedule import Schedule
 from repro.core.synchronous import (
     _SynchronousBase,
     _mean_field_top_share,
-    _top_generation,
     pernode_update,
     run_synchronous,
     sample_contacts,
