@@ -869,10 +869,8 @@ PyObject *sim_main(PyObject *args, const CoreSpec *spec)
     if (rc == 1)
         rc = sim_load(s, spec, wiring, kinds);
     if (rc == 1) {
+        /* The heap never empties: every ticking node always holds a pending tick or cycle. */
         rc = spec->run(s, horizon);
-        /* Simulator.run: an exhausted schedule advances the clock to until. */
-        if (rc == 0 && !s->heap.len && !s->tally.len && s->now < horizon)
-            s->now = horizon;
         result = finish_run(s, spec, rc);
     }
     else if (rc == 0) {
