@@ -35,7 +35,6 @@ takes.
 from __future__ import annotations
 
 import math
-import numbers
 from operator import attrgetter
 
 import numpy as np
@@ -45,7 +44,7 @@ from repro.core.results import GenerationBirth, RunResult, StepStats, _matrix_st
 from repro.engine.network import CompleteGraph
 from repro.engine.simulator import Simulator, schedule_tick_window
 from repro.errors import ConfigurationError
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_fraction, check_nonnegative, check_positive
 from repro.workloads.bias import plurality_color, validate_counts
 
 __all__ = ["AsyncProtocolSim", "check_run_inputs", "handlers_unchanged", "snapshot_view"]
@@ -58,8 +57,7 @@ def check_run_inputs(max_time, epsilon=None, record_every=None) -> None:
     ``epsilon`` ``None`` or in the open ``(0, 1)``, and ``record_every``
     ``None`` or finite and ``> 0``.
     """
-    if not isinstance(max_time, numbers.Real) or not max_time >= 0:
-        raise ConfigurationError(f"max_time must be a number >= 0, got {max_time!r}")
+    check_nonnegative("max_time", max_time)
     if epsilon is not None:
         check_fraction("epsilon", epsilon)
     if record_every is not None:

@@ -90,6 +90,7 @@ from repro.scenarios.adversary import adversarial_counts, clustered_assignment
 from repro.scenarios.faults import build_faults, prepare_faulty_simulator
 from repro.scenarios.round_faults import build_round_faults, prepare_round_faults
 from repro.scenarios.topology import build_graph
+from repro.util.validation import check_fraction, check_nonnegative
 
 __all__ = [
     "register_target",
@@ -481,7 +482,24 @@ _SINGLE_LEADER_DEFAULTS: dict[str, Any] = {
 }
 
 
-@register_target("single_leader", _SINGLE_LEADER_DEFAULTS)
+def _validate_run_budget(p: Mapping[str, Any], *budgets: str) -> None:
+    """Fail fast on a time budget below 0 or an ``epsilon`` outside ``(0, 1)``.
+
+    A negative budget would move the clock backwards, and an
+    ``epsilon`` outside the open interval records its time at the first
+    event (``>= 1``) or never (``<= 0``).
+    """
+    for key in budgets:
+        check_nonnegative(key, p[key])
+    if p["epsilon"] is not None:
+        check_fraction("epsilon", p["epsilon"])
+
+
+def _validate_single_leader(p: Mapping[str, Any]) -> None:
+    _validate_run_budget(p, "max_time")
+
+
+@register_target("single_leader", _SINGLE_LEADER_DEFAULTS, validate=_validate_single_leader)
 def single_leader_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:
@@ -552,9 +570,12 @@ def _reject_multileader_clustered(p: Mapping[str, Any]) -> None:
         )
 
 
-@register_target(
-    "multileader", _MULTILEADER_DEFAULTS, validate=_reject_multileader_clustered
-)
+def _validate_multileader(p: Mapping[str, Any]) -> None:
+    _reject_multileader_clustered(p)
+    _validate_run_budget(p, "clustering_max_time", "max_time")
+
+
+@register_target("multileader", _MULTILEADER_DEFAULTS, validate=_validate_multileader)
 def multileader_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:

@@ -31,6 +31,38 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SingleLeaderParams(n=100, k=3, alpha0=2.0, latency_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "run_kwargs",
+        [
+            dict(max_time=-1.0),
+            dict(max_time=float("nan")),
+            dict(epsilon=1.5),
+            dict(epsilon=1.0),
+            dict(epsilon=0.0),
+            dict(epsilon=-0.5),
+            dict(record_every=0.0),
+            dict(record_every=-1.0),
+            dict(record_every=float("nan")),
+        ],
+        ids=[
+            "negative-max-time", "nan-max-time", "epsilon-above-1", "epsilon-1",
+            "epsilon-0", "negative-epsilon", "record-every-0", "negative-record-every",
+            "nan-record-every",
+        ],
+    )
+    def test_bad_run_inputs_rejected_before_running(self, rng, run_kwargs):
+        sim = SingleLeaderSim(make_params(n=60, k=2), biased_counts(60, 2, 2.0), rng)
+        with pytest.raises(ConfigurationError):
+            sim.run(**run_kwargs)
+        assert sim.sim.events_executed == 0
+        assert sim.sim.now == 0.0
+
+    def test_zero_budget_runs_nothing(self, rng):
+        sim = SingleLeaderSim(make_params(n=60, k=2), biased_counts(60, 2, 2.0), rng)
+        result = sim.run(max_time=0.0)
+        assert result.elapsed == 0.0
+        assert sim.sim.events_executed == 0
+
     def test_derived_quantities(self):
         params = make_params(n=1000)
         assert params.time_unit > 0

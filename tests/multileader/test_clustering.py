@@ -72,6 +72,22 @@ class TestClusteringSim:
     def params(self) -> MultiLeaderParams:
         return MultiLeaderParams(n=800, k=2, alpha0=2.0)
 
+    @pytest.mark.parametrize(
+        "run_kwargs",
+        [
+            dict(max_time=-1.0),
+            dict(sample_every=0.0),
+            dict(sample_every=-1.0),
+            dict(sample_every=float("nan")),
+        ],
+        ids=["negative-max-time", "sample-every-0", "negative-sample-every", "nan-sample-every"],
+    )
+    def test_bad_run_inputs_rejected_before_running(self, params, rngs, run_kwargs):
+        sim = ClusteringSim(params, rngs.stream("bad"))
+        with pytest.raises(ConfigurationError):
+            sim.run(**run_kwargs)
+        assert sim.sim.events_executed == 0
+
     def test_produces_valid_clustering(self, params, rngs):
         clustering = ClusteringSim(params, rngs.stream("c")).run(max_time=300.0)
         assert isinstance(clustering, Clustering)

@@ -34,6 +34,23 @@ class TestValidation:
             MultiLeaderConsensusSim(params, wrong, biased_counts(600, 3, 2.5), rng)
 
 
+    @pytest.mark.parametrize(
+        "run_kwargs",
+        [
+            dict(max_time=-1.0),
+            dict(epsilon=1.5),
+            dict(epsilon=-0.5),
+            dict(record_every=0.0),
+        ],
+        ids=["negative-max-time", "epsilon-above-1", "negative-epsilon", "record-every-0"],
+    )
+    def test_bad_run_inputs_rejected_before_running(self, params, clustering, rng, run_kwargs):
+        sim = MultiLeaderConsensusSim(params, clustering, biased_counts(600, 3, 2.5), rng)
+        with pytest.raises(ConfigurationError):
+            sim.run(**run_kwargs)
+        assert sim.sim.events_executed == 0
+
+
 class TestConvergence:
     def test_full_consensus_plurality_wins(self, params, clustering, rngs):
         counts = biased_counts(params.n, params.k, 2.5)

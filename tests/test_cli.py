@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sweep import runner
 
 
 class TestParser:
@@ -331,6 +332,36 @@ class TestErrorBoundary:
     )
     def test_configuration_error_is_one_line_exit_2(self, argv, capsys):
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "single_leader", "--set", "max_time=-1"],
+            ["sweep", "single_leader", "--set", "epsilon=1.5"],
+            ["sweep", "single_leader", "--set", "epsilon=-0.5"],
+            ["sweep", "single_leader", "--set", "max_time=nan"],
+            ["sweep", "multileader", "--set", "clustering_max_time=-1"],
+            ["sweep", "multileader", "--set", "max_time=-1"],
+            ["sweep", "multileader", "--set", "epsilon=1.5"],
+        ],
+        ids=[
+            "single-leader-negative-max-time", "single-leader-epsilon-above-1",
+            "single-leader-negative-epsilon", "single-leader-nan-max-time",
+            "multileader-negative-clustering-max-time", "multileader-negative-max-time",
+            "multileader-epsilon-above-1",
+        ],
+    )
+    def test_bad_run_budget_starts_no_run(self, argv, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runner, "execute_run", no_run)
+        assert main([*argv, "--set", "n=50", "--no-cache"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
