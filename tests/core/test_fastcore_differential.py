@@ -16,6 +16,7 @@ eligible configs.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -149,6 +150,29 @@ def core_for(core: str, sim: SingleLeaderSim, epsilon) -> str:
     return "python" if decided else core
 
 
+def split_runs(config, run_kwargs, max_time, split, first):
+    """One config run twice on Python, and split at ``split · max_time`` across cores.
+
+    Returns the Python observations, the split run's, and the core each
+    split segment took.
+    """
+    second = "c" if first == "python" else "python"
+    epsilon = run_kwargs["epsilon"]
+    with pytest.MonkeyPatch.context() as patch:
+        reference = build(**config)
+        python = [
+            run_on("python", reference, patch, max_time=split * max_time, **run_kwargs),
+            run_on("python", reference, patch, max_time=max_time, **run_kwargs),
+        ]
+        split_run = build(**config)
+        cores = []
+        compiled = []
+        for core, until in ((first, split * max_time), (second, max_time)):
+            cores.append(core_for(core, split_run, epsilon))
+            compiled.append(run_on(cores[-1], split_run, patch, max_time=until, **run_kwargs))
+    return python, compiled, cores
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     n=st.integers(8, 200),
@@ -167,21 +191,54 @@ def test_drawn_configs_agree(n, k, alpha, gamma, seed, epsilon, stop_at_epsilon,
     """Eligible configs, drawn: Python throughout vs a run split at a drawn time."""
     config = dict(n=n, k=k, alpha=alpha, seed=seed, gamma=gamma)
     run_kwargs = dict(epsilon=epsilon, stop_at_epsilon=stop_at_epsilon)
-    second = "c" if first == "python" else "python"
-    with pytest.MonkeyPatch.context() as patch:
-        reference = build(**config)
-        python = [
-            run_on("python", reference, patch, max_time=split * max_time, **run_kwargs),
-            run_on("python", reference, patch, max_time=max_time, **run_kwargs),
-        ]
-        split_run = build(**config)
-        compiled = [
-            run_on(core_for(first, split_run, epsilon), split_run, patch,
-                   max_time=split * max_time, **run_kwargs),
-            run_on(core_for(second, split_run, epsilon), split_run, patch,
-                   max_time=max_time, **run_kwargs),
-        ]
+    python, compiled, _ = split_runs(config, run_kwargs, max_time, split, first)
     assert compiled == python
+
+
+def stop_of(observed: dict, stop_at_epsilon: bool) -> str:
+    """What ended a run: ``consensus``, the ``epsilon`` stop, or the ``horizon``."""
+    converged, *_, elapsed, eps_time = observed["result"][:5]
+    if converged:
+        return "consensus"
+    if stop_at_epsilon and eps_time == elapsed:
+        return "epsilon"
+    return "horizon"
+
+
+@pytest.mark.slow
+def test_long_drawn_configs_reach_every_stop():
+    """Strong biases over long horizons: the drawn runs stop every way, in C too.
+
+    Like :func:`test_drawn_configs_agree`, but with ``alpha`` in
+    ``[3, 8]`` and horizons up to 300 time units, so the compiled
+    segments reach consensus and the ε-stop, not only the horizon.
+    """
+    stops = collections.Counter()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(40, 150),  # every color keeps a node at alpha = 8
+        k=st.integers(2, 5),
+        alpha=st.floats(3.0, 8.0),
+        gamma=st.floats(0.3, 0.8),
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([None, 0.05, 0.2]),
+        stop_at_epsilon=st.booleans(),
+        units=st.floats(5.0, 300.0),
+        split=st.floats(0.0, 1.0),
+        first=st.sampled_from(["python", "c"]),
+    )
+    def example(n, k, alpha, gamma, seed, epsilon, stop_at_epsilon, units, split, first):
+        config = dict(n=n, k=k, alpha=alpha, seed=seed, gamma=gamma)
+        run_kwargs = dict(epsilon=epsilon, stop_at_epsilon=stop_at_epsilon)
+        max_time = units * protocol_params(n, k, alpha, gamma).time_unit
+        python, compiled, cores = split_runs(config, run_kwargs, max_time, split, first)
+        assert compiled == python
+        for core, observed in zip(cores, compiled):
+            stops[core, stop_of(observed, stop_at_epsilon)] += 1
+
+    example()
+    assert stops["c", "consensus"] and stops["c", "epsilon"], stops
 
 
 class TimedSim(SingleLeaderSim):

@@ -17,6 +17,7 @@ slice draws eligible configs.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -192,6 +193,41 @@ def core_for(core: str, sim: MultiLeaderConsensusSim, epsilon) -> str:
     return "python" if decided else core
 
 
+def split_runs(built, run_kwargs, max_time, split, first):
+    """One config run twice on Python, and split at ``split · max_time`` across cores.
+
+    ``built()`` builds the config afresh.  Returns the Python
+    observations, the split run's, and the core each split segment took.
+    """
+    second = "c" if first == "python" else "python"
+    epsilon = run_kwargs["epsilon"]
+    with pytest.MonkeyPatch.context() as patch:
+        reference = built()
+        python = [
+            run_on("python", reference, patch, max_time=split * max_time, **run_kwargs),
+            run_on("python", reference, patch, max_time=max_time, **run_kwargs),
+        ]
+        split_run = built()
+        cores = []
+        compiled = []
+        for core, until in ((first, split * max_time), (second, max_time)):
+            cores.append(core_for(core, split_run[0], epsilon))
+            compiled.append(run_on(cores[-1], split_run, patch, max_time=until, **run_kwargs))
+    return python, compiled, cores
+
+
+def faulty_build(n, k, alpha, seed, unclustered, drop_model, drop, stragglers):
+    """A builder of one drawn config: drop model (or none), stragglers, unclustered share."""
+    def built():
+        faults = build_faults(
+            drop=drop if drop_model else 0.0, drop_model=drop_model or "iid",
+            stragglers=stragglers,
+        )
+        return build(n, k, alpha, seed, faults=faults, unclustered=unclustered)
+
+    return built
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     n=st.integers(8, 150),
@@ -211,29 +247,60 @@ def core_for(core: str, sim: MultiLeaderConsensusSim, epsilon) -> str:
 def test_drawn_configs_agree(n, k, alpha, unclustered, drop_model, drop, stragglers, seed,
                              epsilon, stop_at_epsilon, max_time, split, first):
     """Eligible configs, drawn: Python throughout vs a run split at a drawn time."""
-    def built():
-        faults = build_faults(
-            drop=drop if drop_model else 0.0, drop_model=drop_model or "iid",
-            stragglers=stragglers,
-        )
-        return build(n, k, alpha, seed, faults=faults, unclustered=unclustered)
-
+    built = faulty_build(n, k, alpha, seed, unclustered, drop_model, drop, stragglers)
     run_kwargs = dict(epsilon=epsilon, stop_at_epsilon=stop_at_epsilon)
-    second = "c" if first == "python" else "python"
-    with pytest.MonkeyPatch.context() as patch:
-        reference = built()
-        python = [
-            run_on("python", reference, patch, max_time=split * max_time, **run_kwargs),
-            run_on("python", reference, patch, max_time=max_time, **run_kwargs),
-        ]
-        split_run = built()
-        compiled = [
-            run_on(core_for(first, split_run[0], epsilon), split_run, patch,
-                   max_time=split * max_time, **run_kwargs),
-            run_on(core_for(second, split_run[0], epsilon), split_run, patch,
-                   max_time=max_time, **run_kwargs),
-        ]
+    python, compiled, _ = split_runs(built, run_kwargs, max_time, split, first)
     assert compiled == python
+
+
+def stop_of(observed: dict, stop_at_epsilon: bool) -> str:
+    """What ended a run: ``consensus``, the ``epsilon`` stop, or the ``horizon``."""
+    converged, *_, elapsed, eps_time = observed["result"][:5]
+    if converged:
+        return "consensus"
+    if stop_at_epsilon and eps_time == elapsed:
+        return "epsilon"
+    return "horizon"
+
+
+@pytest.mark.slow
+def test_long_drawn_configs_reach_every_stop():
+    """Strong biases over long horizons: the drawn runs stop every way, in C too.
+
+    Like :func:`test_drawn_configs_agree`, but with ``alpha`` in
+    ``[3, 8]`` and horizons up to 300 time units, so the compiled
+    segments reach consensus and the ε-stop, not only the horizon.
+    """
+    stops = collections.Counter()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(40, 150),  # every color keeps a node at alpha = 8
+        k=st.integers(2, 4),
+        alpha=st.floats(3.0, 8.0),
+        unclustered=st.floats(0.0, 0.5),
+        drop_model=st.sampled_from([None, "iid", "bursty"]),
+        drop=st.floats(0.0, 0.4),
+        stragglers=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([None, 0.05, 0.2]),
+        stop_at_epsilon=st.booleans(),
+        units=st.floats(5.0, 300.0),
+        split=st.floats(0.0, 1.0),
+        first=st.sampled_from(["python", "c"]),
+    )
+    def example(n, k, alpha, unclustered, drop_model, drop, stragglers, seed, epsilon,
+                stop_at_epsilon, units, split, first):
+        built = faulty_build(n, k, alpha, seed, unclustered, drop_model, drop, stragglers)
+        run_kwargs = dict(epsilon=epsilon, stop_at_epsilon=stop_at_epsilon)
+        max_time = units * protocol_params(n, k, alpha).time_unit
+        python, compiled, cores = split_runs(built, run_kwargs, max_time, split, first)
+        assert compiled == python
+        for core, observed in zip(cores, compiled):
+            stops[core, stop_of(observed, stop_at_epsilon)] += 1
+
+    example()
+    assert stops["c", "consensus"] and stops["c", "epsilon"], stops
 
 
 class TimedSim(MultiLeaderConsensusSim):
