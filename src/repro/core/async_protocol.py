@@ -82,9 +82,9 @@ class AsyncProtocolSim:
     Parameters
     ----------
     params:
-        The protocol's constants; ``n``, ``k``, ``clock_rate``,
-        ``latency_rate``, ``max_generation`` and ``time_unit`` are read
-        here.
+        The protocol's constants; ``n`` and ``k`` are read here, and
+        ``max_generation`` and ``time_unit`` by the opinion protocols'
+        helpers.
     rng:
         The run's one generator.
     graph:

@@ -246,6 +246,8 @@ class ClusteringSim(AsyncProtocolSim):
         own = self._leader[node]
         if own >= 0:
             # Member (or leader itself): 0-signal to the own leader.
+            # Its target changes as clusters form, so it is drawn here
+            # per tick instead of batched with the tick window.
             sim.schedule_in(self._latency(), self._leader_signal, own)
         if self._locked[node]:
             return

@@ -11,7 +11,8 @@ counters, the pending event queue and tally stream, each draw pool's
 position, and the generator's state.  A split run and a run continued
 on the other core check that the write-back leaves a state the Python
 engine continues exactly, and a derandomized Hypothesis slice draws
-eligible configs.
+eligible configs; a slow slice of strongly biased, long runs
+must reach consensus and the ε-stop on the compiled core too.
 """
 
 from __future__ import annotations

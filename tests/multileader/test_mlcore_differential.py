@@ -12,7 +12,8 @@ the pending event queue and its telemetry, each draw pool's position
 (the fault models' pools included), ``FaultInjection.info()`` and the
 generator's state.  A split run checks that the write-back leaves a
 state either core continues exactly, and a derandomized Hypothesis
-slice draws eligible configs.
+slice draws eligible configs; a slow slice of strongly biased, long runs
+must reach consensus and the ε-stop on the compiled core too.
 """
 
 from __future__ import annotations
