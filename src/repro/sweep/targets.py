@@ -482,24 +482,21 @@ _SINGLE_LEADER_DEFAULTS: dict[str, Any] = {
 }
 
 
-def _validate_run_budget(p: Mapping[str, Any], *budgets: str) -> None:
+def _validate_run_budget(p: Mapping[str, Any]) -> None:
     """Fail fast on a time budget below 0 or an ``epsilon`` outside ``(0, 1)``.
 
     A negative budget would move the clock backwards, and an
     ``epsilon`` outside the open interval records its time at the first
     event (``>= 1``) or never (``<= 0``).
     """
-    for key in budgets:
-        check_nonnegative(key, p[key])
+    for key in ("clustering_max_time", "max_time"):
+        if key in p:
+            check_nonnegative(key, p[key])
     if p["epsilon"] is not None:
         check_fraction("epsilon", p["epsilon"])
 
 
-def _validate_single_leader(p: Mapping[str, Any]) -> None:
-    _validate_run_budget(p, "max_time")
-
-
-@register_target("single_leader", _SINGLE_LEADER_DEFAULTS, validate=_validate_single_leader)
+@register_target("single_leader", _SINGLE_LEADER_DEFAULTS, validate=_validate_run_budget)
 def single_leader_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:
@@ -572,7 +569,7 @@ def _reject_multileader_clustered(p: Mapping[str, Any]) -> None:
 
 def _validate_multileader(p: Mapping[str, Any]) -> None:
     _reject_multileader_clustered(p)
-    _validate_run_budget(p, "clustering_max_time", "max_time")
+    _validate_run_budget(p)
 
 
 @register_target("multileader", _MULTILEADER_DEFAULTS, validate=_validate_multileader)

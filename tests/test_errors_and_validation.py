@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.util.validation import (
     check_fraction,
+    check_nonnegative,
     check_positive,
     check_positive_int,
     check_probability,
@@ -39,10 +40,21 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive("x", 2.5) == 2.5
 
-    @pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf"), "abc", None])
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError, match="x"):
             check_positive("x", bad)
+
+
+class TestCheckNonnegative:
+    @pytest.mark.parametrize("ok", [0, 2.5, float("inf")])
+    def test_accepts(self, ok):
+        assert check_nonnegative("t", ok) == ok
+
+    @pytest.mark.parametrize("bad", [-1, -0.5, float("nan"), "abc"])
+    def test_rejects(self, bad):
+        with pytest.raises(ConfigurationError, match="t"):
+            check_nonnegative("t", bad)
 
 
 class TestCheckPositiveInt:
@@ -63,7 +75,7 @@ class TestCheckProbability:
     def test_accepts_boundaries(self, ok):
         assert check_probability("p", ok) == ok
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, "abc"])
     def test_rejects_outside(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability("p", bad)
@@ -73,7 +85,7 @@ class TestCheckFraction:
     def test_accepts_interior(self):
         assert check_fraction("g", 0.5) == 0.5
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, "abc"])
     def test_rejects_boundaries(self, bad):
         with pytest.raises(ConfigurationError):
             check_fraction("g", bad)
