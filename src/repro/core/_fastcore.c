@@ -4,6 +4,8 @@
  * run() is the single-leader core (_slcore.c), run_multileader() the
  * multi-leader consensus one (_mlcore.c) and run_clustering() the
  * clustering phase's (_clcore.c); each is sim_main over its CoreSpec.
+ * pernode_round() (_pncore.c) is the synchronous per-node round, a
+ * plain pass over numpy buffers that shares none of the rest.
  * Everything here but the fault seam's transform chain is off the event
  * loop's hot path: loading the simulator half (clock, queue, tally
  * stream, draw pools, tick counters, fault seam) into C and storing it
@@ -890,6 +892,7 @@ static PyMethodDef fastcore_methods[] = {
     {"run", sl_run, METH_VARARGS, sl_run_doc},
     {"run_multileader", ml_run, METH_VARARGS, ml_run_doc},
     {"run_clustering", cl_run, METH_VARARGS, cl_run_doc},
+    {"pernode_round", pn_round, METH_VARARGS, pn_round_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -897,7 +900,8 @@ static struct PyModuleDef fastcore_module = {
     PyModuleDef_HEAD_INIT,
     "_fastcore",
     "Compiled hot paths of SingleLeaderSim, MultiLeaderConsensusSim and "
-    "ClusteringSim on K_n (see repro.core.fastcore).",
+    "ClusteringSim on K_n, and of the per-node synchronous round (see "
+    "repro.core.fastcore).",
     -1,
     fastcore_methods,
     NULL,

@@ -457,12 +457,15 @@ typedef struct {
  * cancellation, a state the protocol half declines). */
 PyObject *sim_main(PyObject *args, const CoreSpec *spec);
 
-/* The three cores' entry points. */
+/* The three cores' entry points, and the synchronous per-node round
+ * (_pncore.c), which uses none of the simulator half. */
 PyObject *sl_run(PyObject *module, PyObject *args);
 PyObject *ml_run(PyObject *module, PyObject *args);
 PyObject *cl_run(PyObject *module, PyObject *args);
+PyObject *pn_round(PyObject *module, PyObject *args);
 extern const char sl_run_doc[];
 extern const char ml_run_doc[];
 extern const char cl_run_doc[];
+extern const char pn_round_doc[];
 
 #endif

@@ -10,7 +10,11 @@ handlers, payload codecs, a dispatch function) on one simulator half in
 ``_fastcore.h``/``_fastcore.c``: the clock, event heap, tally stream,
 draw pools, tick counters and fault seam of a run, the event loop, and
 the one entry body that loads both halves, runs the loop and writes
-everything back.  This module only builds and loads the extension:
+everything back.  The fourth user is synchronous:
+:func:`repro.core.synchronous.pernode_round`, the round of both per-node
+engines, runs Algorithm 1's update and tally in one pass over numpy
+buffers (``_pncore.c``) and keeps its numpy passes as the oracle and
+the fallback.  This module only builds and loads the extension:
 
 * **Lazily.**  Nothing is built at import; the first :func:`load`
   builds or finds the extension, and the result (the module, or
@@ -53,7 +57,9 @@ __all__ = ["load"]
 
 _HERE = Path(__file__).parent
 #: The extension's sources; the .c files compile to one object each.
-_SOURCES = ("_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c", "_clcore.c")
+_SOURCES = (
+    "_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c", "_clcore.c", "_pncore.c"
+)
 #: The gitignored build cache at the repository root (``src/..``).
 _BUILD_DIR = Path(__file__).resolve().parents[3] / ".bench_build"
 _MODULE_NAME = "repro.core._fastcore"

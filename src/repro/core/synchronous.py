@@ -13,13 +13,15 @@ samples two uniform neighbors ``v', v''`` (w.l.o.g.
 Two exact simulators are provided:
 
 :class:`PerNodeSynchronousSim`
-    Literal per-node implementation (self-sampling excluded), vectorized
-    with numpy. Its state layout is shared with the sharded per-node
-    engine (:mod:`repro.shard.synchronous`): ``colors``/``generations``
-    in the narrow dtype of :func:`state_dtype`, contacts drawn by
-    :func:`sample_contacts`, and a ``(gen, col)`` tally
-    (:func:`state_tally`) built from each round's new state, which
-    serves the count matrix and the schedule's top-generation share.
+    Literal per-node implementation (self-sampling excluded). Its state
+    layout and its round are shared with the sharded per-node engine
+    (:mod:`repro.shard.synchronous`): ``colors``/``generations`` in the
+    narrow dtype of :func:`state_dtype`, and one entry,
+    :func:`pernode_round`, that draws both contact vectors with numpy
+    and then runs the round in the compiled extension's single pass, or
+    in numpy passes when it is not built. A round writes the new state
+    and its ``(gen, col)`` tally (:func:`state_tally`), which serves the
+    count matrix and the schedule's top-generation share.
 
 :class:`AggregateSynchronousSim`
     The per-node update depends only on the sampled pair's
@@ -46,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import fastcore
 from repro.core.results import (
     GenerationBirth,
     RunResult,
@@ -69,9 +72,9 @@ __all__ = [
     "PerNodeSynchronousSim",
     "AggregateSynchronousSim",
     "aggregate_round",
+    "pernode_round",
     "pernode_update",
     "run_synchronous",
-    "sample_contacts",
     "state_dtype",
     "state_tally",
 ]
@@ -202,15 +205,6 @@ def state_dtype(rows: int, k: int) -> type:
     return np.int8 if max(rows, k) <= np.iinfo(np.int8).max else np.int64
 
 
-def sample_contacts(rng: np.random.Generator, n: int, own: np.ndarray) -> np.ndarray:
-    """One uniform contact per node in ``own`` among all ``n``, never itself:
-    a draw from ``n - 1`` indices, shifted up by one at or above ``own``.
-    """
-    contacts = rng.integers(n - 1, size=own.size)
-    contacts += contacts >= own
-    return contacts
-
-
 def state_tally(gens: np.ndarray, cols: np.ndarray, k: int, size: int) -> np.ndarray:
     """Flat ``(gen, col)`` counts (``size = rows * k``) of per-node state:
     ``np.bincount`` of the intp keys ``gen * k + col``.
@@ -219,6 +213,71 @@ def state_tally(gens: np.ndarray, cols: np.ndarray, k: int, size: int) -> np.nda
     keys *= k
     keys += cols
     return np.bincount(keys, minlength=size)
+
+
+def pernode_round(
+    rng: np.random.Generator,
+    generations: np.ndarray,
+    colors: np.ndarray,
+    two_choices_step: bool,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    *,
+    k: int,
+    start: int = 0,
+    active: np.ndarray | None = None,
+    graph=None,
+    kernel=None,
+) -> None:
+    """One round of Algorithm 1 for the nodes ``start .. start + m`` of the
+    full state arrays, written into ``out = (new_gens, new_cols, tally)``.
+
+    ``new_gens``/``new_cols`` hold the ``m`` nodes' new state (the state's
+    dtype, not overlapping it) and ``tally`` the flat ``(gen, col)`` counts
+    of that new state (size ``rows * k``). Each node draws two contacts:
+    on the clique, uniform among the other ``n - 1`` nodes (two
+    ``rng.integers(n - 1, size=m)`` vectors, each shifted up by one at or
+    above the node's own index); on a sparse ``graph``, two
+    :meth:`~repro.scenarios.topology.SparseGraph.sample_per_node` vectors
+    (``start = 0``, every node). ``active`` masks nodes that learn nothing.
+
+    ``kernel`` is the compiled extension (:func:`repro.core.fastcore.load`)
+    or ``None``. With it, one C pass does the shift, the gathers, the rule
+    and the tally; without it the numpy passes below do, and they stay
+    its oracle. Both consume the same draws and write the same integers.
+    """
+    new_gens, new_cols, tally = out
+    size = new_gens.size
+    if graph is None:
+        n = generations.size
+        first = rng.integers(n - 1, size=size)
+        second = rng.integers(n - 1, size=size)
+    else:
+        first = graph.sample_per_node(rng)
+        second = graph.sample_per_node(rng)
+    if kernel is not None:
+        kernel.pernode_round(
+            first, second, generations, colors, start, k, two_choices_step, active,
+            graph is None, new_gens, new_cols, tally,
+        )
+        return
+    stop = start + size
+    if graph is None:
+        own = np.arange(start, stop)
+        first += first >= own
+        second += second >= own
+    gens, cols = pernode_update(
+        generations[first],
+        colors[first],
+        generations[second],
+        colors[second],
+        generations[start:stop],
+        colors[start:stop],
+        two_choices_step,
+        active,
+    )
+    new_gens[:] = gens
+    new_cols[:] = cols
+    tally[:] = state_tally(gens, cols, k, tally.size)
 
 
 def _mean_field_top_share(matrix: np.ndarray, n: int) -> float:
@@ -422,6 +481,8 @@ class PerNodeSynchronousSim(_SynchronousBase):
     ``colors`` and ``generations`` are read-only snapshots in :func:`state_dtype`'s
     narrow dtype; callers must not write them: the ``(gen, col)`` tally behind ``stats``,
     the schedule and :meth:`generation_color_matrix` is rebuilt only by :meth:`step`.
+    ``core`` names the round's path: ``"c"`` when the compiled extension
+    loaded at construction, else ``"python"``; both give identical runs.
 
     Parameters
     ----------
@@ -477,26 +538,12 @@ class PerNodeSynchronousSim(_SynchronousBase):
         self.colors = colors.astype(dtype)
         self.generations = np.zeros(self.n, dtype=dtype)
         self._recount()
-        self._nodes = np.arange(self.n)
+        self._kernel = fastcore.load()
+        #: The core that runs the rounds ("c" or "python"), chosen here once.
+        self.core = "python" if self._kernel is None else "c"
 
     def _recount(self) -> None:
         self._tally = state_tally(self.generations, self.colors, self.k, self._rows * self.k)
-
-    def _sample_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two independent uniform neighbors per node, never the node itself:
-        :func:`sample_contacts` on the clique, one batched
-        :meth:`~repro.scenarios.topology.SparseGraph.sample_per_node` call
-        per vector on a sparse graph.
-        """
-        if self.graph is not None:
-            return (
-                self.graph.sample_per_node(self._rng),
-                self.graph.sample_per_node(self._rng),
-            )
-        return (
-            sample_contacts(self._rng, self.n, self._nodes),
-            sample_contacts(self._rng, self.n, self._nodes),
-        )
 
     def step(self) -> None:
         self.steps_done += 1
@@ -513,23 +560,25 @@ class PerNodeSynchronousSim(_SynchronousBase):
                 self._active_fractions.append(
                     1.0 if active is None else float(np.count_nonzero(active)) / self.n
                 )
-        first, second = self._sample_pairs()
-        generations, colors = self.generations, self.colors
         _, top_fraction = _top_generation(self.generation_color_matrix(), self.n)
-        # Masked nodes learn nothing this round (``active``); they were
-        # still sampled above — a crashed or cut-off node's state
-        # remains readable by its neighbors.
-        self.generations, self.colors = pernode_update(
-            generations[first],
-            colors[first],
-            generations[second],
-            colors[second],
-            generations,
-            colors,
+        # Masked nodes learn nothing this round (``active``); they are
+        # still sampled — a crashed or cut-off node's state remains
+        # readable by its neighbors.  The new state goes to fresh arrays,
+        # so a snapshot taken before this step stays as it was.
+        generations = np.empty_like(self.generations)
+        colors = np.empty_like(self.colors)
+        pernode_round(
+            self._rng,
+            self.generations,
+            self.colors,
             self.schedule.is_two_choices_step(self.steps_done, top_fraction),
-            active,
+            (generations, colors, self._tally),
+            k=self.k,
+            active=active,
+            graph=self.graph,
+            kernel=self._kernel,
         )
-        self._recount()
+        self.generations, self.colors = generations, colors
 
     def generation_color_matrix(self) -> np.ndarray:
         return self._tally.reshape(self._rows, self.k).copy()

@@ -21,7 +21,11 @@ Failure handling: a worker that raises pushes ``(shard, traceback)``
 onto an error queue and aborts the barrier; everyone else's ``wait``
 then raises ``BrokenBarrierError``, the controller drains the queue and
 re-raises as :class:`ShardError` with the worker traceback inline.
-Hung workers trip the same path via the barrier timeout.
+Hung workers trip the same path via the barrier timeout, and a worker
+that dies without a word (killed, ``os._exit``) via the controller's
+watchdog thread, which sleeps on the workers' exit sentinels and aborts
+the barrier. The controller itself blocks in the barrier: it burns no
+CPU while the workers compute, on hosts where they need every core.
 
 The default start method is ``fork`` (cheap, and the payloads are
 already picklable so ``spawn`` works too — exercised in the test suite
@@ -31,9 +35,10 @@ via the ``start_method`` parameter).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import tempfile
-import time
+import threading
 import traceback
 from multiprocessing import shared_memory
 from threading import BrokenBarrierError
@@ -236,6 +241,7 @@ class ShardHarness:
         # so a barrier timeout can name the shard that never arrived.
         self._heartbeat = SharedArray.create((self.shards,), np.float64)
         self._stopped = False
+        self._watchdog: threading.Thread | None = None
         # Metrics are opt-in: workers get a per-shard sidecar file for
         # their registries (merged into ours on a clean stop) and the
         # controller times each round. With metrics off, every hot-path
@@ -282,42 +288,38 @@ class ShardHarness:
             self._stopped = True
             self.close()
             raise
+        # Started after the last fork, so no worker inherits the thread.
+        self._wake_r, self._wake_w = os.pipe()
+        self._watchdog = threading.Thread(
+            target=self._watch, name="shard-watchdog", daemon=True
+        )
+        self._watchdog.start()
+
+    def _watch(self) -> None:
+        """Abort the barrier when a worker exits before the stop round."""
+        sentinels = [proc.sentinel for proc in self._procs]
+        ready = multiprocessing.connection.wait([*sentinels, self._wake_r])
+        if self._wake_r not in ready and not self._stopped:
+            self._barrier.abort()
 
     def _wait(self) -> None:
-        # Poll until every worker is parked at the barrier before
-        # joining it ourselves: a worker that died (spawn import error,
-        # OOM kill) or crashed is then detected immediately instead of
-        # after the full barrier timeout.
-        barrier = self._barrier
-        deadline = time.monotonic() + self._timeout
-        while barrier.n_waiting < self.shards:
-            if barrier.broken:
-                # A healthy worker's own barrier wait timing out (it
-                # shares self._timeout) aborts the barrier before the
-                # controller deadline below fires; the heartbeats still
-                # name the shard(s) that never arrived.
-                self._raise_worker_error(
-                    "a worker aborted the barrier; "
-                    f"stuck shard(s): {self._stuck_shards()}"
-                )
+        try:
+            self._barrier.wait(self._timeout)
+        except BrokenBarrierError:
+            # A worker raised (its traceback is queued), died (the
+            # watchdog aborted the barrier) or never arrived (a barrier
+            # timeout; the heartbeats name the shards that trail).
+            # Workers that saw the barrier break exit with code 0.
             for proc in self._procs:
-                if not proc.is_alive():
+                if not proc.is_alive() and proc.exitcode != 0:
                     self._raise_worker_error(
                         f"worker process for shard {proc.name} died "
                         f"with exit code {proc.exitcode}"
                     )
-            if time.monotonic() > deadline:
-                stuck = self._stuck_shards()
-                barrier.abort()
-                self._raise_worker_error(
-                    f"barrier timeout after {self._timeout}s; "
-                    f"stuck shard(s): {stuck}"
-                )
-            time.sleep(0.0002)
-        try:
-            barrier.wait(self._timeout)
-        except BrokenBarrierError:
-            self._raise_worker_error("barrier broke during release")
+            self._raise_worker_error(
+                f"the barrier broke (an aborting worker, or a timeout after "
+                f"{self._timeout}s); stuck shard(s): {self._stuck_shards()}"
+            )
 
     def _stuck_shards(self) -> list[int]:
         """Shards whose heartbeat trails the front — the ones not at the
@@ -407,6 +409,12 @@ class ShardHarness:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(5.0)
+        if self._watchdog is not None:
+            os.write(self._wake_w, b"\0")
+            self._watchdog.join()
+            self._watchdog = None
+            os.close(self._wake_r)
+            os.close(self._wake_w)
         self._merge_worker_metrics()
         if self.control is not None:
             self.control.close()

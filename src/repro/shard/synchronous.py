@@ -13,8 +13,9 @@ code; only :meth:`step` crosses the process boundary.
   ``generations`` arrays live in shared memory; each worker computes the
   update for its contiguous node slice while sampling contacts from the
   *whole* population (reads in phase one, slice writes in phase two).
-  State layout, contact sampler, update rule and ``(gen, col)`` tally
-  are the unsharded per-node engine's (:mod:`repro.core.synchronous`),
+  State layout and round (:func:`~repro.core.synchronous.pernode_round`:
+  contact draws, update rule and ``(gen, col)`` tally, on the compiled
+  or the numpy core) are the unsharded per-node engine's,
   so this is exactly the unsharded Markov kernel — per-node updates
   only read the previous round's state — and distribution-identical,
   just not bit-identical (per-shard substreams replace the single
@@ -37,14 +38,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import fastcore
 from repro.core.results import RunResult, _top_generation
 from repro.core.schedule import Schedule
 from repro.core.synchronous import (
     _SynchronousBase,
     _mean_field_top_share,
-    pernode_update,
+    pernode_round,
     run_synchronous,
-    sample_contacts,
     state_dtype,
     state_tally,
 )
@@ -155,52 +156,55 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
 def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
     """Per-node shard round: update one node slice from full-state reads.
 
-    Contacts are sampled from the *whole* population via the shared
-    arrays (:func:`~repro.core.synchronous.sample_contacts` skips only
-    the sampler's own global index) and fed to
-    :func:`~repro.core.synchronous.pernode_update`, the rule the
-    unsharded engine runs too. Every read happens before the first
-    phase barrier and every write after it, so each round sees exactly
-    the previous round's global state: the unsharded Markov kernel. The
-    slice's own state is therefore read through views, not copies.
-    After writing its slice the worker stores the
-    :func:`~repro.core.synchronous.state_tally` of its new state in its
-    row of the shared tally, which the controller sums instead of
-    counting all ``n`` nodes itself.
+    :func:`~repro.core.synchronous.pernode_round`, the round the
+    unsharded engine runs too, samples contacts from the *whole*
+    population via the shared arrays (skipping only the sampler's own
+    global index) and writes the slice's new state into buffers this
+    worker allocates once, on the core the controller chose
+    (``payload["core"]``). Every read of the shared state happens before
+    the first phase barrier and every write after it, so each round sees
+    exactly the previous round's global state: the unsharded Markov
+    kernel. Besides its slice, the worker writes the slice's
+    ``(gen, col)`` tally into its row of the shared tally, which the
+    controller sums instead of counting all ``n`` nodes itself.
     """
     colors_block = SharedArray.attach(payload["colors_spec"])
     generations_block = SharedArray.attach(payload["generations_spec"])
     tally_block = SharedArray.attach(payload["tally_spec"])
     try:
+        kernel = None
+        if payload["core"] == "c":
+            kernel = fastcore.load()
+            if kernel is None:
+                raise RuntimeError("the compiled per-node round did not load in a shard worker")
         colors = colors_block.array
         generations = generations_block.array
-        tally = tally_block.array[ctx.index]
         start, stop = payload["range"]
-        n = int(payload["n"])
         k = int(payload["k"])
         rng = np.random.Generator(np.random.PCG64(payload["seed_seq"]))
-        own = np.arange(start, stop)
-        own_gens = generations[start:stop]
-        own_cols = colors[start:stop]
+        shared_tally = tally_block.array[ctx.index]
+        new_gens = np.empty(stop - start, generations.dtype)
+        new_cols = np.empty(stop - start, colors.dtype)
+        tally = np.empty_like(shared_tally)
+        out = (new_gens, new_cols, tally)
         while True:
             ctx.wait()  # round start
             if ctx.stopped:
                 break
-            first = sample_contacts(rng, n, own)
-            second = sample_contacts(rng, n, own)
-            new_gens, new_cols = pernode_update(
-                generations[first],
-                colors[first],
-                generations[second],
-                colors[second],
-                own_gens,
-                own_cols,
+            pernode_round(
+                rng,
+                generations,
+                colors,
                 bool(ctx.flag),  # the controller's two-choices decision
+                out,
+                k=k,
+                start=start,
+                kernel=kernel,
             )
             ctx.wait()  # everyone has read the old state; writes may begin
-            own_gens[:] = new_gens
-            own_cols[:] = new_cols
-            tally[:] = state_tally(new_gens, new_cols, k, tally.size)
+            generations[start:stop] = new_gens
+            colors[start:stop] = new_cols
+            shared_tally[:] = tally
             ctx.wait()  # round complete
     finally:
         colors_block.close()
@@ -216,7 +220,8 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
     the per-shard substreams. The shared ``colors``/``generations`` have
     the unsharded engine's :func:`~repro.core.synchronous.state_dtype`;
     a ``(shards, rows * k)`` tally holds each shard's ``(gen, col)``
-    counts.
+    counts. ``core`` (``"c"`` or ``"python"``) names the path every
+    shard's rounds take, as on the unsharded engine.
     """
 
     def __init__(
@@ -248,15 +253,18 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
                     generations[start:stop], colors[start:stop], self.k, row.size
                 )
             seeds = shard_seed_sequences(rng, self.shards)
+            #: The core every shard's rounds run on ("c" or "python"),
+            #: chosen here once, so a spawned worker cannot pick another.
+            self.core = "python" if fastcore.load() is None else "c"
             payloads = [
                 {
                     "colors_spec": self._shared_colors.spec,
                     "generations_spec": self._shared_generations.spec,
                     "tally_spec": self._tally.spec,
                     "range": node_range,
-                    "n": self.n,
                     "k": self.k,
                     "seed_seq": seed,
+                    "core": self.core,
                 }
                 for node_range, seed in zip(ranges, seeds)
             ]

@@ -252,9 +252,10 @@ def run_sweep(
     configs = spec.expand()
     # Fail-fast: validate every grid point before launching any run, so
     # a bad combination (typo'd axis, multileader + init='clustered')
-    # aborts upfront instead of mid-run on a worker.
-    for config in configs:
-        validate_target_params(config.target, config.params_dict)
+    # aborts upfront instead of mid-run on a worker.  Repetitions share
+    # their parameters, so each distinct point is validated once.
+    for target, params in dict.fromkeys((c.target, c.params) for c in configs):
+        validate_target_params(target, dict(params))
 
     if metrics is not None and not metrics.enabled:
         metrics = None

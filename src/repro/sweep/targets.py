@@ -78,7 +78,7 @@ import numpy as np
 
 from repro.core.params import SingleLeaderParams
 from repro.core.results import RunResult
-from repro.core.schedule import AdaptiveSchedule, FixedSchedule
+from repro.core.schedule import AdaptiveSchedule, FixedSchedule, Schedule
 from repro.core.single_leader import SingleLeaderSim
 from repro.core.synchronous import run_synchronous
 from repro.engine.latency import ConstantLatency, GammaLatency, LatencyModel
@@ -316,24 +316,25 @@ def _scenario_faults(p: Mapping[str, Any]) -> list:
     )
 
 
+def _round_fault_models(p: Mapping[str, Any]) -> list:
+    """Round-fault models from the same flat knobs (round-driven targets)."""
+    return build_round_faults(
+        drop=p["drop"],
+        drop_model=p["drop_model"],
+        churn=p["churn"],
+        churn_downtime=p["churn_downtime"],
+        stragglers=p["stragglers"],
+        straggler_slowdown=p["straggler_slowdown"],
+    )
+
+
 def _scenario_round_faults(p: Mapping[str, Any], rng: np.random.Generator):
-    """Round-fault wiring from the same flat knobs (round-driven targets).
+    """Round-fault wiring for the run's ``n`` nodes.
 
     ``None`` at all-zero knobs — the wiring then consumes no randomness
     and the engines take their pre-fault code path untouched.
     """
-    return prepare_round_faults(
-        p["n"],
-        build_round_faults(
-            drop=p["drop"],
-            drop_model=p["drop_model"],
-            churn=p["churn"],
-            churn_downtime=p["churn_downtime"],
-            stragglers=p["stragglers"],
-            straggler_slowdown=p["straggler_slowdown"],
-        ),
-        rng,
-    )
+    return prepare_round_faults(p["n"], _round_fault_models(p), rng)
 
 
 def _scenario_placement(
@@ -406,7 +407,26 @@ _SYNCHRONOUS_DEFAULTS: dict[str, Any] = {
 }
 
 
-@register_target("synchronous", _SYNCHRONOUS_DEFAULTS, validate=_validate_shardable)
+def _schedule(p: Mapping[str, Any], k: int) -> Schedule:
+    """The run's two-choices schedule for ``k`` colors (``schedule`` axis)."""
+    if p["schedule"] == "fixed":
+        return FixedSchedule(n=p["n"], k=k, alpha0=p["alpha"], gamma=p["gamma"])
+    if p["schedule"] == "adaptive":
+        return AdaptiveSchedule(n=p["n"], alpha0=p["alpha"], gamma=p["gamma"])
+    raise ConfigurationError(
+        f"unknown schedule {p['schedule']!r}; use 'fixed' or 'adaptive'"
+    )
+
+
+def _validate_synchronous(p: Mapping[str, Any]) -> None:
+    """Build what a run builds from its knobs, so a bad ``n``, ``gamma`` or
+    fault knob fails here, before any run starts."""
+    _validate_shardable(p)
+    _schedule(p, int(_scenario_counts(p).size))
+    _round_fault_models(p)
+
+
+@register_target("synchronous", _SYNCHRONOUS_DEFAULTS, validate=_validate_synchronous)
 def synchronous_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:
@@ -416,16 +436,7 @@ def synchronous_target(
     graph = _scenario_graph(p, rng)
     counts = _scenario_counts(p)
     assignment = _scenario_placement(p, graph, counts, rng)
-    if p["schedule"] == "fixed":
-        schedule = FixedSchedule(
-            n=p["n"], k=int(counts.size), alpha0=p["alpha"], gamma=p["gamma"]
-        )
-    elif p["schedule"] == "adaptive":
-        schedule = AdaptiveSchedule(n=p["n"], alpha0=p["alpha"], gamma=p["gamma"])
-    else:
-        raise ConfigurationError(
-            f"unknown schedule {p['schedule']!r}; use 'fixed' or 'adaptive'"
-        )
+    schedule = _schedule(p, int(counts.size))
     # The mean-field multinomial engine is exact only on K_n; sparse
     # substrates require the literal per-node engine.  On the complete
     # graph placement is exchangeable — clustered degenerates to the
@@ -496,7 +507,27 @@ def _validate_run_budget(p: Mapping[str, Any]) -> None:
         check_fraction("epsilon", p["epsilon"])
 
 
-@register_target("single_leader", _SINGLE_LEADER_DEFAULTS, validate=_validate_run_budget)
+def _single_leader_params(p: Mapping[str, Any], k: int) -> SingleLeaderParams:
+    # k is the counts' size: init="ramp" reinterprets k (see _scenario_counts).
+    return SingleLeaderParams(
+        n=p["n"],
+        k=k,
+        alpha0=p["alpha"],
+        latency_rate=p["latency_rate"],
+        gen_size_fraction=p["gamma"],
+    )
+
+
+def _validate_single_leader(p: Mapping[str, Any]) -> None:
+    """The budgets, then what a run builds from its knobs (parameters,
+    latency law, fault models), so a bad knob fails before any run starts."""
+    _validate_run_budget(p)
+    _single_leader_params(p, int(_scenario_counts(p).size))
+    _latency_model(p["latency"], p["latency_rate"], p["latency_shape"])
+    _scenario_faults(p)
+
+
+@register_target("single_leader", _SINGLE_LEADER_DEFAULTS, validate=_validate_single_leader)
 def single_leader_target(
     params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None, metrics=None
 ) -> dict:
@@ -505,13 +536,7 @@ def single_leader_target(
     graph = _scenario_graph(p, rng)
     counts = _scenario_counts(p)
     assignment = _scenario_placement(p, graph, counts, rng)
-    sim_params = SingleLeaderParams(
-        n=p["n"],
-        k=int(counts.size),  # init="ramp" reinterprets k (see _scenario_counts)
-        alpha0=p["alpha"],
-        latency_rate=p["latency_rate"],
-        gen_size_fraction=p["gamma"],
-    )
+    sim_params = _single_leader_params(p, int(counts.size))
     model = _latency_model(p["latency"], p["latency_rate"], p["latency_shape"])
     # Pre-wrapped simulator: even the construction-time initial ticks
     # flow through the fault transforms (no churn-guard escape).
@@ -567,9 +592,18 @@ def _reject_multileader_clustered(p: Mapping[str, Any]) -> None:
         )
 
 
+def _multileader_params(p: Mapping[str, Any], k: int) -> MultiLeaderParams:
+    return MultiLeaderParams(
+        n=p["n"], k=k, alpha0=p["alpha"], latency_rate=p["latency_rate"]
+    )
+
+
 def _validate_multileader(p: Mapping[str, Any]) -> None:
+    """As :func:`_validate_single_leader`, after the placement check."""
     _reject_multileader_clustered(p)
     _validate_run_budget(p)
+    _multileader_params(p, int(_scenario_counts(p).size))
+    _scenario_faults(p)
 
 
 @register_target("multileader", _MULTILEADER_DEFAULTS, validate=_validate_multileader)
@@ -581,9 +615,7 @@ def multileader_target(
     _reject_multileader_clustered(p)
     graph = _scenario_graph(p, rng)
     counts = _scenario_counts(p)
-    sim_params = MultiLeaderParams(
-        n=p["n"], k=int(counts.size), alpha0=p["alpha"], latency_rate=p["latency_rate"]
-    )
+    sim_params = _multileader_params(p, int(counts.size))
     wirings = []
     pending = []
     phases = []

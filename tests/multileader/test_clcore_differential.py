@@ -12,11 +12,13 @@ the simulator's clock and counters, the pending event queue and its
 telemetry, each draw pool's position (the fault models' pools
 included), ``FaultInjection.info()`` and the generator's state.  Split
 runs check that the write-back leaves a state either core continues
-exactly, and a derandomized Hypothesis slice draws eligible configs.
+exactly, and a derandomized Hypothesis slice draws eligible configs; a
+slow slice with long horizons must reach the phase's stop in C too.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -208,6 +210,58 @@ def test_drawn_configs_agree(n, leader_probability, drop_model, drop, stragglers
             run_on(second, split_run, patch, max_time=max_time),
         ]
     assert compiled == python
+
+
+@pytest.mark.slow
+def test_long_drawn_configs_reach_the_stop():
+    """Horizons long enough that clustering finishes, in C too.
+
+    Like :func:`test_drawn_configs_agree`, but with horizons of 60 to
+    300 time units, so the drawn runs end at the phase's stop (every
+    leader learned of the switch), not only at the horizon; the slice
+    fails unless some compiled segment reaches that stop.
+    """
+    stops = collections.Counter()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(20, 400),
+        leader_probability=st.floats(0.01, 0.2),
+        drop_model=st.sampled_from([None, "iid", "bursty"]),
+        drop=st.floats(0.0, 0.4),
+        stragglers=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        max_time=st.floats(60.0, 300.0),
+        split=st.floats(0.0, 1.0),
+        first=st.sampled_from(["python", "c"]),
+    )
+    def example(n, leader_probability, drop_model, drop, stragglers, seed, max_time, split,
+                first):
+        def built():
+            faults = build_faults(
+                drop=drop if drop_model else 0.0, drop_model=drop_model or "iid",
+                stragglers=stragglers,
+            )
+            return build(n, seed, faults=faults, leader_probability=leader_probability)
+
+        second = "c" if first == "python" else "python"
+        with pytest.MonkeyPatch.context() as patch:
+            reference = built()
+            python = [
+                run_on("python", reference, patch, max_time=split * max_time),
+                run_on("python", reference, patch, max_time=max_time),
+            ]
+            split_run = built()
+            compiled = [
+                run_on(first, split_run, patch, max_time=split * max_time),
+                run_on(second, split_run, patch, max_time=max_time),
+            ]
+        assert compiled == python
+        for core, observed in zip((first, second), compiled):
+            stops[core, "stop" if observed["sim"][2] else "horizon"] += 1
+
+    example()
+    assert stops["c", "stop"], stops
 
 
 class TimedSim(ClusteringSim):

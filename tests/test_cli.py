@@ -368,6 +368,43 @@ class TestErrorBoundary:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single_leader", "--set", "drop=1.5"],
+            ["single_leader", "--set", "gamma=2"],
+            ["single_leader", "--set", "latency_rate=-1"],
+            ["single_leader", "--set", "stragglers=1.5"],
+            ["single_leader", "--set", "n=1"],
+            ["multileader", "--set", "latency_rate=-1"],
+            ["multileader", "--set", "drop=1.5"],
+            ["multileader", "--set", "n=1"],
+            ["synchronous", "--set", "gamma=2"],
+            ["synchronous", "--set", "drop=1.5"],
+            ["synchronous", "--set", "churn=-1"],
+            ["synchronous", "--set", "n=1"],
+        ],
+        ids=[
+            "single-leader-drop", "single-leader-gamma", "single-leader-latency-rate",
+            "single-leader-stragglers", "single-leader-n", "multileader-latency-rate",
+            "multileader-drop", "multileader-n", "synchronous-gamma", "synchronous-drop",
+            "synchronous-churn", "synchronous-n",
+        ],
+    )
+    def test_bad_run_knob_starts_no_run_on_workers(self, argv, capsys, monkeypatch):
+        # Without the up-front check each run fails in a pool worker and
+        # the sweep ends in a failed-runs table with exit 3.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runner, "execute_run", no_run)
+        assert main(["sweep", *argv, "--workers", "2", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
     def test_demo_impossible_workload_has_no_traceback(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
