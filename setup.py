@@ -12,12 +12,10 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The compiled cores (single-leader, multi-leader consensus and
-    # clustering) build from their C sources at run time.
-    package_data={
-        "repro.core": ["_fastcore.h", "_fastcore.c", "_slcore.c", "_mlcore.c", "_clcore.c"]
-    },
+    # The compiled cores build at run time from the C sources that
+    # ``repro.core.fastcore._SOURCES`` names, so every one must ship.
+    package_data={"repro.core": ["*.c", "*.h"]},
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -18,6 +18,11 @@ implements its CDF exactly via the phase-type matrix exponential
 with ``T`` the upper-bidiagonal generator of the chain that passes
 through one phase per exponential. This is numerically robust even with
 repeated rates, where the classical partial-fraction formula breaks down.
+The matrix exponential is the Padé-13 scaling-and-squaring method of
+Higham (2005), "The scaling and squaring method for the matrix
+exponential revisited", written in numpy (:func:`expm`): the cycle-time
+generators have at most 11 phases, and SciPy would double the package's
+import time for this one function.
 
 The time-unit constant of the paper, ``C1 = F^{-1}(0.9)`` (Section 3.1),
 and the entire Figure 1 series are computed from this module.
@@ -30,11 +35,59 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Hypoexponential"]
+__all__ = ["Hypoexponential", "expm"]
+
+# Higham (2005): θ13, the largest 1-norm at which the degree-13 Padé
+# approximant of exp is accurate to double precision, and that
+# approximant's coefficients b_0 ... b_13.
+_THETA13 = 5.371920351148152
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Padé-13 scaling and squaring (Higham 2005).
+
+    Scales ``a`` by ``2**-s`` until its 1-norm is at most ``θ13``,
+    evaluates ``r13 = (V - U)^{-1} (V + U)`` and squares ``s`` times.
+    """
+    norm = float(np.linalg.norm(a, 1))
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    result = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 @dataclass(frozen=True)

@@ -677,6 +677,14 @@ _BASELINE_DEFAULTS: dict[str, Any] = {
 }
 
 
+def _validate_baseline(p: Mapping[str, Any]) -> None:
+    """Build what a run builds from its knobs, so a bad ``n`` or fault
+    knob fails here, before any run starts."""
+    _validate_shardable(p)
+    _scenario_counts(p)
+    _round_fault_models(p)
+
+
 def _baseline_target(dynamics_factory: Callable[[int], Any]) -> Target:
     def run_target(
         params: Mapping[str, Any], rng: np.random.Generator, *, tracer=None,
@@ -723,7 +731,7 @@ def _register_baselines() -> None:
         ("three_majority", lambda k: ThreeMajority()),
         ("undecided", lambda k: UndecidedStateDynamics()),
     ]:
-        register_target(name, _BASELINE_DEFAULTS, validate=_validate_shardable)(
+        register_target(name, _BASELINE_DEFAULTS, validate=_validate_baseline)(
             _baseline_target(factory)
         )
 
@@ -744,9 +752,27 @@ _POPULATION_DEFAULTS: dict[str, Any] = {
 }
 
 
+def _population_protocol(p: Mapping[str, Any]):
+    """The run's population protocol (``protocol`` axis)."""
+    from repro.baselines.population import FourStateExactMajority, ThreeStateMajority
+
+    if p["protocol"] == "three_state":
+        return ThreeStateMajority()
+    if p["protocol"] == "four_state":
+        return FourStateExactMajority()
+    raise ConfigurationError(
+        f"unknown population protocol {p['protocol']!r}; "
+        "use 'three_state' or 'four_state'"
+    )
+
+
 def _validate_population(p: Mapping[str, Any]) -> None:
+    """Build what a run builds from its knobs, so a bad ``protocol``, ``k``,
+    ``check_every`` or fault knob fails here, before any run starts."""
     _validate_shardable(p)
     _positive_int(p, "check_every")
+    _population_protocol(p).initial_state(_scenario_counts(p))
+    _round_fault_models(p)
 
 
 @register_target("population", _POPULATION_DEFAULTS, validate=_validate_population)
@@ -762,23 +788,11 @@ def population_target(
     interaction-block granularity; ``elapsed`` reports *parallel time*
     (interactions / n), the standard normalization.
     """
-    from repro.baselines.population import (
-        FourStateExactMajority,
-        PairwiseScheduler,
-        ThreeStateMajority,
-    )
+    from repro.baselines.population import PairwiseScheduler
 
     p = _take(params, _POPULATION_DEFAULTS)
     _validate_population(p)
-    if p["protocol"] == "three_state":
-        protocol = ThreeStateMajority()
-    elif p["protocol"] == "four_state":
-        protocol = FourStateExactMajority()
-    else:
-        raise ConfigurationError(
-            f"unknown population protocol {p['protocol']!r}; "
-            "use 'three_state' or 'four_state'"
-        )
+    protocol = _population_protocol(p)
     graph = _scenario_graph(p, rng)
     counts = _scenario_counts(p)
     assignment = _scenario_placement(p, graph, counts, rng)

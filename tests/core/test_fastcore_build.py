@@ -120,6 +120,18 @@ def test_concurrent_builds_both_succeed(tmp_path):
     assert not [path for path in tmp_path.iterdir() if path.is_dir()]
 
 
+def test_build_py_tree_ships_every_core_source(tmp_path):
+    # A non-editable install builds the cores from the copied sources;
+    # one missing file means every run silently takes the Python cores.
+    root = Path(__file__).resolve().parents[2]
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_py", "--build-lib", str(tmp_path)],
+        cwd=root, check=True, capture_output=True, timeout=120,
+    )
+    built = tmp_path / "repro" / "core"
+    assert [name for name in fastcore._SOURCES if not (built / name).is_file()] == []
+
+
 @functools.lru_cache(maxsize=None)
 def long_run_params() -> SingleLeaderParams:
     # Deriving the time unit costs a matrix exponential; share it.

@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.hypoexp import Hypoexponential
+from repro.engine.hypoexp import Hypoexponential, expm
+from repro.engine.latency import ChannelPlan, time_unit_steps
 from repro.errors import ConfigurationError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: ``time_unit_steps`` as ``float.hex()`` over the grid of
+#: ``test_time_units_match_golden``, computed with ``scipy.linalg.expm``
+#: before the numpy ``expm`` replaced it. Never regenerate it: a time
+#: unit that moves changes cached records under an unchanged cache key.
+GOLDEN_TIME_UNITS = Path(__file__).parent / "golden_time_units.json"
+GOLDEN_RATES = (0.1, 0.2, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0)
 
 rates_strategy = st.lists(
     st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=6
@@ -128,3 +143,71 @@ class TestComposition:
         combined = Hypoexponential([1.0]).plus(Hypoexponential([2.0, 3.0]))
         assert combined.rates == (1.0, 2.0, 3.0)
         assert combined.mean == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
+
+
+class TestExpm:
+    """The numpy Padé-13 ``expm`` against SciPy and closed forms."""
+
+    def test_matches_scipy_on_bidiagonal_generators(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(2005)
+        for _ in range(100):
+            size = int(rng.integers(1, 12))
+            rates = rng.uniform(0.05, 16.0, size)
+            if rng.random() < 0.3:
+                rates = np.repeat(rates[:1], size)
+            generator = Hypoexponential(rates)._generator()
+            times = np.concatenate(([0.01, 60.0], 10 ** rng.uniform(-2, math.log10(60), 3)))
+            for t in times:
+                ours = expm(generator * t)
+                reference = scipy_linalg.expm(generator * t)
+                assert np.abs(ours - reference).max() <= 1e-13, (rates, t)
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 7, 11])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 8.0])
+    def test_repeated_rates_match_erlang_cdf(self, stages, lam):
+        # Erlang(m, λ): F(t) = 1 - e^{-λt} Σ_{i<m} (λt)^i / i!.
+        dist = Hypoexponential([lam] * stages)
+        for t in (0.01, 0.5, 1.0, 5.0, 20.0, 60.0):
+            x = lam * t
+            tail = sum(x**i / math.factorial(i) for i in range(stages))
+            assert dist.cdf(t) == pytest.approx(1.0 - math.exp(-x) * tail, abs=1e-13)
+
+    def test_time_units_match_golden(self):
+        golden = json.loads(GOLDEN_TIME_UNITS.read_text())
+        computed = {}
+        for plan in ChannelPlan:
+            for random_contacts, leader_contacts in ((2, 1), (3, 2)):
+                for rate in GOLDEN_RATES:
+                    key = f"{plan.value}/{random_contacts}+{leader_contacts}/{rate!r}"
+                    computed[key] = time_unit_steps.__wrapped__(
+                        rate,
+                        random_contacts=random_contacts,
+                        leader_contacts=leader_contacts,
+                        plan=plan,
+                    ).hex()
+        assert len(golden) == 48
+        assert computed == golden
+
+
+class TestNoScipyAtRuntime:
+    def test_import_loads_no_scipy(self):
+        probe = (
+            "import sys, repro, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_src_has_no_scipy_import(self):
+        pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []

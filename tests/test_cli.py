@@ -323,11 +323,15 @@ class TestErrorBoundary:
                 "sweep", "population", "--set", "n=200", "--set", "check_every=0",
                 "--no-cache",
             ],
+            ["sweep", "three_majority", "--set", "n=60", "--set", "drop=1.5", "--no-cache"],
+            ["sweep", "population", "--set", "n=60", "--set", "drop=1.5", "--no-cache"],
+            ["sweep", "population", "--set", "protocol=bogus", "--no-cache"],
         ],
         ids=[
             "demo-sync", "demo-async", "demo-shards", "sweep-no-target",
             "sweep-bad-knob", "sweep-shards-not-int", "sweep-shards-fraction",
-            "sweep-check-every-zero",
+            "sweep-check-every-zero", "sweep-baseline-drop", "sweep-population-drop",
+            "sweep-population-protocol",
         ],
     )
     def test_configuration_error_is_one_line_exit_2(self, argv, capsys):
@@ -383,12 +387,22 @@ class TestErrorBoundary:
             ["synchronous", "--set", "drop=1.5"],
             ["synchronous", "--set", "churn=-1"],
             ["synchronous", "--set", "n=1"],
+            ["voter", "--set", "drop=1.5"],
+            ["two_choices", "--set", "churn=-1"],
+            ["three_majority", "--set", "n=60", "--set", "drop=1.5"],
+            ["undecided", "--set", "stragglers=1.5"],
+            ["population", "--set", "drop=1.5"],
+            ["population", "--set", "protocol=bogus"],
+            ["voter", "--set", "n=1"],
+            ["population", "--set", "k=3"],
         ],
         ids=[
             "single-leader-drop", "single-leader-gamma", "single-leader-latency-rate",
             "single-leader-stragglers", "single-leader-n", "multileader-latency-rate",
             "multileader-drop", "multileader-n", "synchronous-gamma", "synchronous-drop",
-            "synchronous-churn", "synchronous-n",
+            "synchronous-churn", "synchronous-n", "voter-drop", "two-choices-churn",
+            "three-majority-drop", "undecided-stragglers", "population-drop",
+            "population-protocol", "voter-n", "population-k",
         ],
     )
     def test_bad_run_knob_starts_no_run_on_workers(self, argv, capsys, monkeypatch):
