@@ -15,9 +15,12 @@ later comparison sweep) runs clean.
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
+import repro.shard.dynamics as shard_dynamics
 from repro.engine.metrics import MetricsRegistry
 from repro.errors import ConfigurationError
 from repro.sweep.runner import run_sweep
@@ -280,6 +283,64 @@ class TestChunkAttribution:
         )
         assert report.succeeded and report.retries == 1
         assert charged_runs(lines) == [2]
+
+
+class KillingKernel(shard_dynamics.DynamicsKernel):
+    """SIGKILLs its shard worker at the third ``advance``, once per marker.
+
+    The marker is created with ``open(..., "x")`` before the kill, so one
+    worker dies across every shard, run and retry of the sweep.
+    """
+
+    marker = None  # set by the test before the sweep forks its pool
+
+    def __init__(self, dynamics):
+        super().__init__(dynamics)
+        self.calls = 0
+
+    def advance(self, global_state, local_state, rng, flag):
+        self.calls += 1
+        if self.calls == 3:
+            try:
+                with open(self.marker, "x"):
+                    pass
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().advance(global_state, local_state, rng, flag)
+
+
+class TestShardWorkerKill:
+    def test_killed_shard_worker_retries_to_the_unfaulted_record(self, tmp_path):
+        """A shard worker dies mid-run: the harness raises in the sweep
+        worker, the supervisor retries the whole run from the same
+        substream, and the records match a clean serial sweep."""
+        spec = SweepSpec(
+            target="three_majority",
+            base={"n": 600, "k": 3, "alpha": 1.5, "shards": 2},
+            repetitions=2,
+            seed=0,
+            name="shard-kill",
+        )
+        marker = tmp_path / "shard-killed.marker"
+        metrics = MetricsRegistry()
+        original = shard_dynamics.DynamicsKernel
+        KillingKernel.marker = str(marker)
+        # The pool forks, so its workers (and their shard workers)
+        # inherit the swapped kernel.
+        shard_dynamics.DynamicsKernel = KillingKernel
+        try:
+            report = run_sweep(
+                spec, workers=2, supervisor=FAST_POLICY, metrics=metrics
+            )
+        finally:
+            shard_dynamics.DynamicsKernel = original
+        assert marker.exists()
+        counters = metrics.snapshot()["counters"]
+        assert report.retries == 1 and counters["sweep.retries"] == 1
+        assert counters["sweep.failures"] == 0 and report.succeeded
+        assert_clean_records(spec, report)
 
 
 class TestCheckpointResume:
