@@ -19,18 +19,13 @@ barrier per round (the tick-barrier controller pattern):
   the kernels that shard the aggregate synchronous engine and the
   anonymous opinion dynamics exactly (same law: summing independent
   multinomials with shared probabilities is the global multinomial),
-  and the one builder of its plain or checkpointing harness.
+  and the one builder of its harness.
 * :mod:`repro.shard.synchronous` — sharded front-ends for both
   synchronous engines (:func:`run_sharded_synchronous`); they run the
   unsharded engines' round loop with a cross-process ``step``.
 * :mod:`repro.shard.dynamics` — :func:`run_sharded_dynamics` for the
   baseline opinion dynamics: a count-engine stepper driven by
   :func:`~repro.baselines.base.run_dynamics`' own round loop.
-* :mod:`repro.shard.recovery` — the ``resumable=`` checkpoint–restart
-  seam for the count engines: packed per-shard generator states, a
-  checkpoint every K rounds, and a controller that survives worker
-  failures by restarting the round loop bit-identically from the last
-  checkpoint.
 * :mod:`repro.shard.population` — :func:`run_sharded_population`:
   block-granular intra-shard interactions plus a small controller-run
   cross-shard exchange (the one *approximate* sharding in the package;
@@ -38,14 +33,16 @@ barrier per round (the tick-barrier controller pattern):
 
 ``shards=1`` never spawns processes or consumes extra randomness — every
 front-end delegates straight to the unsharded engine, so single-shard
-runs stay byte-identical to the existing goldens. The event engine is
-deliberately not sharded here (see ``docs/architecture.md``).
+runs stay byte-identical to the existing goldens. A run whose worker
+dies raises :class:`~repro.shard.runtime.ShardError`; the supervised
+sweep's retry is the recovery path, and reruns it byte-identically from
+the same substream. The event engine is deliberately not sharded here
+(see ``docs/architecture.md``).
 """
 
 from repro.shard.dynamics import run_sharded_dynamics
 from repro.shard.partition import partition_counts, partition_nodes, shard_seed_sequences
 from repro.shard.population import run_sharded_population
-from repro.shard.recovery import CheckpointingController
 from repro.shard.runtime import ShardError, SharedArray, ShardHarness
 from repro.shard.synchronous import (
     ShardedAggregateSynchronousSim,
@@ -60,7 +57,6 @@ __all__ = [
     "SharedArray",
     "ShardHarness",
     "ShardError",
-    "CheckpointingController",
     "run_sharded_synchronous",
     "ShardedAggregateSynchronousSim",
     "ShardedPerNodeSynchronousSim",

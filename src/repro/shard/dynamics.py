@@ -33,7 +33,8 @@ class _ShardedDynamicsEngine:
     """
 
     def __init__(
-        self, dynamics: OpinionDynamics, counts: np.ndarray, rng, shards: int, **harness
+        self, dynamics: OpinionDynamics, counts: np.ndarray, rng, shards: int, *,
+        start_method: str | None = None, metrics=None,
     ):
         self._slots = self._harness = None
         try:
@@ -43,7 +44,8 @@ class _ShardedDynamicsEngine:
             seeds = shard_seed_sequences(rng, shards)
             # DynamicsKernel is looked up at call time: a test may swap it.
             self._harness = count_harness(
-                self._slots, DynamicsKernel(dynamics), seeds, **harness
+                self._slots, DynamicsKernel(dynamics), seeds,
+                start_method=start_method, metrics=metrics,
             )
         except BaseException:
             self.close()
@@ -75,17 +77,12 @@ def run_sharded_dynamics(
     tracer=None,
     start_method: str | None = None,
     metrics=None,
-    resumable: bool = False,
-    checkpoint_every: int = 100,
-    max_restarts: int = 2,
 ) -> RunResult:
     """Run ``dynamics`` to consensus across ``shards`` worker processes.
 
-    ``resumable=True`` adds the count-engine checkpoint–restart seam:
-    count slots and per-shard generator states snapshot every
-    ``checkpoint_every`` rounds, and a worker failure restarts the
-    round loop from the last checkpoint (bit-identical recovery — see
-    :mod:`repro.shard.recovery`).
+    A worker that dies fails the run with
+    :class:`~repro.shard.runtime.ShardError`; under a supervised sweep
+    the retry reruns it from the same substream, byte-identically.
     """
     loop = dict(
         max_rounds=max_rounds, epsilon=epsilon, record_trajectory=record_trajectory,
@@ -96,8 +93,7 @@ def run_sharded_dynamics(
     counts = validate_counts(counts)
     engine = _ShardedDynamicsEngine(
         dynamics, counts, rng, check_shard_size(int(counts.sum()), shards),
-        start_method=start_method, metrics=metrics, resumable=resumable,
-        checkpoint_every=checkpoint_every, max_restarts=max_restarts,
+        start_method=start_method, metrics=metrics,
     )
     try:
         return _run_rounds(dynamics, counts, rng, engine, **loop)

@@ -117,9 +117,6 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
         tracer: Tracer | None = None,
         start_method: str | None = None,
         metrics=None,
-        resumable: bool = False,
-        checkpoint_every: int = 100,
-        max_restarts: int = 2,
     ):
         counts = self._setup(counts, schedule, rng, tracer)
         self.shards = _validate_shard_run(self.n, shards)
@@ -134,8 +131,7 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
             self._harness = count_harness(
                 self._slots, AggregateSyncKernel(self.n, promotion),
                 shard_seed_sequences(rng, self.shards), start_method=start_method,
-                metrics=metrics, resumable=resumable,
-                checkpoint_every=checkpoint_every, max_restarts=max_restarts,
+                metrics=metrics,
             )
         except BaseException:
             self.close()
@@ -299,9 +295,6 @@ def run_sharded_synchronous(
     tracer: Tracer | None = None,
     start_method: str | None = None,
     metrics=None,
-    resumable: bool = False,
-    checkpoint_every: int = 100,
-    max_restarts: int = 2,
 ) -> RunResult:
     """Sharded twin of :func:`repro.core.synchronous.run_synchronous`.
 
@@ -312,14 +305,9 @@ def run_sharded_synchronous(
     round faults, no explicit placement); the sweep target validates
     those combinations upfront.
 
-    ``resumable=True`` (aggregate engine only) checkpoints count slots
-    and per-shard generator states every ``checkpoint_every`` rounds
-    and survives up to ``max_restarts`` worker failures per run by
-    restarting from the last checkpoint with fresh workers — the
-    recovered run is bit-identical to an unfaulted one (see
-    :mod:`repro.shard.recovery`). The per-node engine keeps per-node
-    state the checkpoint does not capture, so the combination is
-    rejected rather than silently unprotected.
+    A worker that dies fails the run with
+    :class:`~repro.shard.runtime.ShardError`; under a supervised sweep
+    the retry reruns it from the same substream, byte-identically.
     """
     if int(shards) == 1:
         return run_synchronous(
@@ -337,16 +325,8 @@ def run_sharded_synchronous(
         sim: _ShardedSynchronousBase = ShardedAggregateSynchronousSim(
             counts, schedule, rng, shards=shards, tracer=tracer,
             start_method=start_method, metrics=metrics,
-            resumable=resumable, checkpoint_every=checkpoint_every,
-            max_restarts=max_restarts,
         )
     elif engine == "pernode":
-        if resumable:
-            raise ConfigurationError(
-                "resumable=True supports the count-state engines only; the "
-                "per-node engine's full colors/generations state is not "
-                "checkpointed (use engine='aggregate')"
-            )
         sim = ShardedPerNodeSynchronousSim(
             counts, schedule, rng, shards=shards, tracer=tracer,
             start_method=start_method, metrics=metrics,

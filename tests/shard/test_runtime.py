@@ -176,8 +176,7 @@ class TestFailedConstructionReleasesSharedMemory:
             )
         assert _psm_segments() == before
 
-    @pytest.mark.parametrize("resumable", [False, True])
-    def test_dynamics_runner_bad_start_method(self, resumable):
+    def test_dynamics_runner_bad_start_method(self):
         before = _psm_segments()
         with pytest.raises(ValueError):
             run_sharded_dynamics(
@@ -186,7 +185,6 @@ class TestFailedConstructionReleasesSharedMemory:
                 RngRegistry(1).stream("leak"),
                 shards=2,
                 start_method="bogus",
-                resumable=resumable,
             )
         assert _psm_segments() == before
 
