@@ -22,9 +22,6 @@ payload through ``fork``/``spawn``): :class:`AggregateSyncKernel` wraps
 :func:`repro.core.synchronous.aggregate_round`,
 :class:`DynamicsKernel` wraps the baselines' multinomial round.
 :func:`count_harness` builds the harness both count engines step.
-A run whose worker dies raises :class:`~repro.shard.runtime.ShardError`;
-a supervised sweep recovers it by retrying the whole run from the same
-substream.
 """
 
 from __future__ import annotations

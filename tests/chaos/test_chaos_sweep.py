@@ -1,7 +1,8 @@
 """Chaos harness: fault injection against the supervised sweep runner.
 
 Every test here injects a real fault — a worker raising, SIGKILLing
-itself, hanging, or on-disk state corrupted between invocations — and
+itself or one of its shard workers, hanging, or on-disk state corrupted
+between invocations — and
 asserts the supervision contract: the sweep completes, retried runs are
 byte-identical to unfaulted ones (same content-addressed RNG
 substream), failures are isolated and counted exactly, and interrupted
@@ -292,10 +293,9 @@ class KillingKernel(shard_dynamics.DynamicsKernel):
     worker dies across every shard, run and retry of the sweep.
     """
 
-    marker = None  # set by the test before the sweep forks its pool
-
-    def __init__(self, dynamics):
+    def __init__(self, dynamics, marker: str):
         super().__init__(dynamics)
+        self.marker = marker
         self.calls = 0
 
     def advance(self, global_state, local_state, rng, flag):
@@ -326,10 +326,9 @@ class TestShardWorkerKill:
         marker = tmp_path / "shard-killed.marker"
         metrics = MetricsRegistry()
         original = shard_dynamics.DynamicsKernel
-        KillingKernel.marker = str(marker)
         # The pool forks, so its workers (and their shard workers)
         # inherit the swapped kernel.
-        shard_dynamics.DynamicsKernel = KillingKernel
+        shard_dynamics.DynamicsKernel = lambda d: KillingKernel(d, str(marker))
         try:
             report = run_sweep(
                 spec, workers=2, supervisor=FAST_POLICY, metrics=metrics
