@@ -38,8 +38,9 @@ def test_bench_single_leader_events(benchmark):
 
     NOTE: the skip-tick chains mean one dispatched event carries more
     simulated time than one tick (locked no-op ticks are counted, not
-    dispatched); ``extra_info`` records the simulated time covered so
-    BENCH_4.json can normalize.
+    dispatched); ``extra_info`` records the simulated time covered, so
+    pytest-benchmark's saved or ``--benchmark-json`` output can be
+    normalized per unit.
     """
     params = SingleLeaderParams(n=1000, k=3, alpha0=2.0)
     counts = biased_counts(1000, 3, 2.0)

@@ -3,10 +3,8 @@
 Times the compute-heavy engines — per-node synchronous and the
 population scheduler — at ``shards ∈ {1, 2, 4}`` on one fixed problem
 size (strong scaling) plus a weak-scaling row where ``n`` grows with
-the shard count, and writes:
-
-* ``benchmarks/output/sharding.md`` — the human-readable table;
-* ``benchmarks/output/BENCH_7.json`` — machine-readable throughputs.
+the shard count, and writes the table to
+``benchmarks/output/sharding.md``.
 
 Default scale is CI-sized (``n=10^5`` synchronous, ``n=2×10^5``
 population); ``REPRO_SHARD_FULL=1`` switches to the paper-scale runs
@@ -22,7 +20,6 @@ runner must *fail* if the gate silently skips there.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -144,25 +141,6 @@ def test_bench_sharding_scaling(output_dir: Path):
         "",
     ]
     (output_dir / "sharding.md").write_text("\n".join(lines))
-
-    payload = {
-        "scale": SCALE,
-        "cores": cores,
-        "synchronous_pernode": sync_rows,
-        "population": pop_rows,
-        "synchronous_weak": weak_rows,
-    }
-    bench_path = output_dir / "BENCH_7.json"
-    merged = {}
-    if bench_path.exists():
-        try:
-            merged = json.loads(bench_path.read_text())
-        except ValueError:
-            merged = {}
-    # Keyed by scale so a smoke run never clobbers recorded full-scale
-    # numbers (and vice versa).
-    merged[f"sharding_{SCALE}"] = payload
-    bench_path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
 
     speedup = sync_rows[-1]["throughput"] / sync_rows[0]["throughput"]
     if cores >= 4:

@@ -2,7 +2,8 @@
 
 Experiments repeat every configuration over independent seeds; these
 helpers condense the resulting samples into means, spreads, and
-bootstrap confidence intervals for the tables in EXPERIMENTS.md.
+bootstrap confidence intervals for the experiment tables
+(``repro reproduce --out``, ``benchmarks/output/``).
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def render_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """GitHub-flavored Markdown table (for EXPERIMENTS.md)."""
+    """GitHub-flavored Markdown table (for ``repro reproduce --out``)."""
     table = _stringify(headers, rows)
     lines = [
         "| " + " | ".join(headers) + " |",

@@ -72,7 +72,7 @@ from pathlib import Path
 
 from repro import quick_async, quick_sync
 from repro.errors import ConfigurationError
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.sweep.cache import DEFAULT_CACHE_DIR, RunCache
 from repro.sweep.runner import run_experiments, run_sweep
 from repro.sweep.spec import SweepSpec, parse_grid, parse_overrides
@@ -404,6 +404,8 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     if args.list_experiments:
         return _command_list()
     names = args.only if args.only else list(EXPERIMENTS)
+    for name in names:
+        get_experiment(name)
     outcomes = run_experiments(
         names,
         quick=not args.full,

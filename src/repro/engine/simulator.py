@@ -348,8 +348,8 @@ class Simulator:
     ) -> None:
         """The polled loop: one event or delivery per iteration.
 
-        Head selection mirrors :meth:`_run_free` inline: the engine's
-        dispatch-rate floor is measured through this loop.
+        Head selection mirrors :meth:`_run_free` inline, with no helper
+        call per event.
         """
         queue = self.queue
         heap = queue._heap

@@ -3,7 +3,8 @@
 Every experiment module exposes ``run(quick=..., seed=...) ->
 ExperimentResult``. ``quick`` shrinks population sizes/repetitions so
 benchmarks and CI stay fast; the full configuration regenerates the
-numbers recorded in EXPERIMENTS.md. All randomness flows from the
+numbers ``repro reproduce --full --out <file>`` writes (the quick
+tables are committed under ``benchmarks/output/``). All randomness flows from the
 ``seed`` through :class:`~repro.engine.rng.RngRegistry` substreams, so
 every table is exactly reproducible.
 
@@ -54,7 +55,7 @@ class ExperimentTable:
         return f"{self.title}\n{render_table(self.headers, self.rows)}"
 
     def render_markdown(self) -> str:
-        """GitHub-flavored Markdown rendering (EXPERIMENTS.md)."""
+        """GitHub-flavored Markdown rendering (``repro reproduce --out``)."""
         return f"**{self.title}**\n\n{render_markdown_table(self.headers, self.rows)}"
 
     def to_dict(self) -> dict:
@@ -103,7 +104,7 @@ class ExperimentResult:
         return "\n\n".join(blocks)
 
     def render_markdown(self) -> str:
-        """Markdown rendering (EXPERIMENTS.md sections)."""
+        """Markdown rendering (one ``repro reproduce --out`` section)."""
         blocks = [f"### {self.name}", self.description]
         blocks += [table.render_markdown() for table in self.tables]
         blocks += [f"*{note}*" for note in self.notes]

@@ -3,8 +3,8 @@
 Every figure and theorem-level claim of the paper maps to one entry
 (see ``docs/paper-map.md`` for the full claim → module → test index).
 ``python -m repro list`` prints this table; ``python -m repro run <id>``
-executes one experiment; ``python -m repro reproduce`` regenerates
-EXPERIMENTS.md content (cached and parallel with ``--cache-dir`` /
+executes one experiment; ``python -m repro reproduce --out <file>``
+writes every table as Markdown (cached and parallel with ``--cache-dir`` /
 ``--workers``).
 """
 

@@ -342,6 +342,18 @@ class TestErrorBoundary:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
 
+    def test_reproduce_unknown_only_name_runs_nothing(self, tmp_path, capsys):
+        # fig1 comes first: checked late, it ran and was cached before the
+        # unknown name failed.
+        cache_dir = tmp_path / "runs"
+        argv = ["reproduce", "--only", "fig1", "nosuch", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown experiment 'nosuch'")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.rglob("*.json")) == []
+
     @pytest.mark.parametrize(
         "argv",
         [
