@@ -31,12 +31,21 @@ METRICS = {metric["name"]: metric for metric in SPEC["end_to_end"]}
 
 
 def run_ledger(workload: str) -> dict:
-    """Run one workload (a failed check still writes its ledger) and read it."""
+    """Run one workload and read its fresh ledger.
+
+    run.py exits 0, or 1 when a check failed (it still writes the
+    ledger). Any other exit leaves no ledger of this run, so it comes
+    back as a ledger with that failure alone, never as an older file.
+    """
     command = ["perfbench/run.py", "--workload", workload, "--seed", "1"]
     command += ["--seconds", "10", "--trace", "0"]
     print("+ " + " ".join(command), flush=True)
-    subprocess.run([sys.executable, *command], cwd=ROOT, stdout=subprocess.DEVNULL)
-    return json.loads((ROOT / ".perfbench" / f"{workload}-seed1-trace0.json").read_text())
+    path = ROOT / ".perfbench" / f"{workload}-seed1-trace0.json"
+    path.unlink(missing_ok=True)
+    code = subprocess.run([sys.executable, *command], cwd=ROOT, stdout=subprocess.DEVNULL).returncode
+    if code not in (0, 1) or not path.exists():
+        return {"failures": [f"perfbench/run.py exited {code} without a ledger"]}
+    return json.loads(path.read_text())
 
 
 def main_metric(ledger: dict) -> tuple[dict, float, bool]:
@@ -78,13 +87,15 @@ def gate() -> int:
     failed = False
     for workload in WORKLOADS:
         ledger = run_ledger(workload)
+        if ledger["failures"]:
+            print(f"{workload:26s} FAILED: {ledger['failures'][0]}")
+            failed = True
+            continue
         base = baseline[workload]
         metric, value, _ = main_metric(ledger)
         change = value / base["value"] - 1
         worse = -change if metric["better"] == "higher" else change
-        if ledger["failures"]:
-            verdict, failed = f"FAILED check: {ledger['failures'][0]}", True
-        elif not base["gated"]:
+        if not base["gated"]:
             verdict = f"not gated: calibration runs spread {base['spread']:.0%}, over the bound"
         elif worse > metric["bound"]:
             verdict, failed = f"WORSE by {worse:.1%}", True
