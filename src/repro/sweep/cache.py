@@ -4,8 +4,11 @@ Each completed run is stored as ``<root>/<sha256(config)>.json`` — the
 digest of the run's canonical config (see
 :func:`repro.sweep.spec.config_digest`) is the filename, so a cache
 lookup is a single ``open`` and re-running a sweep only executes the
-configs whose files are missing. Interrupted sweeps therefore resume
-for free, and unrelated sweeps share hits whenever their grids overlap.
+configs whose files are missing. The sweep runner stores each record
+as soon as it is settled — after its run, or as its pool chunk comes
+back, also when a chunk-mate crashes, times out or the sweep is
+interrupted — so interrupted sweeps resume for free, and unrelated
+sweeps share hits whenever their grids overlap.
 
 Robustness guarantees:
 

@@ -4,7 +4,11 @@
 satisfies every config it can from the :class:`~repro.sweep.cache.RunCache`,
 and executes only the misses — serially in-process, or in chunks on a
 process pool through :func:`~repro.sweep.supervisor.run_supervised`,
-the one pool path. Three invariants make the fan-out safe:
+the one pool path. Each fresh record is stored in the cache as soon as
+it is settled: right after its run on the serial path, and as its chunk
+comes back on the pool, while the other chunks still run (also for the
+finished runs of a crashed, timed-out or interrupted chunk). Three
+invariants make the fan-out safe:
 
 * **Picklable work units** — a worker receives only the config *dict*
   and rebuilds everything (target function, RNG) by name inside
@@ -196,8 +200,10 @@ def run_sweep(
     spec:
         The sweep to run.
     cache:
-        Optional run cache; hits skip execution entirely and fresh
-        records are stored back. ``None`` disables caching.
+        Optional run cache; hits skip execution entirely and each
+        fresh record is stored back as soon as its run (serial) or its
+        chunk (pool) settles, so a sweep that raises or is interrupted
+        keeps what it finished. ``None`` disables caching.
     workers:
         ``1`` runs in-process (no pool, no pickling) unless a
         ``supervisor`` is given; ``> 1`` fans the cache misses out over
@@ -322,6 +328,12 @@ def run_sweep(
     if echo is not None and cache is not None:
         echo(f"[sweep] {cached} cached, {len(misses)} to run")
 
+    store = None
+    if cache is not None and trace_dir is None:
+
+        def store(index: int, record: dict) -> None:
+            cache.put(configs[index].as_dict(), record)
+
     outcome = None
     if misses and (supervisor is not None or workers > 1):
         outcome = run_supervised(
@@ -333,6 +345,7 @@ def run_sweep(
             metrics_paths=metrics_paths,
             echo=echo,
             manifest=manifest,
+            store=store,
         )
         for index, record in outcome.records.items():
             records[index] = record
@@ -341,11 +354,8 @@ def run_sweep(
             records[index] = execute_run(
                 configs[index], trace_paths[index], metrics_paths[index]
             )
-
-    if cache is not None and trace_dir is None:
-        for index in misses:
-            if records[index] is not None:
-                cache.put(configs[index].as_dict(), records[index])
+            if store is not None:
+                store(index, records[index])
 
     if metrics is not None:
         _harvest_sweep_metrics(

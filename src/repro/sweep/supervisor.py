@@ -10,12 +10,15 @@ goes through this module. The pieces:
   chunks, each with a start log naming the run its worker is on and a
   results file keeping every run it finished; survives a dead or hung
   worker by charging only the run it was on, rebuilding the pool and
-  resubmitting the unfinished rest; and turns every exhausted config
-  into a structured :class:`RunFailure` instead of an exception.
+  resubmitting the unfinished rest; hands each run it settles to the
+  caller's ``store`` callback as its chunk comes back, while the other
+  chunks still run; and turns every exhausted config into a structured
+  :class:`RunFailure` instead of an exception.
 * :class:`SweepManifest` — a ``manifest.json`` checkpoint (atomic
   tmp+rename, like the run cache) of per-config state (``pending`` /
   ``running`` / ``done`` / ``failed`` / ``permanently-failed``),
-  attempt counts and ``done`` records, so ``repro sweep --resume DIR``
+  attempt counts and ``done`` records, written once per submitted or
+  settled chunk, so ``repro sweep --resume DIR``
   executes only the remainder of an interrupted sweep.
 
 Determinism under retry: a run's randomness is
@@ -197,8 +200,11 @@ class SweepManifest:
     ``repro sweep --resume DIR`` needs no other arguments), one entry
     per config in expansion order — state, attempt count, last error,
     and the completed record for ``done`` entries — and is rewritten
-    atomically (tmp + ``os.replace``) on every state transition, so a
-    ``kill -9`` at any moment leaves a loadable checkpoint.
+    atomically (tmp + ``os.replace``) on every transition, so a
+    ``kill -9`` at any moment leaves a loadable checkpoint. Runs enter
+    ``running`` and ``done`` a chunk at a time, one rewrite per chunk:
+    each rewrite carries every stored record, so one per run would make
+    a sweep's checkpointing quadratic in its length.
     """
 
     def __init__(self, directory: str | Path, spec: SweepSpec, entries: list[dict]):
@@ -350,10 +356,12 @@ class SweepManifest:
         if indices:
             self.write()
 
-    def mark_done(self, index: int, record: Mapping[str, Any]) -> None:
-        entry = self.entries[index]
-        entry.update(state="done", record=dict(record), error=None, kind=None)
-        self.write()
+    def mark_done(self, records: Mapping[int, Mapping[str, Any]]) -> None:
+        for index, record in records.items():
+            entry = self.entries[index]
+            entry.update(state="done", record=dict(record), error=None, kind=None)
+        if records:
+            self.write()
 
     def mark_failed(
         self, index: int, *, kind: str, error: str, permanent: bool
@@ -460,6 +468,7 @@ def run_supervised(
     metrics_paths: Sequence[str | None],
     echo: Callable[[str], None] | None = None,
     manifest: SweepManifest | None = None,
+    store: Callable[[int, dict], None] | None = None,
 ) -> SupervisionOutcome:
     """Execute ``indices`` of ``configs`` on a process pool, under supervision.
 
@@ -468,8 +477,10 @@ def run_supervised(
     in every chunk; each chunk is one pool task (:func:`_run_chunk`).
     Every config gets ``policy.attempts`` attempts, with deterministic
     backoff between them. A run that raises is charged an ``error``
-    alone. Every run a chunk finished is kept (and checkpointed in
-    ``manifest``) whatever becomes of the chunk, also on interrupt.
+    alone. Every run a chunk finished is kept whatever becomes of the
+    chunk, also on interrupt: it is passed to ``store(index, record)``
+    and checkpointed ``done`` in ``manifest`` when the chunk settles,
+    so records are stored while the other chunks still run.
 
     A dying worker breaks the pool and every unfinished chunk. The
     crash is charged to the run named by the last entry of a broken
@@ -547,6 +558,7 @@ def run_supervised(
         """Settle the runs ``chunk`` finished; the positions it did not."""
         finished = _finished(chunk.log)
         unfinished = []
+        done = {}
         for position, attempt in enumerate(chunk.attempts):
             if position not in finished:
                 unfinished.append(position)
@@ -556,9 +568,12 @@ def run_supervised(
                 _record_failure(attempt, kind="error", error=value)
                 continue
             outcome.records[attempt.index] = value
-            if manifest is not None:
-                manifest.mark_done(attempt.index, value)
+            if store is not None:
+                store(attempt.index, value)
+            done[attempt.index] = value
             del pending[attempt.index]
+        if manifest is not None:
+            manifest.mark_done(done)
         return unfinished
 
     def _submit(pool, ready: list[int]) -> None:

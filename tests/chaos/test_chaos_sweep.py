@@ -24,6 +24,7 @@ import pytest
 import repro.shard.dynamics as shard_dynamics
 from repro.engine.metrics import MetricsRegistry
 from repro.errors import ConfigurationError
+from repro.sweep.cache import RunCache
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
 from repro.sweep.supervisor import MANIFEST_NAME, SupervisorPolicy, SweepManifest
@@ -198,26 +199,34 @@ class TestChunkAttribution:
 
     def test_kill_mid_chunk_keeps_the_finished_chunk_mate(self, tmp_path):
         """Run 5 finished before its worker died on run 13: it is
-        checkpointed ``done`` and never submitted again."""
+        checkpointed ``done`` and never submitted again. The killed run's
+        cache entry is stored after its retry, and no ``.tmp`` is left."""
         spec = chunk_spec(tmp_path, "flaky_kill", victim=1)
         state = tmp_path / "state"
+        cache = RunCache(tmp_path / "cache")
         report = run_sweep(
-            spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state)
+            spec, cache=cache, workers=2, supervisor=FAST_POLICY,
+            state_dir=str(state),
         )
         assert report.succeeded and report.retries == 1
         entries = SweepManifest.load(state).entries
         assert (entries[5]["state"], entries[5]["attempts"]) == ("done", 1)
         assert (entries[13]["state"], entries[13]["attempts"]) == ("done", 2)
+        assert cache.get(report.configs[13].as_dict()) == report.records[13]
+        assert len(list(cache.entry_paths())) == len(report.configs)
+        assert list(cache.root.glob("*.tmp")) == []
         assert_clean_records(spec, report)
 
     def test_interrupt_checkpoints_finished_chunk_mates(self, tmp_path):
         """Ctrl-C while run 13 hangs: run 5, which its chunk finished, is
-        in the manifest, and a resume executes only what is not."""
+        in the manifest and the cache, and a resume executes only what
+        the manifest does not hold."""
         import signal
 
         spec = chunk_spec(tmp_path, "flaky_hang", victim=1, hang_seconds=5.0)
         hung = tmp_path / "markers" / "flaky_hang-1.marker"
         state = tmp_path / "state"
+        cache = RunCache(tmp_path / "cache")
 
         def interrupt(signum, frame):
             if hung.exists():  # the hang has begun: run 5 is finished
@@ -228,13 +237,18 @@ class TestChunkAttribution:
         try:
             with pytest.raises(KeyboardInterrupt):
                 run_sweep(
-                    spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state)
+                    spec, cache=cache, workers=2, supervisor=FAST_POLICY,
+                    state_dir=str(state),
                 )
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         done = SweepManifest.load(state).done_indices()
         assert 5 in done and 13 not in done
+        configs = spec.expand()
+        assert cache.get(configs[5].as_dict()) is not None
+        assert cache.get(configs[13].as_dict()) is None
+        assert list(cache.root.glob("*.tmp")) == []
         report = run_sweep(
             spec, workers=2, supervisor=FAST_POLICY, state_dir=str(state),
             resume=True,

@@ -12,12 +12,14 @@ The acceptance-critical properties pinned here:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.sweep.runner as runner_module
 from repro.errors import ConfigurationError
 from repro.sweep.aggregate import aggregate_table
-from repro.sweep.cache import RunCache
+from repro.sweep.cache import CACHE_VERSION, RunCache
 from repro.sweep.runner import (
     execute_run,
     experiment_config,
@@ -124,6 +126,21 @@ class TestRunSweep:
         assert report.cached == 2  # the n=200 runs carried over
         assert report.executed == 2
 
+    def test_pooled_entries_are_the_bytes_put_writes(self, tmp_path):
+        """Records stored as their chunks settle are byte-for-byte the
+        envelopes ``RunCache.put`` writes for the report's records."""
+        cache = RunCache(tmp_path / "runs")
+        report = run_sweep(small_spec(), cache=cache, workers=2)
+        for config, record in zip(report.configs, report.records):
+            envelope = {
+                "version": CACHE_VERSION,
+                "config": config.as_dict(),
+                "record": record,
+            }
+            expected = json.dumps(envelope, separators=(",", ":"), allow_nan=True)
+            assert cache.path_for(config.as_dict()).read_text() == expected
+        assert list(cache.root.glob("*.tmp")) == []
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(small_spec(), workers=-2)
@@ -159,6 +176,15 @@ class TestFailureContract:
     def test_serial_raise_propagates(self):
         with pytest.raises(RuntimeError, match="configured to fail"):
             run_sweep(self.SPEC, workers=1)
+
+    def test_serial_raise_keeps_the_finished_runs_entry(self, tmp_path):
+        """A serial run is stored as soon as it finishes, so the run
+        that raises after it does not cost its entry."""
+        cache = RunCache(tmp_path / "runs")
+        with pytest.raises(RuntimeError, match="configured to fail"):
+            run_sweep(self.SPEC, cache=cache, workers=1)
+        ok, failing = (config.as_dict() for config in self.SPEC.expand())
+        assert cache.get(ok) is not None and cache.get(failing) is None
 
 
 class TestRunExperiments:

@@ -123,7 +123,7 @@ class TestSweepManifest:
     def test_transitions_persist(self, tmp_path):
         manifest = SweepManifest.create(tmp_path, SPEC)
         manifest.mark_running([0, 1])
-        manifest.mark_done(0, {"value": 1.0})
+        manifest.mark_done({0: {"value": 1.0}})
         manifest.mark_failed(1, kind="crash", error="boom", permanent=False)
         manifest.mark_failed(2, kind="error", error="bad", permanent=True)
         loaded = SweepManifest.load(tmp_path)
@@ -131,6 +131,17 @@ class TestSweepManifest:
         assert loaded.state(1) == "failed" and loaded.attempts(1) == 1
         assert loaded.state(2) == "permanently-failed"
         assert loaded.done_indices() == [0]
+
+    def test_mark_done_rewrites_once_per_batch(self, tmp_path, monkeypatch):
+        """Each rewrite carries every stored record, so a chunk's runs
+        are checkpointed in one write, and an empty batch writes none."""
+        manifest = SweepManifest.create(tmp_path, SPEC)
+        writes: list[None] = []
+        monkeypatch.setattr(manifest, "write", lambda: writes.append(None))
+        manifest.mark_done({0: {"value": 1.0}, 2: {"value": 3.0}})
+        manifest.mark_done({})
+        assert len(writes) == 1
+        assert manifest.done_indices() == [0, 2]
 
     def test_missing_manifest_fails_loudly(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no readable sweep manifest"):
@@ -172,5 +183,5 @@ class TestSweepManifest:
 
     def test_write_is_atomic_no_tmp_left(self, tmp_path):
         manifest = SweepManifest.create(tmp_path, SPEC)
-        manifest.mark_done(0, {"value": 2.0})
+        manifest.mark_done({0: {"value": 2.0}})
         assert list(tmp_path.glob("*.tmp")) == []
