@@ -25,6 +25,13 @@
  *   - Every piece of state is written back, so the Python engine can
  *     inspect the result or continue the run exactly.
  *
+ * Both heaps pop with Floyd's bottom-up pop, which moves the smaller
+ * child up without a branch on the comparison and prefetches the next
+ * level; a sift-down's "which child, and stop here?" branch mispredicts
+ * at every level.  Pops stay byte-identical: events pop in their unique
+ * (time, seq) order, the tally is a multiset of doubles, and both arrays
+ * stay binary heaps, so the lists written back are valid heapq heaps.
+ *
  * The hot-path pieces (heap push/pop, pool draws, schedule, the send,
  * the loop) are static inline so each core's loop compiles them in;
  * the rest lives in _fastcore.c, which also defines the extension
@@ -73,9 +80,10 @@ typedef struct {
     Py_ssize_t len, cap;
 } EventHeap;
 
+/* (time, seq) order, evaluated without a branch. */
 static inline int ev_less(const Event *x, const Event *y)
 {
-    return x->time < y->time || (x->time == y->time && x->key < y->key);
+    return (x->time < y->time) | ((x->time == y->time) & (x->key < y->key));
 }
 
 static inline int ev_push(EventHeap *h, const Event *e)
@@ -102,24 +110,42 @@ static inline int ev_push(EventHeap *h, const Event *e)
     return 0;
 }
 
+/* The steps of heapq.heappop (Floyd's bottom-up pop): walk the hole at
+ * the root down to a leaf, moving up the smaller child (the right one
+ * unless the left is less) with no branch on the comparison, then sift
+ * the old last element up from there.  With no branch to speculate on,
+ * the CPU no longer loads the next level ahead of the comparison, so
+ * the walk prefetches the four grandchildren itself: 128 bytes over up
+ * to three cache lines (a prefetch never faults, also past the end).
+ * Without it, a heap that outgrows the cache (multi-leader runs at
+ * n=10^4) pops slower than with a branching sift-down. */
 static inline void ev_pop(EventHeap *h)
 {
-    Event last = h->v[--h->len];
-    Py_ssize_t n = h->len, i = 0;
+    Event *v = h->v;
+    Py_ssize_t n = --h->len, i = 0, child;
     if (!n)
         return;
-    for (;;) {
-        Py_ssize_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && ev_less(&h->v[child + 1], &h->v[child]))
-            child++;
-        if (!ev_less(&h->v[child], &last))
-            break;
-        h->v[i] = h->v[child];
+    while ((child = 2 * i + 2) < n) {
+        __builtin_prefetch(&v[2 * child - 1]);
+        __builtin_prefetch(&v[2 * child]);
+        __builtin_prefetch(&v[2 * child + 2]);
+        child -= ev_less(&v[child - 1], &v[child]);
+        v[i] = v[child];
         i = child;
     }
-    h->v[i] = last;
+    if (child == n) {
+        v[i] = v[n - 1];
+        i = n - 1;
+    }
+    Event last = v[n];
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (!ev_less(&last, &v[parent]))
+            break;
+        v[i] = v[parent];
+        i = parent;
+    }
+    v[i] = last;
 }
 
 /* A DrawPool seen through its current numpy block. */
@@ -290,24 +316,34 @@ static inline int tally_push(TallyHeap *h, double t)
     return 0;
 }
 
+/* ev_pop's Floyd pop over arrival times, whose four grandchildren (32
+ * bytes) span at most two cache lines. */
 static inline void tally_pop(TallyHeap *h)
 {
-    double last = h->v[--h->len];
-    Py_ssize_t n = h->len, i = 0;
+    double *v = h->v;
+    Py_ssize_t n = --h->len, i = 0, child;
     if (!n)
         return;
-    for (;;) {
-        Py_ssize_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && h->v[child + 1] < h->v[child])
-            child++;
-        if (!(h->v[child] < last))
-            break;
-        h->v[i] = h->v[child];
+    while ((child = 2 * i + 2) < n) {
+        __builtin_prefetch(&v[2 * child - 1]);
+        __builtin_prefetch(&v[2 * child + 2]);
+        child -= v[child - 1] < v[child];
+        v[i] = v[child];
         i = child;
     }
-    h->v[i] = last;
+    if (child == n) {
+        v[i] = v[n - 1];
+        i = n - 1;
+    }
+    double last = v[n];
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (!(last < v[parent]))
+            break;
+        v[i] = v[parent];
+        i = parent;
+    }
+    v[i] = last;
 }
 
 /* The simulator half of a run.  Each core's struct embeds one as its

@@ -7,8 +7,10 @@ config on both cores, at the production pool block size, and compares
 everything a caller can observe: the :class:`RunResult` (``info``,
 ``births`` and the trajectory included), the leader's phase log, every
 snapshot property, the protocol counters, the simulator's clock and
-counters, the pending event queue and tally stream, each draw pool's
-position, and the generator's state.  A split run and a run continued
+counters, the pending event queue and tally stream (both must also be
+valid ``heapq`` heaps), each draw pool's position, and the generator's
+state.  One case starts with events and arrivals tied at equal times,
+so pops rest on sequence numbers alone.  A split run and a run continued
 on the other core check that the write-back leaves a state the Python
 engine continues exactly, and a derandomized Hypothesis slice draws
 eligible configs; a slow slice of strongly biased, long runs
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import math
 
 import numpy as np
@@ -45,8 +48,16 @@ pytestmark = pytest.mark.skipif(
 SNAPSHOTS = ("cols", "gens", "locked", "seen_gen", "seen_prop", "matrix", "color_counts")
 
 
+def assert_heaps(sim: Simulator) -> None:
+    """The Python engine continues from these lists: both must be ``heapq`` heaps."""
+    heap, tally = sim.queue._heap, sim._tally
+    assert all(heap[(i - 1) >> 1][:2] < heap[i][:2] for i in range(1, len(heap)))
+    assert all(tally[(i - 1) >> 1] <= tally[i] for i in range(1, len(tally)))
+
+
 def observe(sim: SingleLeaderSim, result) -> dict:
     """Everything a caller can read after a run, as plain values."""
+    assert_heaps(sim.sim)
     queue = sorted(
         (time, seq, action.__name__, payload) for time, seq, action, payload in sim.sim.queue._heap
     )
@@ -83,10 +94,27 @@ def protocol_params(n, k, alpha, gamma) -> SingleLeaderParams:
     return SingleLeaderParams(n=n, k=k, alpha0=alpha, gen_size_fraction=gamma)
 
 
-def build(n, k, alpha, seed, *, gamma=0.5, assignment=None) -> SingleLeaderSim:
+def quantize(sim: Simulator, grid: float) -> None:
+    """Round every pending event and tally arrival up to the grid.
+
+    Events then share times exactly and pop by sequence number alone,
+    and arrivals tie with events and with the arrivals that a chain
+    extension behind the clock clamps to now.
+    """
+    heap, tally = sim.queue._heap, sim._tally
+    heap[:] = [(math.ceil(time / grid) * grid, *rest) for time, *rest in heap]
+    tally[:] = [math.ceil(time / grid) * grid for time in tally]
+    heapq.heapify(heap)
+    heapq.heapify(tally)
+
+
+def build(n, k, alpha, seed, *, gamma=0.5, assignment=None, grid=None) -> SingleLeaderSim:
     params = protocol_params(n, k, alpha, gamma)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return SingleLeaderSim(params, biased_counts(n, k, alpha), rng, assignment=assignment)
+    sim = SingleLeaderSim(params, biased_counts(n, k, alpha), rng, assignment=assignment)
+    if grid is not None:
+        quantize(sim.sim, grid)
+    return sim
 
 
 def run_on(core: str, sim: SingleLeaderSim, monkeypatch, **run_kwargs) -> dict:
@@ -109,6 +137,7 @@ CASES = {
         dict(epsilon=0.05, stop_at_epsilon=True),
     ),
     "n3000-k8-truncated": (dict(n=3000, k=8, alpha=2.0, seed=11), dict(max_time=8.0)),
+    "n200-k3-equal-times": (dict(n=200, k=3, alpha=2.0, seed=19, grid=0.25), dict(max_time=40.0)),
 }
 
 

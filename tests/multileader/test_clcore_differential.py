@@ -8,9 +8,11 @@ size, and compares everything a caller can observe: the
 :class:`Clustering` (``switch_times`` as an ordered item list), the
 leader and lock snapshots, ``active_leaders`` before sorting, the
 sampled trajectory, every leader's bookkeeping, the protocol counters,
-the simulator's clock and counters, the pending event queue and its
-telemetry, each draw pool's position (the fault models' pools
-included), ``FaultInjection.info()`` and the generator's state.  Split
+the simulator's clock and counters, the pending event queue (which must
+also be a valid ``heapq`` heap) and its telemetry, each draw pool's
+position (the fault models' pools included), ``FaultInjection.info()``
+and the generator's state.  One case starts with events tied at equal
+times, so pops rest on sequence numbers alone.  Split
 runs check that the write-back leaves a state either core continues
 exactly, and a derandomized Hypothesis slice draws eligible configs; a
 slow slice with long horizons must reach the phase's stop in C too.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastcore
+from repro.engine.simulator import Simulator
 from repro.engine.tracing import TraceRecorder
 from repro.errors import SimulationError
 from repro.multileader.clustering import ClusteringSim
@@ -44,8 +49,26 @@ def _items(mapping: dict) -> list:
     return list(mapping.items())
 
 
+def assert_heaps(sim: Simulator) -> None:
+    """The Python engine continues from these lists: both must be ``heapq`` heaps."""
+    heap, tally = sim.queue._heap, sim._tally
+    assert all(heap[(i - 1) >> 1][:2] < heap[i][:2] for i in range(1, len(heap)))
+    assert all(tally[(i - 1) >> 1] <= tally[i] for i in range(1, len(tally)))
+
+
+def quantize(sim: Simulator, grid: float) -> None:
+    """Round every pending event up to the grid.
+
+    Events then share times exactly and pop by sequence number alone.
+    """
+    heap = sim.queue._heap
+    heap[:] = [(math.ceil(time / grid) * grid, *rest) for time, *rest in heap]
+    heapq.heapify(heap)
+
+
 def observe(sim: ClusteringSim, outcome, wiring) -> dict:
     """Everything a caller can read after a run, as plain values."""
+    assert_heaps(sim.sim)
     queue = sorted(
         (time, seq, action.__name__, payload)
         for time, seq, action, payload in sim.sim.queue._heap
@@ -95,7 +118,7 @@ def protocol_params(n, leader_probability=None) -> MultiLeaderParams:
 
 
 def build(n, seed, *, faults=None, leader_probability=None, graph=None, tracer=None,
-          cls=ClusteringSim, **sim_kwargs):
+          grid=None, cls=ClusteringSim, **sim_kwargs):
     """A clustering phase over a (possibly fault-wrapped) simulator of its own."""
     params = protocol_params(n, leader_probability)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -103,6 +126,8 @@ def build(n, seed, *, faults=None, leader_probability=None, graph=None, tracer=N
     sim = cls(params, rng, graph=graph, simulator=simulator, **sim_kwargs)
     if wiring is not None:
         wiring.bind(sim)
+    if grid is not None:
+        quantize(sim.sim, grid)
     return sim, wiring
 
 
@@ -139,6 +164,7 @@ CASES = {
         dict(n=300, seed=13, faults=lambda: build_faults(drop=0.1, stragglers=0.2)),
         dict(max_time=6.0),
     ),
+    "equal-times": (dict(n=200, seed=19, grid=0.25), {}),
 }
 
 

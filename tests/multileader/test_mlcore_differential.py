@@ -8,9 +8,11 @@ at the production pool block size, and compares everything a caller
 can observe: the :class:`RunResult` (``info`` and ``births``
 included), every leader's transitions and counters, every snapshot
 property, the protocol counters, the simulator's clock and counters,
-the pending event queue and its telemetry, each draw pool's position
-(the fault models' pools included), ``FaultInjection.info()`` and the
-generator's state.  A split run checks that the write-back leaves a
+the pending event queue (which must also be a valid ``heapq`` heap) and
+its telemetry, each draw pool's position (the fault models' pools
+included), ``FaultInjection.info()`` and the generator's state.  One
+case starts with events tied at equal times, so pops rest on sequence
+numbers alone.  A split run checks that the write-back leaves a
 state either core continues exactly, and a derandomized Hypothesis
 slice draws eligible configs; a slow slice of strongly biased, long runs
 must reach consensus and the ε-stop on the compiled core too.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import math
 
 import numpy as np
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastcore
+from repro.engine.simulator import Simulator
 from repro.engine.tracing import TraceRecorder
 from repro.multileader.clustering import ideal_clustering
 from repro.multileader.consensus import MultiLeaderConsensusSim
@@ -55,8 +59,26 @@ def _payload(payload):
     return payload
 
 
+def assert_heaps(sim: Simulator) -> None:
+    """The Python engine continues from these lists: both must be ``heapq`` heaps."""
+    heap, tally = sim.queue._heap, sim._tally
+    assert all(heap[(i - 1) >> 1][:2] < heap[i][:2] for i in range(1, len(heap)))
+    assert all(tally[(i - 1) >> 1] <= tally[i] for i in range(1, len(tally)))
+
+
+def quantize(sim: Simulator, grid: float) -> None:
+    """Round every pending event up to the grid.
+
+    Events then share times exactly and pop by sequence number alone.
+    """
+    heap = sim.queue._heap
+    heap[:] = [(math.ceil(time / grid) * grid, *rest) for time, *rest in heap]
+    heapq.heapify(heap)
+
+
 def observe(sim: MultiLeaderConsensusSim, result, wiring) -> dict:
     """Everything a caller can read after a run, as plain values."""
+    assert_heaps(sim.sim)
     queue = sorted(
         (time, seq, action.__name__, _payload(payload))
         for time, seq, action, payload in sim.sim.queue._heap
@@ -101,7 +123,7 @@ def protocol_params(n, k, alpha) -> MultiLeaderParams:
 
 
 def build(n, k, alpha, seed, *, faults=None, unclustered=0.0, graph=None, tracer=None,
-          cls=MultiLeaderConsensusSim):
+          grid=None, cls=MultiLeaderConsensusSim):
     """A consensus sim over an ideal clustering, a ``unclustered`` share left out."""
     params = protocol_params(n, k, alpha)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -116,6 +138,8 @@ def build(n, k, alpha, seed, *, faults=None, unclustered=0.0, graph=None, tracer
     )
     if wiring is not None:
         wiring.bind(sim)
+    if grid is not None:
+        quantize(sim.sim, grid)
     return sim, wiring
 
 
@@ -150,6 +174,7 @@ CASES = {
              faults=lambda: build_faults(drop=0.1, stragglers=0.2)),
         dict(max_time=60.0),
     ),
+    "equal-times": (dict(n=200, k=3, alpha=2.0, seed=19, grid=0.25), dict(max_time=40.0)),
 }
 
 
