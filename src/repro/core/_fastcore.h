@@ -26,9 +26,9 @@
  *     inspect the result or continue the run exactly.
  *
  * Both heaps pop with Floyd's bottom-up pop, which moves the smaller
- * child up without a branch on the comparison and prefetches the next
- * level; a sift-down's "which child, and stop here?" branch mispredicts
- * at every level.  Pops stay byte-identical: events pop in their unique
+ * child up without a branch on the comparison and prefetches the
+ * grandchildren; a sift-down's "which child, and stop here?" branch
+ * mispredicts at every level.  Pops stay byte-identical: events pop in their unique
  * (time, seq) order, the tally is a multiset of doubles, and both arrays
  * stay binary heaps, so the lists written back are valid heapq heaps.
  *
