@@ -1,15 +1,13 @@
 """Microbenchmarks of the discrete-event substrate itself.
 
-The first three benches measure the same operations as the seed suite
-(10k queue churn, 20k self-rescheduling dispatches, 10k exponential
-draws) so before/after numbers are directly comparable; the draw-pool
-bench measures the batched-randomness layer the protocol hot path
-actually uses.
+The first three benches measure 10k scheduled no-op events run in one
+pass, 20k self-rescheduling dispatches and 10k exponential draws; the
+draw-pool bench measures the batched-randomness layer the protocol hot
+path actually uses.
 """
 
 from __future__ import annotations
 
-from repro.engine.events import EventQueue
 from repro.engine.rng import ExponentialPool, RngRegistry
 from repro.engine.simulator import Simulator
 
@@ -19,19 +17,16 @@ def noop() -> None:
 
 
 def test_bench_event_queue_push_pop(benchmark):
-    """Throughput of 10k push + 10k pop on the binary-heap queue."""
+    """Throughput of 10k schedules and one run dispatching them all."""
     rng = RngRegistry(0).stream("bench-queue")
     times = rng.random(10_000).tolist()
 
     def churn():
-        queue = EventQueue()
+        sim = Simulator()
         for time in times:
-            queue.push(time, noop)
-        drained = 0
-        while queue:
-            queue.pop()
-            drained += 1
-        return drained
+            sim.schedule(time, noop)
+        sim.run()
+        return sim.events_executed
 
     assert benchmark(churn) == 10_000
 

@@ -2,14 +2,21 @@
 
 There is no ``pyproject.toml``: all metadata lives here, and pip falls
 back to the classic ``setup.py develop`` code path for editable
-installs, which needs no ``wheel`` package.
+installs, which needs no ``wheel`` package.  The version is read from
+``repro.__version__`` in ``src/repro/__init__.py``, its one source.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', INIT.read_text(), re.M).group(1)
+
 setup(
     name="repro",
-    version="1.0.0",
+    version=VERSION,
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # The compiled cores build at run time from the C sources that

@@ -7,7 +7,7 @@
  * pernode_round() (_pncore.c) is the synchronous per-node round, a
  * plain pass over numpy buffers that shares none of the rest.
  * Everything here but the fault seam's transform chain is off the event
- * loop's hot path: loading the simulator half (clock, queue, tally
+ * loop's hot path: loading the simulator half (clock, event heap, tally
  * stream, draw pools, tick counters, fault seam) into C and storing it
  * back, opening, refilling and storing draw pools, and the attribute
  * helpers the protocol halves load and store their state with.
@@ -611,22 +611,15 @@ static int handler_kind(const Sim *s, PyObject *action)
     return -1;
 }
 
-/* EventQueue._heap and _next_seq; 1 ok, 0 unsupported (a foreign
- * event, a cancellation), -1 error. */
+/* Simulator._heap and _next_seq; 1 ok, 0 unsupported (a foreign
+ * event), -1 error. */
 static int load_queue(Sim *s, const CoreSpec *spec)
 {
-    PyObject *live = PyObject_GetAttrString(s->queue, "_live");
-    if (!live)
-        return -1;
-    int plain = live == Py_None;
-    Py_DECREF(live);
-    if (!plain)
-        return 0; /* a cancellation happened: tombstones are Python's */
-    CHECK(get_ll(s->queue, "_next_seq", &s->next_seq));
+    CHECK(get_ll(s->sim, "_next_seq", &s->next_seq));
     if (s->next_seq < 0 || s->next_seq > MAX_SEQ / 2)
         return 0;
     int ok = 1;
-    PyObject *entries = get_list(s->queue, "_heap", -1, &ok);
+    PyObject *entries = get_list(s->sim, "_heap", -1, &ok);
     if (!entries)
         return ok ? -1 : 0;
     int rc = 1;
@@ -686,13 +679,13 @@ static int store_queue(Sim *s, const CoreSpec *spec)
             goto done;
         PyList_SET_ITEM(list, i, entry);
     }
-    PyObject *entries = PyObject_GetAttrString(s->queue, "_heap");
+    PyObject *entries = PyObject_GetAttrString(s->sim, "_heap");
     if (!entries)
         goto done;
     rc = PyList_SetSlice(entries, 0, PY_SSIZE_T_MAX, list);
     Py_DECREF(entries);
     if (rc == 0)
-        rc = set_ll(s->queue, "_next_seq", s->next_seq);
+        rc = set_ll(s->sim, "_next_seq", s->next_seq);
 done:
     Py_XDECREF(list);
     Py_DECREF(methods);
@@ -739,13 +732,10 @@ static int sim_load(Sim *s, const CoreSpec *spec, PyObject *wiring, PyObject *ki
     s->sim = PyObject_GetAttrString(s->proto, "sim");
     if (!s->sim)
         return -1;
-    s->queue = PyObject_GetAttrString(s->sim, "queue");
-    if (!s->queue)
-        return -1;
     CHECK(get_double(s->sim, "now", &s->now));
     LOAD(load_tally(s));
-    CHECK(get_ll(s->queue, "flushes", &s->flushes));
-    CHECK(get_ll(s->queue, "flushed_events", &s->flushed_events));
+    CHECK(get_ll(s->sim, "flushes", &s->flushes));
+    CHECK(get_ll(s->sim, "flushed_events", &s->flushed_events));
     LOAD(load_queue(s, spec));
     CHECK(get_ll(s->proto, "good_ticks", &s->good_ticks));
     CHECK(get_ll(s->proto, "total_ticks", &s->total_ticks));
@@ -795,8 +785,8 @@ static int sim_store(Sim *s, const CoreSpec *spec)
     CHECK(set_obj(s->sim, "now", PyFloat_FromDouble(s->now)));
     CHECK(set_flag(s->sim, "_stop_requested", s->stop));
     CHECK(store_queue(s, spec));
-    CHECK(set_ll(s->queue, "flushes", s->flushes));
-    CHECK(set_ll(s->queue, "flushed_events", s->flushed_events));
+    CHECK(set_ll(s->sim, "flushes", s->flushes));
+    CHECK(set_ll(s->sim, "flushed_events", s->flushed_events));
     CHECK(set_ll(s->proto, "good_ticks", s->good_ticks));
     CHECK(set_ll(s->proto, "total_ticks", s->total_ticks));
     CHECK(pool_store(&s->tick_wait));
@@ -815,7 +805,6 @@ static void sim_free(Sim *s)
     pool_free(&s->channel);
     pool_free(&s->neighbor);
     seam_free(&s->seam);
-    Py_XDECREF(s->queue);
     Py_XDECREF(s->sim);
 }
 

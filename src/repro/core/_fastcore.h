@@ -349,7 +349,7 @@ static inline void tally_pop(TallyHeap *h)
 /* The simulator half of a run.  Each core's struct embeds one as its
  * first member, so a Sim * is also a pointer to its core. */
 typedef struct {
-    PyObject *proto, *sim, *queue, *funcs;
+    PyObject *proto, *sim, *funcs;
     PyObject *f_trigger; /* the tally trigger's handler, or NULL */
     int n;               /* nodes (the core's load sets it) */
     double now;
@@ -385,7 +385,7 @@ static inline int sim_send(Sim *s, int node, double delay, int kind, int a, int 
         if (rc <= 0) {
             if (rc < 0)
                 return -1;
-            /* _note_drop, then reserve_handle */
+            /* _note_drop, then Simulator.reserve_seq */
             if (node < 0)
                 s->seam.dropped_messages++;
             else
@@ -490,7 +490,7 @@ typedef struct {
  * kinds), load both halves, run the loop and write everything back.
  * Returns True, NULL on error, or False, having changed nothing, when
  * the state is not one the core models (a foreign event or trigger, a
- * cancellation, a state the protocol half declines). */
+ * state the protocol half declines). */
 PyObject *sim_main(PyObject *args, const CoreSpec *spec);
 
 /* The three cores' entry points, and the synchronous per-node round

@@ -11,9 +11,9 @@
  * records the same LeaderPhaseChange and GenerationBirth the Python
  * engine would.
  *
- * A state the core does not model (a foreign event or trigger, a
- * cancelled event, a chain longer than one window) makes run() return
- * False before anything is consumed; the caller then runs Python.
+ * A state the core does not model (a foreign event or trigger, a chain
+ * longer than one window) makes run() return False before anything is
+ * consumed; the caller then runs Python.
  */
 #include "_fastcore.h"
 

@@ -177,7 +177,11 @@ class AsyncProtocolSim:
         return False
 
     def _run_core(self, until: float) -> bool:
-        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run."""
+        """``sim.run(until=until)`` in the compiled core; ``False`` if it did not run.
+
+        A NaN or past ``until`` raises, as :meth:`Simulator.run` does.
+        """
+        self.sim.check_until(until)
         seam = self._core_seam()
         if seam is False:
             return False

@@ -1,12 +1,11 @@
 """Discrete-event simulation substrate.
 
 This subpackage contains everything the protocols run *on top of*: the
-event queue and simulator loop, edge-latency models and the
+simulator (its event heap and loop), edge-latency models and the
 hypoexponential cycle-time math, the complete-graph address space,
 deterministic RNG substreams, and structured tracing.
 """
 
-from repro.engine.events import EventQueue
 from repro.engine.hypoexp import Hypoexponential
 from repro.engine.latency import (
     ChannelPlan,
@@ -40,7 +39,6 @@ from repro.engine.tracing import (
 )
 
 __all__ = [
-    "EventQueue",
     "ChannelDelayPool",
     "DrawPool",
     "ExponentialPool",

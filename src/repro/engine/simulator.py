@@ -1,12 +1,12 @@
 """The discrete-event simulator.
 
-:class:`Simulator` owns the simulated clock and the event queue and runs
+:class:`Simulator` owns the simulated clock and the event heap and runs
 the classic event loop: repeatedly pop the earliest event, advance the
 clock to its timestamp, and execute its action.  Actions schedule
 further events through :meth:`Simulator.schedule` /
 :meth:`Simulator.schedule_in` / :meth:`Simulator.schedule_many_at`.
 
-Next to the event queue runs a *tally stream*: a float min-heap of bare
+Next to the event heap runs a *tally stream*: a float min-heap of bare
 arrival times, filed with :meth:`Simulator.tally_at` /
 :meth:`Simulator.tally_in`.  An arrival has no action and no payload;
 the loop delivers it in time order between the events (at equal times
@@ -16,13 +16,21 @@ that brings the count to a target.  This models messages whose receiver
 only counts them up to a threshold — the single-leader protocol's
 0-signals — for a float push and pop each instead of a dispatched event.
 
-The queue is :class:`~repro.engine.events.EventQueue`: ``(time, seq,
-action, payload)`` tuples on the C ``heapq`` with lazy tombstones.
+Events are plain ``(time, seq, action, payload)`` tuples on a C
+``heapq`` heap, with no per-event object.  The sequence number grows by
+one per scheduled event, so events at equal times dispatch in the order
+they were scheduled and ``heapq`` never compares actions or payloads.
+``action`` is any callable and ``payload`` the single argument it is
+called with (``None`` calls it with none).  A scheduled event is never
+taken back: faults drop a message before it is filed, and churn checks
+a node when its event is dispatched (:mod:`repro.scenarios.faults`).
 :meth:`Simulator.schedule_many_at` files a whole block of events (one
-draw-pool block of pre-drawn times) in one call.  Protocol simulators
-size those blocks by :attr:`Simulator.tick_window`, which collapses to
-1 when the draw-pool block size is 1 — that degenerate configuration
-replays the scalar-draw reference engine draw for draw (see
+draw-pool block of pre-drawn times) in one call, with consecutive
+sequence numbers, so a block pops exactly as the same events scheduled
+one by one would.  Protocol simulators size those blocks by
+:attr:`Simulator.tick_window`, which collapses to 1 when the draw-pool
+block size is 1 — that degenerate configuration replays the scalar-draw
+reference engine draw for draw (see
 ``tests/engine/test_fast_equivalence.py``).
 
 Dispatching one event costs a couple of list loads and the callback
@@ -38,12 +46,11 @@ from __future__ import annotations
 import math
 import sys
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 import repro.engine.rng as engine_rng
-from repro.engine.events import EventQueue
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import SchedulingError
 
@@ -77,12 +84,19 @@ class Simulator:
     Notes
     -----
     Time starts at ``0.0`` and only moves forward. Scheduling an event in
-    the past raises :class:`repro.errors.SchedulingError` — protocols in
-    this library never need it and it is almost always a bug.
+    the past, or running until a past time, raises
+    :class:`repro.errors.SchedulingError` — protocols in this library
+    never need it and it is almost always a bug.
     """
 
     def __init__(self, *, tracer: Tracer | None = None):
-        self.queue = EventQueue()
+        #: The event heap and the next event's sequence number.
+        self._heap: list[tuple[float, int, Callable[..., Any], Any]] = []
+        self._next_seq = 0
+        #: Telemetry, harvested by :meth:`publish_metrics`: blocks filed
+        #: by :meth:`schedule_many_at` and the events they held.
+        self.flushes = 0
+        self.flushed_events = 0
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._events_executed = 0
@@ -118,21 +132,16 @@ class Simulator:
     ) -> int:
         """Schedule ``action(payload)`` at absolute simulated ``time``.
 
-        Returns the event's sequence handle (pass to :meth:`cancel`). A
-        ``None`` payload means ``action`` runs with no arguments.
+        Returns the event's sequence number. A ``None`` payload means
+        ``action`` runs with no arguments.
         """
         if not time >= self.now:  # rejects past times and NaN
             raise SchedulingError(
                 f"cannot schedule event at {time} in the past (now={self.now})"
             )
-        queue = self.queue
-        # Inlined EventQueue.push — one event is scheduled per event
-        # executed in steady state, so this is as hot as the run loop.
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        heappush(queue._heap, (time, seq, action, payload))
-        if queue._live is not None:
-            queue._live.add(seq)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._heap, (time, seq, action, payload))
         return seq
 
     def schedule_in(
@@ -141,12 +150,9 @@ class Simulator:
         """Schedule ``action(payload)`` after a non-negative ``delay`` from now."""
         if not delay >= 0:  # rejects negative delays and NaN
             raise SchedulingError(f"negative delay {delay}")
-        queue = self.queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        heappush(queue._heap, (self.now + delay, seq, action, payload))
-        if queue._live is not None:
-            queue._live.add(seq)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, action, payload))
         return seq
 
     def schedule_many_at(
@@ -161,32 +167,62 @@ class Simulator:
         block of events (typically a draw-pool block of tick or signal
         times).  ``payloads`` is a parallel sequence; ``None`` dispatches
         every event with no arguments.  A past or NaN time anywhere in
-        the block raises before any event is filed.  Returns the
-        contiguous range of sequence handles.
+        the block, or a payload count that differs from the times',
+        raises before any event is filed.  Returns the contiguous range
+        of sequence numbers.
         """
         if isinstance(times, np.ndarray):
             # Plain floats: a numpy scalar must never become ``now``.
             times = times.tolist()
-        if len(times) and not min(times) >= self.now:
-            raise SchedulingError(
-                f"bulk schedule contains a past or NaN time (now={self.now})"
-            )
-        return self.queue.push_many(times, action, payloads)
+        k = len(times)
+        if payloads is not None and len(payloads) != k:
+            raise SchedulingError(f"bulk schedule got {k} times but {len(payloads)} payloads")
+        if k:
+            total = sum(times)  # min() skips a NaN, but a NaN poisons the sum
+            if not (min(times) >= self.now and total == total):
+                raise SchedulingError(
+                    f"bulk schedule contains a past or NaN time (now={self.now})"
+                )
+        heap = self._heap
+        start = seq = self._next_seq
+        if payloads is None:
+            for time in times:
+                heappush(heap, (time, seq, action, None))
+                seq += 1
+        else:
+            for time, payload in zip(times, payloads):
+                heappush(heap, (time, seq, action, payload))
+                seq += 1
+        self._next_seq = seq
+        self.flushes += 1
+        self.flushed_events += k
+        return range(start, seq)
 
-    def tally_at(self, times: Iterable[float]) -> None:
+    def reserve_seq(self) -> int:
+        """Use up one sequence number without scheduling anything.
+
+        A fault seam calls this for an event it drops, so that the
+        events after it keep the sequence numbers they would have had.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    def tally_at(self, times: Sequence[float]) -> None:
         """File tally arrivals at absolute simulated ``times``.
 
         The tally counterpart of :meth:`schedule_many_at`: protocols
-        file one pre-drawn block per call.  Past, NaN and infinite times
-        raise.
+        file one pre-drawn block per call.  A past, NaN or infinite
+        time anywhere in the block raises before any arrival is filed.
         """
         now = self.now
-        tally = self._tally
         for time in times:
             if not now <= time < math.inf:  # rejects past, NaN and inf
                 raise SchedulingError(
                     f"cannot tally an arrival at {time} (now={now})"
                 )
+        tally = self._tally
+        for time in times:
             heappush(tally, time)
 
     def tally_in(self, delay: float) -> None:
@@ -205,27 +241,37 @@ class Simulator:
         self._trigger_at = count
         self._trigger_action = action
 
-    def cancel(self, handle: int) -> None:
-        """Cancel a previously scheduled event by its sequence handle."""
-        self.queue.cancel(handle)
-
     def publish_metrics(self, metrics) -> None:
         """Harvest engine counters into a metrics registry (run epilogue).
 
         Nothing on the event loop itself changes for metrics: the loop
-        already counts executed events and the queue counts its own
-        amortized-path telemetry (bulk blocks, cancels, tombstone pops),
-        so enabling metrics costs one dict harvest after the run.
+        already counts executed events and :meth:`schedule_many_at` its
+        blocks, so enabling metrics costs one harvest after the run.
+        ``engine.queue.dead_pops`` (events popped but not dispatched) is
+        always 0, since no event is ever taken back; the name stays
+        because the perf ledger's contract lists it.
         """
         if metrics is None or not metrics.enabled:
             return
         metrics.counter(f"engine.runs.{DEFAULT_ENGINE}").inc()
         metrics.counter("engine.events_executed").inc(self._events_executed)
-        metrics.add_counters(self.queue.stats(), prefix="engine.")
+        metrics.add_counters(
+            {
+                "queue.flushes": self.flushes,
+                "queue.flushed_events": self.flushed_events,
+                "queue.dead_pops": 0,
+            },
+            prefix="engine.",
+        )
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""
         self._stop_requested = True
+
+    def check_until(self, until: float) -> None:
+        """Reject a run horizon the clock cannot reach: NaN or before ``now``."""
+        if not until >= self.now:
+            raise SchedulingError(f"cannot run until {until} (now={self.now})")
 
     def run(
         self,
@@ -246,6 +292,7 @@ class Simulator:
         until:
             Stop (without executing) at the first event or arrival later
             than this time; the clock is then advanced to ``until``.
+            NaN or a time before ``now`` raises before anything runs.
         max_events:
             Execute at most this many events (guards runaway loops).
         stop_when:
@@ -257,13 +304,15 @@ class Simulator:
         float
             The simulated time when the loop exited.
         """
+        if until is not None:
+            self.check_until(until)
         self._stop_requested = False
         horizon = math.inf if until is None else until
         if max_events is None and stop_when is None:
             self._run_free(horizon)
         else:
             self._run_polled(horizon, max_events, stop_when)
-        if until is not None and not self.queue and not self._tally and self.now < until:
+        if until is not None and not self._heap and not self._tally and self.now < until:
             self.now = until
         return self.now
 
@@ -275,8 +324,7 @@ class Simulator:
         checked, and every tally arrival due before the next event is
         delivered in one inner run.
         """
-        queue = self.queue
-        heap = queue._heap
+        heap = self._heap
         tally = self._tally
         # The first float past the horizon: ``< limit`` bounds a run of
         # deliveries by both the next event (exclusive) and the horizon
@@ -285,16 +333,8 @@ class Simulator:
         executed = 0
         try:
             while True:
-                # Make heap[0] the next live event: drop tombstones.
-                # queue._live is re-read per event because a callback
-                # can trigger the first cancellation mid-run.
                 if heap:
                     entry = heap[0]
-                    live = queue._live
-                    if live is not None and entry[1] not in live:
-                        heappop(heap)
-                        queue.dead_pops += 1
-                        continue
                     due = entry[0]
                 elif tally:
                     due = math.inf
@@ -326,8 +366,6 @@ class Simulator:
                     self.now = horizon
                     return
                 heappop(heap)
-                if live is not None:
-                    live.remove(entry[1])
                 self.now = due
                 payload = entry[3]
                 if payload is None:
@@ -351,8 +389,7 @@ class Simulator:
         Head selection mirrors :meth:`_run_free` inline, with no helper
         call per event.
         """
-        queue = self.queue
-        heap = queue._heap
+        heap = self._heap
         tally = self._tally
         cap = sys.maxsize if max_events is None else max_events
         executed = 0
@@ -360,11 +397,6 @@ class Simulator:
             while executed < cap:
                 if heap:
                     entry = heap[0]
-                    live = queue._live
-                    if live is not None and entry[1] not in live:
-                        heappop(heap)
-                        queue.dead_pops += 1
-                        continue
                     due = entry[0]
                 elif tally:
                     due = math.inf
@@ -386,8 +418,6 @@ class Simulator:
                         self.now = horizon
                         return
                     heappop(heap)
-                    if live is not None:
-                        live.remove(entry[1])
                     self.now = due
                     payload = entry[3]
                     if payload is None:

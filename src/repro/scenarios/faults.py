@@ -553,9 +553,9 @@ class FaultInjection:
                 transformed = fault.transform(category, node, delay)
                 if transformed is None:
                     self._note_drop(category, node)
-                    # Hand back a fresh (never-scheduled) handle so
-                    # caller code that stores it keeps working.
-                    return self.sim.queue.reserve_handle()
+                    # The drop uses up the sequence number the event
+                    # would have had, as the compiled cores' send does.
+                    return self.sim.reserve_seq()
                 delay = transformed
         if self._has_churn:
             return self._original_schedule_in(

@@ -49,7 +49,7 @@ class TestCorrectness:
             sim.sim.run(max_events=3000)
             assert int(sim.gens.max()) <= sim.leader.gen
             assert sim.matrix.sum() == params.n
-            if not sim.sim.queue:
+            if not sim.sim._heap:
                 break
 
     def test_slower_exchange_slower_consensus(self, params, counts):

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core import fastcore
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim
@@ -130,6 +131,12 @@ def test_build_py_tree_ships_every_core_source(tmp_path):
     )
     built = tmp_path / "repro" / "core"
     assert [name for name in fastcore._SOURCES if not (built / name).is_file()] == []
+    # The installed metadata reports the package's own version.
+    version = subprocess.run(
+        [sys.executable, "setup.py", "--version"],
+        cwd=root, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert version.stdout.split() == [repro.__version__]
 
 
 @functools.lru_cache(maxsize=None)

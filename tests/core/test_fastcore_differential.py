@@ -50,7 +50,7 @@ SNAPSHOTS = ("cols", "gens", "locked", "seen_gen", "seen_prop", "matrix", "color
 
 def assert_heaps(sim: Simulator) -> None:
     """The Python engine continues from these lists: both must be ``heapq`` heaps."""
-    heap, tally = sim.queue._heap, sim._tally
+    heap, tally = sim._heap, sim._tally
     assert all(heap[(i - 1) >> 1][:2] < heap[i][:2] for i in range(1, len(heap)))
     assert all(tally[(i - 1) >> 1] <= tally[i] for i in range(1, len(tally)))
 
@@ -59,7 +59,7 @@ def observe(sim: SingleLeaderSim, result) -> dict:
     """Everything a caller can read after a run, as plain values."""
     assert_heaps(sim.sim)
     queue = sorted(
-        (time, seq, action.__name__, payload) for time, seq, action, payload in sim.sim.queue._heap
+        (time, seq, action.__name__, payload) for time, seq, action, payload in sim.sim._heap
     )
     pools = (sim._tick_wait, sim._latency, sim._channel_delay, sim._neighbors._pool)
     return {
@@ -79,10 +79,10 @@ def observe(sim: SingleLeaderSim, result) -> dict:
         "snapshots": {name: getattr(sim, name).tolist() for name in SNAPSHOTS},
         "ticks": (sim.total_ticks, sim.good_ticks, sim.skipped_ticks, sim.refills),
         "sim": (sim.sim.now, sim.sim.events_executed, sim.sim.tallied, sim.sim._trigger_at),
-        "pending": (len(sim.sim.queue), len(sim.sim._tally)),
+        "pending": (len(sim.sim._heap), len(sim.sim._tally)),
         "queue": queue,
         "tally": sorted(sim.sim._tally),
-        "next_seq": sim.sim.queue._next_seq,
+        "next_seq": sim.sim._next_seq,
         "remaining": [pool.remaining for pool in pools],
         "rng": sim._rng.bit_generator.state,
     }
@@ -101,7 +101,7 @@ def quantize(sim: Simulator, grid: float) -> None:
     and arrivals tie with events and with the arrivals that a chain
     extension behind the clock clamps to now.
     """
-    heap, tally = sim.queue._heap, sim._tally
+    heap, tally = sim._heap, sim._tally
     heap[:] = [(math.ceil(time / grid) * grid, *rest) for time, *rest in heap]
     tally[:] = [math.ceil(time / grid) * grid for time in tally]
     heapq.heapify(heap)

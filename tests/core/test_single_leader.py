@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import fastcore
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim, run_single_leader
 from repro.engine.rng import RngRegistry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.workloads.opinions import biased_counts
 
 
@@ -56,6 +57,22 @@ class TestValidation:
             sim.run(**run_kwargs)
         assert sim.sim.events_executed == 0
         assert sim.sim.now == 0.0
+
+    @pytest.mark.parametrize("core", ["c", "python"])
+    def test_past_horizon_rejected_on_either_core(self, rng, monkeypatch, core):
+        """A second run with a smaller budget must not turn the clock back."""
+        if core == "python":
+            monkeypatch.setattr(fastcore, "_core", None)
+        elif fastcore.load() is None:
+            pytest.skip("compiled core unavailable")
+        sim = SingleLeaderSim(make_params(n=60, k=2), biased_counts(60, 2, 2.0), rng)
+        assert not sim.run(max_time=5.0).converged
+        assert sim.core == core
+        before = (sim.sim.now, sim.sim.events_executed, sim.sim._next_seq)
+        with pytest.raises(SchedulingError):
+            sim.run(max_time=2.0)
+        assert (sim.sim.now, sim.sim.events_executed, sim.sim._next_seq) == before
+        assert before[0] == 5.0
 
     def test_zero_budget_runs_nothing(self, rng):
         sim = SingleLeaderSim(make_params(n=60, k=2), biased_counts(60, 2, 2.0), rng)
@@ -127,7 +144,7 @@ class TestInvariants:
             assert sim.matrix.sum() == 400
             assert (sim.matrix >= 0).all()
             assert (sim.color_counts == sim.matrix.sum(axis=0)).all()
-            if not sim.sim.queue:
+            if not sim.sim._heap:
                 break
 
     def test_leader_generation_capped(self, rngs):

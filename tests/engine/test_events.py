@@ -1,10 +1,12 @@
-"""Unit tests for the tuple-based event queue."""
+"""Unit tests for the simulator's event heap: order, ties, sequence numbers."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.engine.events import EventQueue
+from repro.engine.simulator import Simulator
 from repro.errors import SchedulingError
 
 
@@ -12,81 +14,83 @@ def noop() -> None:
     pass
 
 
+def recording_sim():
+    """A simulator, a ``(now, payload)`` log, and the action that fills it."""
+    sim = Simulator()
+    log: list = []
+
+    def record(payload) -> None:
+        log.append((sim.now, payload))
+
+    return sim, log, record
+
+
 class TestEventQueueBasics:
     def test_empty_queue_is_falsy(self):
-        queue = EventQueue()
-        assert not queue
-        assert len(queue) == 0
-        assert queue.peek_time() is None
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SchedulingError):
-            EventQueue().pop()
+        sim = Simulator()
+        assert not sim._heap
+        assert sim.run() == 0.0
+        assert sim.events_executed == 0
 
     def test_push_pop_single(self):
-        queue = EventQueue()
-        handle = queue.push(1.5, noop, "payload")
-        time, seq, action, payload = queue.pop()
-        assert time == 1.5
-        assert seq == handle
-        assert action is noop
-        assert payload == "payload"
-        assert not queue
+        sim, log, record = recording_sim()
+        seq = sim.schedule(1.5, record, "payload")
+        assert sim._heap == [(1.5, seq, record, "payload")]
+        sim.run()
+        assert log == [(1.5, "payload")]
+        assert not sim._heap
 
     def test_orders_by_time(self):
-        queue = EventQueue()
-        queue.push(3.0, noop, "late")
-        queue.push(1.0, noop, "early")
-        queue.push(2.0, noop, "mid")
-        payloads = [queue.pop()[3] for _ in range(3)]
-        assert payloads == ["early", "mid", "late"]
+        sim, log, record = recording_sim()
+        sim.schedule(3.0, record, "late")
+        sim.schedule(1.0, record, "early")
+        sim.schedule(2.0, record, "mid")
+        sim.run()
+        assert [payload for _, payload in log] == ["early", "mid", "late"]
 
     def test_ties_are_fifo(self):
-        queue = EventQueue()
+        sim, log, record = recording_sim()
         for index in range(10):
-            queue.push(1.0, noop, index)
-        assert [queue.pop()[3] for _ in range(10)] == list(range(10))
+            sim.schedule(1.0, record, index)
+        sim.run()
+        assert [payload for _, payload in log] == list(range(10))
 
     def test_handles_are_monotonic(self):
-        queue = EventQueue()
-        handles = [queue.push(0.0, noop) for _ in range(5)]
-        assert handles == sorted(handles)
-        assert len(set(handles)) == 5
+        sim = Simulator()
+        seqs = [sim.schedule(0.0, noop) for _ in range(3)]
+        seqs.append(sim.schedule_in(0.0, noop))
+        seqs.extend(sim.schedule_many_at([0.0, 0.0], noop))
+        seqs.append(sim.reserve_seq())
+        seqs.append(sim.schedule(0.0, noop))
+        assert seqs == list(range(8))
+        assert sim._next_seq == 8
 
     def test_nan_time_rejected(self):
+        sim = Simulator()
         with pytest.raises(SchedulingError):
-            EventQueue().push(float("nan"), noop)
-
-    def test_cancel_skips_event(self):
-        queue = EventQueue()
-        keep = queue.push(1.0, noop, "keep")
-        drop = queue.push(0.5, noop, "drop")
-        queue.cancel(drop)
-        assert len(queue) == 1
-        assert queue.pop()[1] == keep
-
-    def test_cancel_updates_peek(self):
-        queue = EventQueue()
-        drop = queue.push(0.5, noop)
-        queue.push(2.0, noop)
-        queue.cancel(drop)
-        assert queue.peek_time() == 2.0
+            sim.schedule(math.nan, noop)
+        with pytest.raises(SchedulingError):
+            sim.schedule_in(math.nan, noop)
+        with pytest.raises(SchedulingError):
+            sim.schedule_many_at([1.0, math.nan], noop)
+        assert (sim._heap, sim._next_seq) == ([], 0)
 
     def test_drain_interleaves_new_pushes(self):
-        queue = EventQueue()
-        seen = []
+        sim, log, record = recording_sim()
 
-        def push_more():
-            queue.push(1.5, noop, "inserted")
+        def push_more(payload) -> None:
+            record(payload)
+            sim.schedule(1.5, record, "inserted")
 
-        queue.push(1.0, push_more, "first")
-        queue.push(2.0, noop, "last")
-        for _, _, action, payload in queue.drain():
-            seen.append(payload)
-            action()
-        assert seen == ["first", "inserted", "last"]
+        sim.schedule(1.0, push_more, "first")
+        sim.schedule(2.0, record, "last")
+        sim.run()
+        assert log == [(1.0, "first"), (1.5, "inserted"), (2.0, "last")]
 
     def test_default_payload_is_none(self):
-        queue = EventQueue()
-        queue.push(0.0, noop)
-        assert queue.pop()[3] is None
+        sim = Simulator()
+        calls = []
+        sim.schedule(0.0, lambda: calls.append("no arguments"))
+        assert sim._heap[0][3] is None
+        sim.run()
+        assert calls == ["no arguments"]

@@ -37,11 +37,10 @@ class TestScheduling:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
-        queue = sim.queue
         with pytest.raises(SchedulingError):
             sim.schedule_many_at([sim.now + 1.0, sim.now + bad], print, [1, 2])
-        assert len(queue) == 0
-        assert queue._next_seq == 1
+        assert len(sim._heap) == 0
+        assert (sim._next_seq, sim.flushes) == (1, 0)
         fired = []
         sim.schedule(2.0, fired.append, "scalar")
         sim.schedule(2.0, lambda: fired.append("tie"))
@@ -68,7 +67,7 @@ class TestScheduling:
         waits = ExponentialPool(np.random.default_rng(seed), 1.0).take_array(window)
         expected = (np.cumsum(waits) + now).tolist()
         assert tick_times(waits.tolist(), now) == expected
-        filed = sorted(entry[0] for entry in sim.queue._heap)
+        filed = sorted(entry[0] for entry in sim._heap)
         assert filed[1:] == expected[1:]
         assert filed[0] == now + waits[0]
         assert all(type(time) is float for time in filed)
@@ -155,14 +154,23 @@ class TestRunControls:
         sim.run()
         assert sim.events_executed == 4
 
-    def test_cancel_through_simulator(self):
+    @pytest.mark.parametrize("polled", [False, True], ids=["free", "polled"])
+    @pytest.mark.parametrize("until", [2.0, math.nan])
+    def test_past_or_nan_until_rejected_before_running(self, polled, until):
+        """The clock never runs backwards, and a NaN horizon is no horizon."""
         sim = Simulator()
         fired = []
-        event = sim.schedule(1.0, lambda: fired.append("dropped"))
-        sim.schedule(2.0, lambda: fired.append("kept"))
-        sim.cancel(event)
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(6.0, fired.append, 6)
+        sim.tally_at([3.0])
+        sim.run(until=5.0)
+        extra = {"max_events": 10} if polled else {}
+        with pytest.raises(SchedulingError):
+            sim.run(until=until, **extra)
+        assert (sim.now, fired, sim.tallied, sim.events_executed) == (5.0, [1], 1, 2)
+        assert sim.run(until=5.0) == 5.0  # now itself is a valid horizon
         sim.run()
-        assert fired == ["kept"]
+        assert fired == [1, 6]
 
 
 class TestTracerWiring:
@@ -292,13 +300,14 @@ class TestTallyStream:
         assert sim.events_executed == 4
 
     def test_past_and_nan_arrivals_rejected(self):
+        """A bad time anywhere in a block refuses the whole block."""
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
-        with pytest.raises(SchedulingError):
-            sim.tally_at([4.0])
-        with pytest.raises(SchedulingError):
-            sim.tally_at([math.nan])
+        for bad in (4.0, math.nan, math.inf):
+            with pytest.raises(SchedulingError):
+                sim.tally_at([6.0, 7.0, bad])
+            assert sim._tally == []
         with pytest.raises(SchedulingError):
             sim.tally_in(-0.5)
 

@@ -104,7 +104,7 @@ class TestInvariants:
             assert (sim.matrix >= 0).all()
             max_leader_gen = max(state.gen for state in sim.leaders.values())
             assert int(sim.gens.max()) <= max_leader_gen
-            if not sim.sim.queue:
+            if not sim.sim._heap:
                 break
 
     def test_phase_table_structure(self, params, clustering, rngs):

@@ -61,7 +61,7 @@ def _payload(payload):
 
 def assert_heaps(sim: Simulator) -> None:
     """The Python engine continues from these lists: both must be ``heapq`` heaps."""
-    heap, tally = sim.queue._heap, sim._tally
+    heap, tally = sim._heap, sim._tally
     assert all(heap[(i - 1) >> 1][:2] < heap[i][:2] for i in range(1, len(heap)))
     assert all(tally[(i - 1) >> 1] <= tally[i] for i in range(1, len(tally)))
 
@@ -71,7 +71,7 @@ def quantize(sim: Simulator, grid: float) -> None:
 
     Events then share times exactly and pop by sequence number alone.
     """
-    heap = sim.queue._heap
+    heap = sim._heap
     heap[:] = [(math.ceil(time / grid) * grid, *rest) for time, *rest in heap]
     heapq.heapify(heap)
 
@@ -81,7 +81,7 @@ def observe(sim: MultiLeaderConsensusSim, result, wiring) -> dict:
     assert_heaps(sim.sim)
     queue = sorted(
         (time, seq, action.__name__, _payload(payload))
-        for time, seq, action, payload in sim.sim.queue._heap
+        for time, seq, action, payload in sim.sim._heap
     )
     pools = [sim._tick_wait, sim._latency, sim._channel_delay, sim._neighbors._pool]
     if wiring is not None:
@@ -107,7 +107,7 @@ def observe(sim: MultiLeaderConsensusSim, result, wiring) -> dict:
         "ticks": (sim.total_ticks, sim.good_ticks, sim._credit, sim._birth_seen),
         "sim": (sim.sim.now, sim.sim.events_executed, sim.sim._stop_requested),
         "queue": queue,
-        "queue_stats": (sim.sim.queue._next_seq, sim.sim.queue.stats()),
+        "queue_stats": (sim.sim._next_seq, sim.sim.flushes, sim.sim.flushed_events),
         "pools": [(pool._pos, len(pool._buf)) for pool in pools],
         "faults": None if wiring is None else (
             wiring.info(),

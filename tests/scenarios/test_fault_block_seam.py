@@ -147,7 +147,7 @@ def test_block_seam_matches_scalar_seam(churn, blocks):
         for kind, entries, no_payloads, advance in blocks:
             _file(sim, harness, kind, entries, no_payloads, bulk=bulk)
             checkpoints.append(
-                (sim.queue._next_seq, wiring.info(), _pool_positions(wiring),
+                (sim._next_seq, wiring.info(), _pool_positions(wiring),
                  sorted(sim._tally))
             )
             sim.run(until=sim.now + advance)
@@ -177,7 +177,7 @@ def test_rejected_block_changes_nothing(churn, kind, bad):
     sim.run(until=1.0)
     # Churn schedules crash events; put one harness event in the queue too.
     sim.schedule_in(0.25, harness._deliver_signal, (0, 0))
-    before = (len(sim.queue), len(sim._tally), sim.queue._next_seq,
+    before = (len(sim._heap), len(sim._tally), sim._next_seq,
               _pool_positions(wiring), wiring.info())
     times = [2.0, bad, 3.0]
     if kind == "tally":
@@ -188,7 +188,7 @@ def test_rejected_block_changes_nothing(churn, kind, bad):
                   "exchange": harness._exchange}[kind]
         with pytest.raises(SchedulingError):
             sim.schedule_many_at(times, action, [(0, 1), (1, 2), (2, 3)])
-    after = (len(sim.queue), len(sim._tally), sim.queue._next_seq,
+    after = (len(sim._heap), len(sim._tally), sim._next_seq,
              _pool_positions(wiring), wiring.info())
     assert after == before
 
@@ -197,7 +197,7 @@ def test_mismatched_payloads_rejected_before_filing():
     sim, wiring, harness, _ = _wired(False)
     with pytest.raises(SchedulingError):
         sim.schedule_many_at([1.0, 2.0], harness._deliver_signal, [(0, 0)])
-    assert len(sim.queue) == 0
+    assert len(sim._heap) == 0
     assert _pool_positions(wiring) == [(0, 0), (0, 0)]
 
 
@@ -228,7 +228,7 @@ def test_faulty_multileader_run_keeps_plain_float_times():
     assert len(simulators) == 2
     for simulator in simulators:
         assert type(simulator.now) is float
-        assert all(type(entry[0]) is float for entry in simulator.queue._heap)
+        assert all(type(entry[0]) is float for entry in simulator._heap)
     assert tracer.records
     assert all(type(record.time) is float for record in tracer.records)
 
